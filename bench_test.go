@@ -120,17 +120,6 @@ func BenchmarkTopoffC432(b *testing.B) { benchmarkTopoff(b, "c432", benchConfig(
 func BenchmarkTopoffC499(b *testing.B) { benchmarkTopoff(b, "c499", benchConfig()) }
 func BenchmarkTopoffC880(b *testing.B) { benchmarkTopoff(b, "c880", benchConfig()) }
 
-// BenchmarkTopoffC499SinglePair is BenchmarkTopoffC499 with the ATPG
-// pack scheduler pinned to one lane pair — the CI-gated ablation twin
-// measuring what the other 62 lanes buy the ATPG-heaviest top-off flow.
-// Reports are identical either way (detection order is defined by target
-// index, not completion time).
-func BenchmarkTopoffC499SinglePair(b *testing.B) {
-	cfg := benchConfig()
-	cfg.PackPairs = 1
-	benchmarkTopoff(b, "c499", cfg)
-}
-
 // --- E4: sequential ATPG top-off (extension) ----------------------------------
 
 func BenchmarkSeqTopoffB06(b *testing.B) {
@@ -635,18 +624,18 @@ func BenchmarkPODEM(b *testing.B) {
 }
 
 // benchmarkSeqATPG is the compiled-ATPG ablation family: full sequential
-// ATPG on b03 (model compile + PODEM over the unrolled twin + drop-sim)
-// at a fixed engine setting. Workers 1 is the legacy path — the
-// three-valued interpreter and a one-shot RunOn per generated test;
-// Workers 0 with PackPairs 1 is the single-pair compiled engine —
-// dual-rail implications and the incremental reset-per-test drop-sim
-// session; PackPairs 0 is the packed engine, up to 32 concurrent
-// searches per machine pass under the work-stealing pair scheduler. All
-// settings produce identical reports (pinned in atpg and
-// internal/difftest); the ratios are the compiled port's and the lane
-// pack's wins. MaxBacktracks is capped like the parity tests so aborted
-// targets don't dominate the measurement with search effort every
-// engine shares anyway.
+// ATPG on b03 (model compile + PODEM over the unrolled model + drop-sim)
+// at a fixed engine setting. Workers 1 is the serial reference — the
+// three-valued interpreter under the serial driver, dropping through
+// faultsim's single-fault reference engine; Workers 0 runs the pack
+// scheduler on the dual-rail twin with the compiled reset-per-test
+// drop-sim session, on one lane pair at PackPairs 1 and on up to 32
+// concurrent searches per machine pass at PackPairs 0. All settings
+// produce identical reports (pinned in atpg and internal/difftest); the
+// packed-vs-single-pair ratio is what filling the lanes buys.
+// MaxBacktracks is capped like the parity tests so aborted targets don't
+// dominate the measurement with search effort every engine shares
+// anyway.
 func benchmarkSeqATPG(b *testing.B, workers, packPairs int) {
 	nl, err := synth.Synthesize(circuits.MustLoad("b03"))
 	if err != nil {
@@ -674,13 +663,13 @@ func benchmarkSeqATPG(b *testing.B, workers, packPairs int) {
 // capacity) on b03 — the production path.
 func BenchmarkSeqATPGPacked(b *testing.B) { benchmarkSeqATPG(b, 0, 0) }
 
-// BenchmarkSeqATPGCompiled is the single-pair compiled engine on b03 —
-// the packed scheduler's differential reference and the CI-gated
-// ablation twin of BenchmarkSeqATPGPacked.
+// BenchmarkSeqATPGCompiled is the pack scheduler pinned to a single lane
+// pair on b03 — the CI-gated ablation twin of BenchmarkSeqATPGPacked.
 func BenchmarkSeqATPGCompiled(b *testing.B) { benchmarkSeqATPG(b, 0, 1) }
 
-// BenchmarkSeqATPGLegacy is the legacy interpreter with one-shot
-// per-test drop simulation on b03, kept as the differential baseline.
+// BenchmarkSeqATPGLegacy is the serial reference on b03 (interpreter,
+// serial driver, single-fault reference drop-sim), kept as the
+// differential baseline.
 func BenchmarkSeqATPGLegacy(b *testing.B) { benchmarkSeqATPG(b, 1, 0) }
 
 func BenchmarkMutationScore(b *testing.B) {

@@ -45,13 +45,16 @@
 // Deterministic ATPG (internal/atpg, PODEM with time-frame expansion)
 // runs on the same compiled machinery: netlist.TriExpand builds a
 // dual-rail twin that encodes three-valued (0/1/X) logic as plain
-// two-valued gates, so one compiled Machine pass evaluates PODEM's good
-// and faulty planes in two lanes, and atpg.Model compiles the (possibly
-// unrolled) circuit once per depth for any number of campaigns. Fault
-// dropping between PODEM targets is an incremental fault-sim session
-// with batch-level retirement. Workers:1 keeps the legacy interpreter +
-// one-shot drop-sim as the differential reference; both engines emit
-// identical test sets (internal/difftest's ATPG parity fuzz).
+// two-valued gates, so one compiled Machine pass evaluates the good and
+// faulty planes of up to 32 packed PODEM searches (atpg.Options.PackPairs),
+// and atpg.Model compiles the (possibly unrolled) circuit once per depth
+// for any number of campaigns. Fault dropping between PODEM targets is
+// an incremental fault-sim session with batch-level retirement, driven
+// by one commit per mode that both target drivers share. Workers:1 runs
+// the serial reference driver — the three-valued interpreter, one target
+// at a time, with faultsim's single-fault reference engine as the
+// drop-sim — and every setting emits identical test sets
+// (internal/difftest's ATPG parity fuzz).
 //
 // See README.md for the package inventory, build/test/benchmark entry
 // points, the two-engine simulation design and the lane-width guidance;

@@ -6,12 +6,11 @@ import (
 )
 
 // Lane assignment of the PODEM planes inside one compiled machine pass:
-// each search occupies one lane pair — the fault-free good plane on the
-// even lane, the fault-injected faulty plane on the odd lane right above
-// it. The single-pair reference engine (PackPairs == 1) uses pair 0,
-// i.e. lanes 0/1, which is exactly the pre-pack dual-rail layout; the
-// pack scheduler fills up to packMaxPairs pairs of the same W=1 word, so
-// one instruction-stream pass evaluates up to 32 concurrent searches.
+// search k occupies lane pair k — the fault-free good plane on even lane
+// 2k, the fault-injected faulty plane on odd lane 2k+1 right above it.
+// The pack scheduler fills up to packMaxPairs pairs of the same W=1
+// word, so one instruction-stream pass evaluates up to 32 concurrent
+// searches; PackPairs == 1 runs the same scheduler on pair 0 alone.
 const (
 	goodLane   = 0
 	faultyLane = 1
@@ -20,14 +19,15 @@ const (
 	packMaxPairs = 32
 )
 
-// twin is the compiled dual-rail backend shared by the single-pair and
-// packed engines: the model netlist's TriExpand twin (Kleene three-valued
-// logic as two-valued rails) compiled once into a flat program, evaluated
-// by one persistent W=1 machine, plus the twin PI scratch. Arming a
-// target translates each fault site into its rail pair and injects it
-// into the target's faulty lane only; imply is then a single Machine.Eval
-// followed by a rail decode into a cursor's gv/fv arrays, which the
-// search reads exactly as it reads the interpreter's.
+// twin is the pack scheduler's compiled dual-rail backend: the model
+// netlist's TriExpand twin (Kleene three-valued logic as two-valued
+// rails) compiled once into a flat program, evaluated by one persistent
+// W=1 machine, plus the twin PI scratch. Arming a pair translates each
+// of its target's fault sites into a rail pair and injects it into that
+// pair's faulty lane only; an implication pass is then one gather per
+// active pair, a single Machine.Eval, and a rail decode into each
+// active cursor's gv/fv arrays, which the search reads exactly as it
+// reads the interpreter's.
 type twin struct {
 	nl  *netlist.Netlist // model netlist (the twin's source)
 	tm  *netlist.TriMap
@@ -72,26 +72,6 @@ func (t *twin) armPair(k int, sites []netlist.FaultSite) {
 func (t *twin) clearPair(k int) {
 	both := lane.Or(lane.Bit[lane.W1](2*k+goodLane), lane.Bit[lane.W1](2*k+faultyLane))
 	t.m.ClearFaultLanes(both)
-}
-
-// compiledSim is the single-pair compiled backend (PackPairs == 1, the
-// packed engine's differential reference): pair 0 carries the one active
-// search, so arm/imply reproduce the pre-pack dual-rail engine pass for
-// pass.
-type compiledSim struct {
-	e *search
-	t *twin
-}
-
-func (s *compiledSim) arm(sites []netlist.FaultSite) {
-	s.t.m.ClearFaults()
-	s.t.armPair(0, sites)
-}
-
-func (s *compiledSim) imply(assign []tri) {
-	s.t.gather(assign, 0)
-	s.t.m.Eval(s.t.pis)
-	s.t.decode(s.e.cur, 0)
 }
 
 // gather writes one search's PI assignment into pair k's two lanes of

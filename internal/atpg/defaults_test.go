@@ -12,7 +12,7 @@ func TestSeqOptionsWithDefaults(t *testing.T) {
 	// explicitly.
 	same := func(a, b SeqOptions) bool {
 		return a.Frames == b.Frames && a.MaxBacktracks == b.MaxBacktracks &&
-			a.FillSeed == b.FillSeed &&
+			a.FillSeed == b.FillSeed && a.PackPairs == b.PackPairs &&
 			a.Workers == b.Workers && a.LaneWords == b.LaneWords
 	}
 	got := (*SeqOptions)(nil).withDefaults()
@@ -25,7 +25,7 @@ func TestSeqOptionsWithDefaults(t *testing.T) {
 	}
 	// Explicit values must pass through untouched — including the
 	// embedded engine knobs the compiled engine reads.
-	in := &SeqOptions{Frames: 3, MaxBacktracks: 17, FillSeed: 5}
+	in := &SeqOptions{Frames: 3, MaxBacktracks: 17, FillSeed: 5, PackPairs: 4}
 	in.Workers = 2
 	in.LaneWords = 4
 	if got := in.withDefaults(); !same(got, *in) {
@@ -36,7 +36,7 @@ func TestSeqOptionsWithDefaults(t *testing.T) {
 	if part.Frames != 8 || part.MaxBacktracks != 1024 {
 		t.Errorf("partial options defaults wrong: %+v", part)
 	}
-	if part.FillSeed != 9 || part.Workers != 0 || part.LaneWords != 0 {
+	if part.FillSeed != 9 || part.PackPairs != 0 || part.Workers != 0 || part.LaneWords != 0 {
 		t.Errorf("partial options lost explicit fields: %+v", part)
 	}
 }
@@ -45,6 +45,7 @@ func TestSeqOptionsWithDefaults(t *testing.T) {
 func TestOptionsWithDefaults(t *testing.T) {
 	same := func(a, b Options) bool {
 		return a.MaxBacktracks == b.MaxBacktracks && a.FillSeed == b.FillSeed &&
+			a.PackPairs == b.PackPairs &&
 			a.Workers == b.Workers && a.LaneWords == b.LaneWords
 	}
 	got := (*Options)(nil).withDefaults()
@@ -55,7 +56,7 @@ func TestOptionsWithDefaults(t *testing.T) {
 	if zero := (&Options{}).withDefaults(); !same(zero, want) {
 		t.Errorf("zero options: defaults %+v, want %+v", zero, want)
 	}
-	in := &Options{MaxBacktracks: 12, FillSeed: 4}
+	in := &Options{MaxBacktracks: 12, FillSeed: 4, PackPairs: 2}
 	in.Workers = 3
 	in.LaneWords = 8
 	if got := in.withDefaults(); !same(got, *in) {

@@ -12,8 +12,8 @@ import (
 // Model is the reusable ATPG evaluation model for one circuit: the PODEM
 // search structures (levelization, fanout, SCOAP) over the model netlist
 // — the circuit itself for combinational sources, its time-frame
-// expansion for sequential ones — plus, built on first compiled use, the
-// dual-rail twin program the compiled engine evaluates. Compiling is per
+// expansion for sequential ones — plus, built on first use by the pack
+// scheduler, the dual-rail twin program it evaluates. Compiling is per
 // (netlist, unroll depth), so callers that run several campaigns against
 // one circuit (the top-off experiments run baseline and top-off back to
 // back) build one Model and share everything but the per-call state.
@@ -24,12 +24,13 @@ type Model struct {
 	frames int // 0 for combinational models
 	eng    *search
 	comp   *twin     // lazily built: TriExpand + Compile of the model netlist
-	packed []*cursor // pack-scheduler cursors, grown to PackPairs on first use
+	curs   []*cursor // search cursors, grown to the pack width on first use
 }
 
 // dropSimConfig projects the ATPG engine options onto the drop-sim
-// session: Workers/LaneWords/Ctx forward, but the progress hook does not
-// — ATPG reports resolved targets on it, and interleaving the inner
+// session: Workers/LaneWords/Ctx forward — so Workers == 1 drops through
+// faultsim's single-fault reference engine — but the progress hook does
+// not: ATPG reports resolved targets on it, and interleaving the inner
 // simulator's batch counts would make one hook carry two incompatible
 // (Done, Total) streams.
 func dropSimConfig(o engine.Options) faultsim.Config {
@@ -38,9 +39,9 @@ func dropSimConfig(o engine.Options) faultsim.Config {
 }
 
 // resolvePackPairs validates the PackPairs knob: 0 selects the full
-// 32-pair capacity of the W=1 dual-rail machine, 1 the single-pair
-// reference engine, and 2..32 an explicit pack width. Values beyond the
-// lane capacity are rejected — a pair is two lanes of one 64-lane word.
+// 32-pair capacity of the W=1 dual-rail machine and 1..32 an explicit
+// pack width. Values beyond the lane capacity are rejected — a pair is
+// two lanes of one 64-lane word.
 func resolvePackPairs(p int) (int, error) {
 	switch {
 	case p == 0:
@@ -88,7 +89,7 @@ func NewSequentialModel(nl *netlist.Netlist, frames int) (*Model, error) {
 func (m *Model) Frames() int { return m.frames }
 
 // compiled returns the dual-rail compiled backend, building it on first
-// use so legacy-only runs never pay for the twin compilation.
+// use so serial-only runs never pay for the twin compilation.
 func (m *Model) compiled() (*twin, error) {
 	if m.comp == nil {
 		tw, err := newTwin(m.eng.nl)
@@ -100,13 +101,13 @@ func (m *Model) compiled() (*twin, error) {
 	return m.comp, nil
 }
 
-// packCursors returns at least pairs search cursors, allocated on first
-// use and reused across campaigns on the same model.
-func (m *Model) packCursors(pairs int) []*cursor {
-	for len(m.packed) < pairs {
-		m.packed = append(m.packed, newCursor(m.eng.nl))
+// cursors returns n search cursors, allocated on first use and reused
+// across campaigns on the same model.
+func (m *Model) cursors(n int) []*cursor {
+	for len(m.curs) < n {
+		m.curs = append(m.curs, newCursor(m.eng.nl))
 	}
-	return m.packed[:pairs]
+	return m.curs[:n]
 }
 
 // Generate runs combinational PODEM with fault dropping over the model's
@@ -120,27 +121,132 @@ func (m *Model) Generate(faults []faultsim.Fault, opts *Options) (*Report, error
 	if faults == nil {
 		faults = faultsim.Faults(m.nl)
 	}
-	if o.Serial() {
-		return m.generateLegacy(faults, o)
-	}
-	pairs, err := resolvePackPairs(o.PackPairs)
+	sess, err := dropSimConfig(o.Options).New(m.nl, faults)
 	if err != nil {
 		return nil, err
 	}
-	if pairs == 1 {
-		return m.generateCompiled(faults, o)
+	rng := rand.New(rand.NewSource(o.FillSeed))
+	rep := &Report{Total: len(faults)}
+	alive := make([]bool, len(faults))
+	for i := range alive {
+		alive[i] = true
 	}
-	return m.generatePacked(faults, o, pairs)
+	resolved := 0
+	sitesOf := func(t int) []netlist.FaultSite {
+		return []netlist.FaultSite{faults[t].Site}
+	}
+	// commit is the one place a target's outcome enters the report and
+	// the drop-sim session; both drivers call it in target-index order.
+	commit := func(t int, r *packResult) error {
+		rep.PodemCalls++
+		rep.Backtracks += r.backtracks
+		if r.status != statusDetected {
+			if r.status == statusRedundant {
+				rep.Redundant++
+			} else {
+				rep.Aborted++
+			}
+			alive[t] = false
+			resolved++
+			if err := sess.Retire(t); err != nil {
+				return err
+			}
+			o.Report(resolved, len(faults))
+			return nil
+		}
+		pat := fillCube(r.cube, rng)
+		rep.Vectors = append(rep.Vectors, pat)
+		res, err := sess.Append([]faultsim.Pattern{pat})
+		if err != nil {
+			return err
+		}
+		if res.FirstDetected[t] < 0 {
+			// PODEM promised detection but simulation disagrees: the random
+			// fill can only add detections, so this indicates an engine bug.
+			return fmt.Errorf("atpg: test for %s did not detect its target", faults[t].Desc)
+		}
+		for fj := range faults {
+			if alive[fj] && res.FirstDetected[fj] >= 0 {
+				alive[fj] = false
+				rep.Detected++
+				resolved++
+			}
+		}
+		o.Report(resolved, len(faults))
+		return nil
+	}
+	if err := m.drive(o.Options, o.PackPairs, o.MaxBacktracks, alive, sitesOf, commit); err != nil {
+		return nil, err
+	}
+	return rep, nil
+}
+
+// --- drivers -----------------------------------------------------------------
+
+// drive runs PODEM over every live target and hands each outcome to
+// commit in target-index order. The commit owns the drop-sim handoff and
+// marks the targets a committed test drops dead in alive; the driver
+// skips dead targets. sitesOf returning an empty site list resolves the
+// target without a search (packResult.noSearch). Workers == 1 selects the
+// serial reference driver; every other setting the pack scheduler at the
+// validated pack width, a single pair included.
+func (m *Model) drive(
+	o engine.Options,
+	packPairs, maxBacktracks int,
+	alive []bool,
+	sitesOf func(t int) []netlist.FaultSite,
+	commit func(t int, r *packResult) error,
+) error {
+	if o.Serial() {
+		return m.serialRun(o, maxBacktracks, alive, sitesOf, commit)
+	}
+	pairs, err := resolvePackPairs(packPairs)
+	if err != nil {
+		return err
+	}
+	return m.packRun(o, pairs, maxBacktracks, alive, sitesOf, commit)
+}
+
+// serialRun is the serial reference driver (Workers == 1): one
+// interpreter search per live target, committed as soon as it ends.
+func (m *Model) serialRun(
+	o engine.Options,
+	maxBacktracks int,
+	alive []bool,
+	sitesOf func(t int) []netlist.FaultSite,
+	commit func(t int, r *packResult) error,
+) error {
+	c := m.cursors(1)[0]
+	var r packResult
+	for t := range alive {
+		if !alive[t] {
+			continue
+		}
+		if err := o.Cancelled(); err != nil {
+			return fmt.Errorf("atpg: %w", err)
+		}
+		r = packResult{}
+		if sites := sitesOf(t); len(sites) == 0 {
+			r.noSearch = true
+		} else {
+			r.cube, r.backtracks, r.status = m.eng.podem(c, sites, maxBacktracks)
+		}
+		if err := commit(t, &r); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // --- pack scheduler ----------------------------------------------------------
 
-// packResult buffers one search's outcome between its completion and the
-// moment the commit pointer reaches its target. Searches are pure
+// packResult is one target's outcome as the drivers hand it to the
+// commit. The pack scheduler buffers it between the search's completion
+// and the moment the commit pointer reaches its target. Searches are pure
 // functions of (netlist, sites, MaxBacktracks) — they read nothing from
 // the drop-sim session — so a speculatively completed result is exactly
-// what the sequential schedule would have computed, and buffering it
-// until its index-ordered turn preserves the engines' byte-identity.
+// what the serial driver would have computed, and buffering it until its
+// index-ordered turn preserves the engines' byte-identity.
 type packResult struct {
 	done       bool
 	noSearch   bool // resolved without a search (sequential out-of-horizon targets)
@@ -162,27 +268,33 @@ type packSlot struct {
 // wasted when an earlier target's committed test drops a speculated one.
 const packHorizonFactor = 4
 
-// packRun drives up to pairs concurrent PODEM searches over n targets in
-// lockstep rounds: every round broadcasts one dual-rail machine pass,
-// decodes each active pair's planes, and advances each search by one
-// decision. When a pair's search terminates its result is buffered and
-// the pair immediately re-arms the next pending target (work stealing —
-// searches backtrack at very different depths, so pairs turn over
-// independently). Commits happen strictly in target-index order through
-// the commit callback, which owns the drop-sim handoff and marks dropped
-// targets dead in alive; the scheduler then cancels any in-flight search
-// whose target died and skips dead targets at both arm and commit time —
-// exactly the targets the sequential schedule never searches. sitesOf
-// returning an empty site list resolves the target without a search.
+// packRun is the compiled driver: it runs up to pairs concurrent PODEM
+// searches over the targets in lockstep rounds. Every round broadcasts
+// one dual-rail machine pass, decodes each active pair's planes, and
+// advances each search by one decision. When a pair's search terminates
+// its result is buffered and the pair immediately re-arms the next
+// pending target (work stealing — searches backtrack at very different
+// depths, so pairs turn over independently). Commits happen strictly in
+// target-index order (see drive); after each one the scheduler cancels
+// any in-flight search whose target died, and it skips dead targets at
+// both arm and commit time — exactly the targets the serial driver never
+// searches.
 func (m *Model) packRun(
-	tw *twin,
-	n, pairs, maxBacktracks int,
 	o engine.Options,
+	pairs, maxBacktracks int,
 	alive []bool,
 	sitesOf func(t int) []netlist.FaultSite,
 	commit func(t int, r *packResult) error,
 ) error {
-	cursors := m.packCursors(pairs)
+	tw, err := m.compiled()
+	if err != nil {
+		return err
+	}
+	// An earlier run that stopped early (cancelled, or a failed commit)
+	// may have left pairs armed.
+	tw.m.ClearFaults()
+	n := len(alive)
+	cursors := m.cursors(pairs)
 	slots := make([]packSlot, pairs)
 	for k := range slots {
 		slots[k].cur = cursors[k]
@@ -277,212 +389,4 @@ func (m *Model) packRun(
 		}
 	}
 	return nil
-}
-
-// generatePacked is the packed combinational path: up to pairs PODEM
-// searches share every dual-rail machine pass, and the commit callback
-// replays generateCompiled's per-target bookkeeping — same counters, same
-// random fill draws, same drop-sim session calls, in the same target
-// order — so the report and test set are byte-identical to the
-// single-pair engine and the legacy interpreter.
-func (m *Model) generatePacked(faults []faultsim.Fault, o Options, pairs int) (*Report, error) {
-	tw, err := m.compiled()
-	if err != nil {
-		return nil, err
-	}
-	tw.m.ClearFaults()
-	sess, err := dropSimConfig(o.Options).New(m.nl, faults)
-	if err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(o.FillSeed))
-	rep := &Report{Total: len(faults)}
-	alive := make([]bool, len(faults))
-	for i := range alive {
-		alive[i] = true
-	}
-	resolved := 0
-	sitesOf := func(t int) []netlist.FaultSite {
-		return []netlist.FaultSite{faults[t].Site}
-	}
-	commit := func(t int, r *packResult) error {
-		rep.PodemCalls++
-		rep.Backtracks += r.backtracks
-		if r.status != statusDetected {
-			if r.status == statusRedundant {
-				rep.Redundant++
-			} else {
-				rep.Aborted++
-			}
-			alive[t] = false
-			resolved++
-			if err := sess.Retire(t); err != nil {
-				return err
-			}
-			o.Report(resolved, len(faults))
-			return nil
-		}
-		pat := fillCube(r.cube, rng)
-		rep.Vectors = append(rep.Vectors, pat)
-		res, err := sess.Append([]faultsim.Pattern{pat})
-		if err != nil {
-			return err
-		}
-		for fj := range faults {
-			if alive[fj] && res.FirstDetected[fj] >= 0 {
-				alive[fj] = false
-				rep.Detected++
-				resolved++
-			}
-		}
-		o.Report(resolved, len(faults))
-		return nil
-	}
-	if err := m.packRun(tw, len(faults), pairs, o.MaxBacktracks, o.Options, alive, sitesOf, commit); err != nil {
-		return nil, err
-	}
-	return rep, nil
-}
-
-// generateCompiled is the single-pair compiled combinational path
-// (PackPairs == 1, the packed engine's differential reference): PODEM
-// planes on the compiled twin, fault dropping through an incremental
-// fault-sim session that appends each generated vector and prunes its
-// frontier, so every later vector simulates only still-undetected
-// targets. Targets the search resolves without a vector retire their
-// session lane.
-func (m *Model) generateCompiled(faults []faultsim.Fault, o Options) (*Report, error) {
-	tw, err := m.compiled()
-	if err != nil {
-		return nil, err
-	}
-	sim := &compiledSim{e: m.eng, t: tw}
-	sess, err := dropSimConfig(o.Options).New(m.nl, faults)
-	if err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(o.FillSeed))
-	rep := &Report{Total: len(faults)}
-	alive := make([]bool, len(faults))
-	for i := range alive {
-		alive[i] = true
-	}
-	resolved := 0
-	for fi := range faults {
-		if !alive[fi] {
-			continue
-		}
-		if err := o.Cancelled(); err != nil {
-			return nil, fmt.Errorf("atpg: %w", err)
-		}
-		rep.PodemCalls++
-		cube, backtracks, status := m.eng.podem(sim, []netlist.FaultSite{faults[fi].Site}, o.MaxBacktracks)
-		rep.Backtracks += backtracks
-		if status != statusDetected {
-			if status == statusRedundant {
-				rep.Redundant++
-			} else {
-				rep.Aborted++
-			}
-			alive[fi] = false
-			resolved++
-			if err := sess.Retire(fi); err != nil {
-				return nil, err
-			}
-			o.Report(resolved, len(faults))
-			continue
-		}
-		pat := fillCube(cube, rng)
-		rep.Vectors = append(rep.Vectors, pat)
-		res, err := sess.Append([]faultsim.Pattern{pat})
-		if err != nil {
-			return nil, err
-		}
-		for fj := range faults {
-			if alive[fj] && res.FirstDetected[fj] >= 0 {
-				alive[fj] = false
-				rep.Detected++
-				resolved++
-			}
-		}
-		o.Report(resolved, len(faults))
-	}
-	return rep, nil
-}
-
-// generateLegacy is the serial reference combinational path: interpreter
-// planes and a one-shot single-pattern drop simulation per vector on a
-// shared Evaluator pair, exactly the pre-compiled shape.
-func (m *Model) generateLegacy(faults []faultsim.Fault, o Options) (*Report, error) {
-	rng := rand.New(rand.NewSource(o.FillSeed))
-	rep := &Report{Total: len(faults)}
-	alive := make([]bool, len(faults))
-	for i := range alive {
-		alive[i] = true
-	}
-	dropEval, err := netlist.NewEvaluator(m.nl)
-	if err != nil {
-		return nil, err
-	}
-	goodEval, err := netlist.NewEvaluator(m.nl)
-	if err != nil {
-		return nil, err
-	}
-	sim := interpSim{m.eng}
-	resolved := 0
-	for fi := range faults {
-		if !alive[fi] {
-			continue
-		}
-		if err := o.Cancelled(); err != nil {
-			return nil, fmt.Errorf("atpg: %w", err)
-		}
-		rep.PodemCalls++
-		cube, backtracks, status := m.eng.podem(sim, []netlist.FaultSite{faults[fi].Site}, o.MaxBacktracks)
-		rep.Backtracks += backtracks
-		switch status {
-		case statusRedundant:
-			rep.Redundant++
-			alive[fi] = false
-			resolved++
-			o.Report(resolved, len(faults))
-			continue
-		case statusAborted:
-			rep.Aborted++
-			alive[fi] = false
-			resolved++
-			o.Report(resolved, len(faults))
-			continue
-		}
-		// Fill don't-cares randomly and drop everything the vector catches.
-		pat := fillCube(cube, rng)
-		rep.Vectors = append(rep.Vectors, pat)
-		words := make([]uint64, len(m.nl.PIs))
-		for i, v := range pat {
-			if v != 0 {
-				words[i] = ^uint64(0)
-			}
-		}
-		goodOut, err := goodEval.Eval(words)
-		if err != nil {
-			return nil, err
-		}
-		goodCopy := append([]uint64(nil), goodOut...)
-		for fj := range faults {
-			if !alive[fj] {
-				continue
-			}
-			badOut := dropEval.EvalWith(words, faults[fj].Site, ^uint64(0))
-			for po := range badOut {
-				if badOut[po] != goodCopy[po] {
-					alive[fj] = false
-					rep.Detected++
-					resolved++
-					break
-				}
-			}
-		}
-		o.Report(resolved, len(faults))
-	}
-	return rep, nil
 }

@@ -13,12 +13,12 @@ import (
 
 // packOpts builds combinational options at a given pack width.
 func packOpts(pairs int) *Options {
-	return &Options{FillSeed: 5, Options: engine.Options{PackPairs: pairs}}
+	return &Options{FillSeed: 5, PackPairs: pairs}
 }
 
 // TestPackFewerTargetsThanPairs runs a full-width pack over target lists
 // far smaller than the 32-pair capacity — the scheduler must leave the
-// surplus pairs idle and still match the single-pair engine exactly,
+// surplus pairs idle and still match the single-pair setting exactly,
 // down to a single-target pack.
 func TestPackFewerTargetsThanPairs(t *testing.T) {
 	nl := buildMux(t)
@@ -45,7 +45,7 @@ func TestPackFewerTargetsThanPairs(t *testing.T) {
 	seq := buildToggle(t)
 	sf := faultsim.Faults(seq)[:2]
 	sopts := func(pairs int) *SeqOptions {
-		return &SeqOptions{Frames: 3, FillSeed: 5, Options: engine.Options{PackPairs: pairs}}
+		return &SeqOptions{Frames: 3, FillSeed: 5, PackPairs: pairs}
 	}
 	sref, err := GenerateSequential(seq, sf, sopts(1))
 	if err != nil {
@@ -63,7 +63,7 @@ func TestPackFewerTargetsThanPairs(t *testing.T) {
 // TestPackAllRedundant arms a pack consisting entirely of redundant
 // targets: no test is ever generated, nothing drops, and every pair
 // re-arms purely off retirements. The subset is discovered by
-// classifying each fault individually with the legacy engine, so the
+// classifying each fault individually with the serial reference, so the
 // test tracks the fault collapser.
 func TestPackAllRedundant(t *testing.T) {
 	// y = OR(OR(a,1), OR(b,1)): everything upstream of y is masked by the
@@ -114,10 +114,9 @@ func TestPackMidCancellation(t *testing.T) {
 	nl := buildC17(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	opts := &Options{FillSeed: 5, Options: engine.Options{
-		PackPairs: 4,
-		Ctx:       ctx,
-		Progress:  func(engine.Stats) { cancel() },
+	opts := &Options{FillSeed: 5, PackPairs: 4, Options: engine.Options{
+		Ctx:      ctx,
+		Progress: func(engine.Stats) { cancel() },
 	}}
 	rep, err := Generate(nl, nil, opts)
 	if err == nil {
@@ -130,10 +129,9 @@ func TestPackMidCancellation(t *testing.T) {
 	seq := buildToggle(t)
 	sctx, scancel := context.WithCancel(context.Background())
 	defer scancel()
-	sopts := &SeqOptions{Frames: 3, FillSeed: 5, Options: engine.Options{
-		PackPairs: 4,
-		Ctx:       sctx,
-		Progress:  func(engine.Stats) { scancel() },
+	sopts := &SeqOptions{Frames: 3, FillSeed: 5, PackPairs: 4, Options: engine.Options{
+		Ctx:      sctx,
+		Progress: func(engine.Stats) { scancel() },
 	}}
 	srep, err := GenerateSequential(seq, nil, sopts)
 	if err == nil {
@@ -160,15 +158,15 @@ func TestPackPairsValidation(t *testing.T) {
 	nl := buildMux(t)
 	seq := buildToggle(t)
 	for _, p := range []int{-1, 33} {
-		if _, err := Generate(nl, nil, &Options{Options: engine.Options{PackPairs: p}}); err == nil {
+		if _, err := Generate(nl, nil, &Options{PackPairs: p}); err == nil {
 			t.Errorf("Generate accepted PackPairs %d", p)
 		}
-		if _, err := GenerateSequential(seq, nil, &SeqOptions{Options: engine.Options{PackPairs: p}}); err == nil {
+		if _, err := GenerateSequential(seq, nil, &SeqOptions{PackPairs: p}); err == nil {
 			t.Errorf("GenerateSequential accepted PackPairs %d", p)
 		}
 		// The serial reference never reaches the pack scheduler, so the
 		// knob is ignored there.
-		if _, err := Generate(nl, nil, &Options{Options: engine.Options{Workers: 1, PackPairs: p}}); err != nil {
+		if _, err := Generate(nl, nil, &Options{PackPairs: p, Options: engine.Options{Workers: 1}}); err != nil {
 			t.Errorf("serial path rejected PackPairs %d: %v", p, err)
 		}
 	}

@@ -4,17 +4,20 @@
 // guidance and bounded backtracking, on a two-plane (good machine / faulty
 // machine) three-valued simulation.
 //
-// The concrete-value simulation behind PODEM's implication step runs on
-// either of two engines, selected like everywhere else in this repository
-// by the shared engine.Options surface: Workers == 1 keeps the legacy
-// serial path — a per-gate three-valued interpreter over the model
-// netlist, plus one-shot per-fault drop simulation — as the differential
-// reference, and every other setting evaluates both planes in one pass of
-// a compiled dual-rail machine (netlist.TriExpand + netlist.Compile; good
-// plane in lane 0, faulty plane in lane 1) and drives an incremental
-// faultsim.Simulator session for fault dropping between targets. The
-// decision logic (objective, backtrace, backtracking) stays three-valued
-// and engine-independent, so both engines generate identical test sets —
+// Each generation run uses one of two target drivers, selected like
+// everywhere else in this repository by the shared engine.Options
+// surface. Workers == 1 is the serial reference: a per-gate three-valued
+// interpreter searches one target at a time. Every other setting runs
+// the pack scheduler, which evaluates the good and faulty planes of up
+// to Options.PackPairs concurrent searches in one pass of a compiled
+// dual-rail machine (netlist.TriExpand + netlist.Compile; search k on
+// lanes 2k and 2k+1). Either driver hands each target's outcome, in
+// target-index order, to the mode's single commit closure, which counts
+// it, fills the test and drops what the test detects through an
+// incremental faultsim.Simulator session — at Workers == 1 that session
+// is faultsim's single-fault reference engine. The decision
+// logic (objective, backtrace, backtracking) stays three-valued and
+// engine-independent, so every setting generates identical test sets —
 // internal/difftest fuzzes that pin.
 //
 // The paper's motivation is that mutation-derived validation data can be
@@ -50,12 +53,21 @@ type Options struct {
 	MaxBacktracks int
 	// FillSeed seeds the random fill of don't-care PI positions.
 	FillSeed int64
+	// PackPairs sets how many concurrent PODEM searches the pack
+	// scheduler runs in one dual-rail machine pass (each search occupies
+	// one lane pair of the W=1 twin word): 0 picks the full 32-pair
+	// capacity, 1..32 an explicit width, and anything else is rejected.
+	// The serial reference (Workers == 1) ignores it. Results are
+	// identical for every setting: targets commit in index order, so
+	// detection order (and therefore fault dropping) never depends on
+	// pack width.
+	PackPairs int
 	// Options is the shared engine surface (see the package comment):
-	// Workers == 1 selects the legacy serial reference — the three-valued
-	// interpreter plus one-shot drop simulation — and every other setting
-	// runs the compiled dual-rail engine with an incremental drop-sim
-	// session, forwarding Workers/LaneWords to it. Results are identical
-	// for every setting.
+	// Workers == 1 selects the serial reference — the three-valued
+	// interpreter, with faultsim's single-fault reference engine as the
+	// drop-sim session — and every other setting runs the pack scheduler
+	// on the compiled dual-rail machine, forwarding Workers/LaneWords to
+	// the drop-sim session. Results are identical for every setting.
 	engine.Options
 }
 
@@ -66,6 +78,7 @@ func (o *Options) withDefaults() Options {
 			out.MaxBacktracks = o.MaxBacktracks
 		}
 		out.FillSeed = o.FillSeed
+		out.PackPairs = o.PackPairs
 		out.Options = o.Options
 	}
 	return out
@@ -133,22 +146,13 @@ const (
 	statusAborted
 )
 
-// planeSim is the concrete-value simulation backend PODEM runs on: arm
-// installs a target's fault sites for the coming search, and imply
-// forward-simulates both planes for the current PI assignment, leaving
-// three-valued results in the engine's gv (good) and fv (faulty) arrays.
-// Implementations must agree bit for bit — the search takes every
-// decision by reading those arrays.
-type planeSim interface {
-	arm(sites []netlist.FaultSite)
-	imply(assign []tri)
-}
-
 // cursor is the mutable state of one PODEM search: the two value planes
-// the active planeSim fills, the armed target's sites, and the decision
-// scratch. The serial paths run one cursor owned by the search; the pack
-// scheduler runs one cursor per lane pair, all sharing the structural
-// search core, so concurrent searches backtrack independently.
+// an implication pass fills (the interpreter directly, the compiled twin
+// through decode), the armed target's sites, and the decision scratch.
+// The serial driver runs one cursor; the pack scheduler runs one cursor
+// per lane pair, all sharing the structural search core, so concurrent
+// searches backtrack independently. The search takes every decision by
+// reading gv/fv, so both backends must fill them bit for bit alike.
 type cursor struct {
 	gv []tri // good-plane values per gate
 	fv []tri // faulty-plane values per gate
@@ -161,9 +165,8 @@ type cursor struct {
 	// per target).
 	assign []tri
 	stack  []decision
-	// backtracks counts this search's backtracks so far (the pack
-	// scheduler carries it across lockstep rounds; serial podem resets
-	// it per call).
+	// backtracks counts this search's backtracks since arm (the pack
+	// scheduler carries it across lockstep rounds).
 	backtracks int
 }
 
@@ -199,8 +202,7 @@ func (c *cursor) arm(nl *netlist.Netlist, sites []netlist.FaultSite) {
 
 // search holds the structural PODEM search core over the model netlist
 // (the circuit itself, or its time-frame expansion): levels, fanout and
-// SCOAP controllabilities guiding every cursor that runs on it, plus the
-// serial paths' own cursor.
+// SCOAP controllabilities guiding every cursor that runs on it.
 type search struct {
 	nl    *netlist.Netlist
 	order []int // combinational evaluation order
@@ -209,8 +211,6 @@ type search struct {
 	level []int
 	// cc holds SCOAP controllabilities guiding the backtrace.
 	cc *scoap.Measures
-	// cur is the serial engines' single search cursor.
-	cur *cursor
 }
 
 func newSearch(nl *netlist.Netlist) (*search, error) {
@@ -224,7 +224,6 @@ func newSearch(nl *netlist.Netlist) (*search, error) {
 		piIdx: make(map[int]int),
 		fan:   make([][]int, len(nl.Gates)),
 		level: make([]int, len(nl.Gates)),
-		cur:   newCursor(nl),
 	}
 	for i, id := range nl.PIs {
 		e.piIdx[id] = i
@@ -259,19 +258,17 @@ type decision struct {
 	flipped bool
 }
 
-// podem searches for a test cube for a fault occupying one or more sites
-// (a single site for combinational ATPG; one copy per time frame for the
-// unrolled sequential flow), running its implications on sim. It returns
-// the PI cube (tri per PI, in PI order), the number of backtracks, and
-// the outcome. The cube is search-owned scratch, valid until the next
-// podem call — the callers concretize it (fillCube/sliceTest) before
-// targeting the next fault.
-func (e *search) podem(sim planeSim, sites []netlist.FaultSite, maxBacktracks int) ([]tri, int, podemStatus) {
-	c := e.cur
+// podem searches on the interpreter for a test cube for a fault
+// occupying one or more sites (a single site for combinational ATPG; one
+// copy per time frame for the unrolled sequential flow). It returns the
+// PI cube (tri per PI, in PI order), the number of backtracks, and the
+// outcome. The cube is the cursor's assignment, valid until the cursor
+// is re-armed — the commit concretizes it (fillCube/sliceTest) before
+// the next target.
+func (e *search) podem(c *cursor, sites []netlist.FaultSite, maxBacktracks int) ([]tri, int, podemStatus) {
 	c.arm(e.nl, sites)
-	sim.arm(sites)
 	for {
-		sim.imply(c.assign)
+		e.imply(c)
 		if done, status := e.step(c, maxBacktracks); done {
 			if status == statusDetected {
 				return c.assign, c.backtracks, status
@@ -287,9 +284,9 @@ func (e *search) podem(sim planeSim, sites []netlist.FaultSite, maxBacktracks in
 // when the search ends; otherwise the cursor's assignment changed and the
 // caller owes it another implication pass. The pack scheduler interleaves
 // many cursors by broadcasting one machine pass per round and stepping
-// each survivor; the serial podem loop above is the degenerate
-// single-cursor schedule — both run this exact decision procedure, which
-// is why packing cannot change any per-target outcome.
+// each survivor; the podem loop above is the degenerate single-cursor
+// schedule — both run this exact decision procedure, which is why
+// packing cannot change any per-target outcome.
 func (e *search) step(c *cursor, maxBacktracks int) (bool, podemStatus) {
 	if e.detected(c) {
 		return true, statusDetected
@@ -322,28 +319,22 @@ func (e *search) step(c *cursor, maxBacktracks int) (bool, podemStatus) {
 	return true, statusRedundant
 }
 
-// interpSim is the legacy serial reference backend: a per-gate
-// three-valued interpreter over the model netlist, with the armed fault
-// injected into the faulty plane at every site. Kept (behind Workers ==
-// 1) as the differential baseline for the compiled dual-rail engine.
-type interpSim struct{ e *search }
-
-func (s interpSim) arm([]netlist.FaultSite) {}
-
-// imply forward-simulates both planes in three-valued logic. At most one
+// imply is the serial reference backend: a per-gate three-valued
+// interpreter over the model netlist that forward-simulates both of the
+// cursor's planes for its PI assignment, with the armed fault injected
+// into the faulty plane at every site. Kept (behind Workers == 1) as the
+// differential baseline for the compiled dual-rail twin. At most one
 // site may occupy a given gate (guaranteed by construction: one copy per
 // frame).
-func (s interpSim) imply(assign []tri) {
-	e := s.e
-	c := e.cur
+func (e *search) imply(c *cursor) {
 	nl := e.nl
 	for id := range nl.Gates {
 		c.gv[id] = xx
 		c.fv[id] = xx
 	}
 	for i, id := range nl.PIs {
-		c.gv[id] = assign[i]
-		c.fv[id] = assign[i]
+		c.gv[id] = c.assign[i]
+		c.fv[id] = c.assign[i]
 	}
 	for _, g := range nl.Gates {
 		switch g.Type {

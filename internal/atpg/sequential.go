@@ -23,13 +23,17 @@ type SeqOptions struct {
 	MaxBacktracks int
 	// FillSeed seeds random fill of don't-care positions.
 	FillSeed int64
+	// PackPairs sets the pack scheduler's width, with the same contract
+	// as Options.PackPairs: 0 picks 32 pairs, 1..32 an explicit width,
+	// anything else is rejected, and Workers == 1 ignores it.
+	PackPairs int
 	// Options is the shared engine surface, with the same semantics as
-	// atpg.Options: Workers == 1 is the legacy path (three-valued
-	// interpreter implications, one-shot per-test drop simulation —
-	// exactly the pre-port shape, drop-sim engine included), anything
-	// else the compiled dual-rail engine with an incremental
-	// reset-per-test drop-sim session. Results are identical for every
-	// setting.
+	// atpg.Options: Workers == 1 is the serial reference (three-valued
+	// interpreter implications, faultsim's single-fault reference engine
+	// as the drop-sim session), anything else the pack scheduler on the
+	// compiled dual-rail twin. Either way fault dropping runs through an
+	// incremental reset-per-test drop-sim session. Results are identical
+	// for every setting.
 	engine.Options
 }
 
@@ -43,6 +47,7 @@ func (o *SeqOptions) withDefaults() SeqOptions {
 			out.MaxBacktracks = o.MaxBacktracks
 		}
 		out.FillSeed = o.FillSeed
+		out.PackPairs = o.PackPairs
 		out.Options = o.Options
 	}
 	return out
@@ -112,33 +117,6 @@ func (m *Model) GenerateSequential(faults []faultsim.Fault, opts *SeqOptions) (*
 	if faults == nil {
 		faults = faultsim.Faults(m.nl)
 	}
-	if o.Serial() {
-		return m.generateSeqLegacy(faults, o)
-	}
-	pairs, err := resolvePackPairs(o.PackPairs)
-	if err != nil {
-		return nil, err
-	}
-	if pairs == 1 {
-		return m.generateSeqCompiled(faults, o)
-	}
-	return m.generateSeqPacked(faults, o, pairs)
-}
-
-// generateSeqPacked is the packed sequential path: up to pairs searches
-// of the unrolled twin share every machine pass, scheduled by packRun,
-// and the commit callback replays generateSeqCompiled's per-target
-// bookkeeping — counters, random fill, incremental session AppendTest /
-// Retire — in strict target-index order, so the report and test set are
-// byte-identical to the single-pair engine and the legacy interpreter.
-// Targets whose fault sites fall outside the frame horizon resolve as
-// Untestable without a search, exactly as in the single-pair path.
-func (m *Model) generateSeqPacked(faults []faultsim.Fault, o SeqOptions, pairs int) (*SeqReport, error) {
-	tw, err := m.compiled()
-	if err != nil {
-		return nil, err
-	}
-	tw.m.ClearFaults()
 	sess, err := dropSimConfig(o.Options).New(m.nl, faults)
 	if err != nil {
 		return nil, err
@@ -153,19 +131,26 @@ func (m *Model) generateSeqPacked(faults []faultsim.Fault, o SeqOptions, pairs i
 	retire := func(fi int) error {
 		alive[fi] = false
 		resolved++
-		return sess.Retire(fi)
+		if err := sess.Retire(fi); err != nil {
+			return err
+		}
+		o.Report(resolved, len(faults))
+		return nil
 	}
+	// Targets whose fault sites all fall outside the frame horizon
+	// resolve as Untestable without a search.
 	sitesOf := func(t int) []netlist.FaultSite {
 		return m.um.SitesInFrames(m.nl, faults[t].Site)
 	}
+	// commit is the one place a target's outcome enters the report and
+	// the drop-sim session; both drivers call it in target-index order.
+	// Each generated test is an AppendTest on the reset-per-test session,
+	// so fault batches stay armed across targets and detected lanes drop
+	// at the batch level; targets resolved without a test retire theirs.
 	commit := func(t int, r *packResult) error {
 		if r.noSearch {
 			rep.Untestable++
-			if err := retire(t); err != nil {
-				return err
-			}
-			o.Report(resolved, len(faults))
-			return nil
+			return retire(t)
 		}
 		rep.PodemCalls++
 		rep.Backtracks += r.backtracks
@@ -175,11 +160,7 @@ func (m *Model) generateSeqPacked(faults []faultsim.Fault, o SeqOptions, pairs i
 			} else {
 				rep.Aborted++
 			}
-			if err := retire(t); err != nil {
-				return err
-			}
-			o.Report(resolved, len(faults))
-			return nil
+			return retire(t)
 		}
 		test := m.sliceTest(r.cube, rng)
 		rep.Tests = append(rep.Tests, test)
@@ -187,200 +168,23 @@ func (m *Model) generateSeqPacked(faults []faultsim.Fault, o SeqOptions, pairs i
 		if err != nil {
 			return err
 		}
-		dropped := 0
-		for fj := range faults {
-			if alive[fj] && res.FirstDetected[fj] >= 0 {
-				alive[fj] = false
-				rep.Detected++
-				dropped++
-				resolved++
-			}
-		}
-		if dropped == 0 {
+		if res.FirstDetected[t] < 0 {
 			// PODEM promised detection but simulation disagrees: the random
 			// fill can only add detections, so this indicates an engine bug.
 			return fmt.Errorf("atpg: sequential test for %s did not detect its target", faults[t].Desc)
 		}
-		o.Report(resolved, len(faults))
-		return nil
-	}
-	if err := m.packRun(tw, len(faults), pairs, o.MaxBacktracks, o.Options, alive, sitesOf, commit); err != nil {
-		return nil, err
-	}
-	return rep, nil
-}
-
-// generateSeqCompiled is the production sequential path: PODEM planes on
-// the compiled twin of the unrolled model, and fault dropping through one
-// incremental reset-per-test session — each generated test is an
-// AppendTest, so fault batches stay armed across targets, detected lanes
-// drop at the batch level, and targets the search resolves without a test
-// retire their lanes too. The remaining-target set shrinks as the session
-// advances instead of being re-planned per test.
-func (m *Model) generateSeqCompiled(faults []faultsim.Fault, o SeqOptions) (*SeqReport, error) {
-	tw, err := m.compiled()
-	if err != nil {
-		return nil, err
-	}
-	sim := &compiledSim{e: m.eng, t: tw}
-	sess, err := dropSimConfig(o.Options).New(m.nl, faults)
-	if err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(o.FillSeed))
-	rep := &SeqReport{Total: len(faults), Frames: m.frames}
-	alive := make([]bool, len(faults))
-	for i := range alive {
-		alive[i] = true
-	}
-	resolved := 0
-	retire := func(fi int) error {
-		alive[fi] = false
-		resolved++
-		return sess.Retire(fi)
-	}
-	for fi := range faults {
-		if !alive[fi] {
-			continue
-		}
-		if err := o.Cancelled(); err != nil {
-			return nil, fmt.Errorf("atpg: %w", err)
-		}
-		sites := m.um.SitesInFrames(m.nl, faults[fi].Site)
-		if len(sites) == 0 {
-			rep.Untestable++
-			if err := retire(fi); err != nil {
-				return nil, err
-			}
-			o.Report(resolved, len(faults))
-			continue
-		}
-		rep.PodemCalls++
-		cube, backtracks, status := m.eng.podem(sim, sites, o.MaxBacktracks)
-		rep.Backtracks += backtracks
-		if status != statusDetected {
-			if status == statusRedundant {
-				rep.Untestable++
-			} else {
-				rep.Aborted++
-			}
-			if err := retire(fi); err != nil {
-				return nil, err
-			}
-			o.Report(resolved, len(faults))
-			continue
-		}
-		test := m.sliceTest(cube, rng)
-		rep.Tests = append(rep.Tests, test)
-		res, err := sess.AppendTest(test)
-		if err != nil {
-			return nil, err
-		}
-		dropped := 0
 		for fj := range faults {
 			if alive[fj] && res.FirstDetected[fj] >= 0 {
 				alive[fj] = false
 				rep.Detected++
-				dropped++
 				resolved++
 			}
 		}
-		if dropped == 0 {
-			// PODEM promised detection but simulation disagrees: the random
-			// fill can only add detections, so this indicates an engine bug.
-			return nil, fmt.Errorf("atpg: sequential test for %s did not detect its target", faults[fi].Desc)
-		}
 		o.Report(resolved, len(faults))
+		return nil
 	}
-	return rep, nil
-}
-
-// generateSeqLegacy is the legacy sequential path, kept for differential
-// testing: interpreter planes and a one-shot RunOn per generated test
-// over the still-alive subset, on the default compiled fault simulator —
-// exactly the pre-session drop-sim shape (only the cancellation context
-// is threaded through), so the benchmark pair against the compiled path
-// measures the port, not a drop-sim engine swap.
-func (m *Model) generateSeqLegacy(faults []faultsim.Fault, o SeqOptions) (*SeqReport, error) {
-	var dropCfg faultsim.Config
-	dropCfg.Ctx = o.Ctx
-	dropSim, err := dropCfg.New(m.nl, faults)
-	if err != nil {
+	if err := m.drive(o.Options, o.PackPairs, o.MaxBacktracks, alive, sitesOf, commit); err != nil {
 		return nil, err
-	}
-	rng := rand.New(rand.NewSource(o.FillSeed))
-	rep := &SeqReport{Total: len(faults), Frames: m.frames}
-	alive := make([]bool, len(faults))
-	for i := range alive {
-		alive[i] = true
-	}
-	aliveIdx := func() []int {
-		var out []int
-		for i, a := range alive {
-			if a {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
-	sim := interpSim{m.eng}
-	resolved := 0
-	for fi := range faults {
-		if !alive[fi] {
-			continue
-		}
-		if err := o.Cancelled(); err != nil {
-			return nil, fmt.Errorf("atpg: %w", err)
-		}
-		sites := m.um.SitesInFrames(m.nl, faults[fi].Site)
-		if len(sites) == 0 {
-			rep.Untestable++
-			alive[fi] = false
-			resolved++
-			o.Report(resolved, len(faults))
-			continue
-		}
-		rep.PodemCalls++
-		cube, backtracks, status := m.eng.podem(sim, sites, o.MaxBacktracks)
-		rep.Backtracks += backtracks
-		switch status {
-		case statusRedundant:
-			rep.Untestable++
-			alive[fi] = false
-			resolved++
-			o.Report(resolved, len(faults))
-			continue
-		case statusAborted:
-			rep.Aborted++
-			alive[fi] = false
-			resolved++
-			o.Report(resolved, len(faults))
-			continue
-		}
-		test := m.sliceTest(cube, rng)
-		rep.Tests = append(rep.Tests, test)
-		// Drop everything this test detects (applied from power-on); only
-		// still-alive faults are worth re-simulating.
-		idxs := aliveIdx()
-		res, err := dropSim.RunOn(test, idxs)
-		if err != nil {
-			return nil, err
-		}
-		dropped := 0
-		for _, idx := range idxs {
-			if res.FirstDetected[idx] >= 0 {
-				alive[idx] = false
-				rep.Detected++
-				dropped++
-				resolved++
-			}
-		}
-		if dropped == 0 {
-			// PODEM promised detection but simulation disagrees: the random
-			// fill can only add detections, so this indicates an engine bug.
-			return nil, fmt.Errorf("atpg: sequential test for %s did not detect its target", faults[fi].Desc)
-		}
-		o.Report(resolved, len(faults))
 	}
 	return rep, nil
 }

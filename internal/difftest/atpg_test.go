@@ -11,11 +11,11 @@ import (
 )
 
 // atpgConfigs spans the compiled ATPG engine's knob space; each entry is
-// compared against the legacy serial reference (Workers 1: three-valued
-// interpreter + one-shot drop-sim). Workers > 1 exercises the pooled
-// drop-sim schedulers, LaneWords the per-width batch machines, and
-// packPairs the lane-pack scheduler: 1 is the single-pair reference
-// engine, 4 forces heavy pair turnover (every fourth target re-arms a
+// compared against the serial reference (Workers 1: three-valued
+// interpreter, single-fault reference drop-sim). Workers > 1 exercises
+// the pooled drop-sim schedulers, LaneWords the per-width batch
+// machines, and packPairs the lane-pack scheduler: 1 runs it on a single
+// pair, 4 forces heavy pair turnover (every fourth target re-arms a
 // pair), 32 the full pack, 0 the auto setting. The target-index commit
 // order makes every width byte-identical — this matrix is the lock on
 // that contract.
@@ -104,8 +104,8 @@ func strideFaults(all []faultsim.Fault, stride int) []faultsim.Fault {
 const fuzzBacktracks = 24
 
 // TestATPGSequentialParity fuzzes the compiled sequential ATPG against
-// the legacy path on random sequential circuits × unroll depths × engine
-// configurations: identical generated test sets, effort counters and
+// the serial reference on random sequential circuits × unroll depths ×
+// engine configurations: identical generated test sets, effort counters and
 // coverage, target by target. This is the lock on the compiled port — a
 // single diverging implication or drop would shift every later target.
 func TestATPGSequentialParity(t *testing.T) {
@@ -128,7 +128,7 @@ func TestATPGSequentialParity(t *testing.T) {
 				label := fmt.Sprintf("seed=%d/frames=%d/%s", seed, frames, ec)
 				rep, err := atpg.GenerateSequential(nl, faults, &atpg.SeqOptions{
 					Frames: frames, MaxBacktracks: fuzzBacktracks, FillSeed: seed,
-					Options: ec.options(),
+					PackPairs: ec.packPairs, Options: ec.options(),
 				})
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
@@ -140,9 +140,9 @@ func TestATPGSequentialParity(t *testing.T) {
 }
 
 // TestATPGCombinationalParity is the combinational counterpart: compiled
-// dual-rail PODEM with the incremental drop-sim session vs the legacy
-// interpreter with per-fault Evaluator drops, on random combinational
-// circuits, including targeted fault subsets.
+// dual-rail PODEM with the compiled drop-sim session vs the serial
+// interpreter with the single-fault reference drop-sim, on random
+// combinational circuits, including targeted fault subsets.
 func TestATPGCombinationalParity(t *testing.T) {
 	for seed := int64(1); seed < 8; seed += 2 { // odd seeds: combinational shapes
 		c := fuzzCircuit(t, seed)
@@ -164,7 +164,7 @@ func TestATPGCombinationalParity(t *testing.T) {
 				label := fmt.Sprintf("seed=%d/subset=%d/%s", seed, si, ec)
 				rep, err := atpg.Generate(nl, faults, &atpg.Options{
 					MaxBacktracks: fuzzBacktracks, FillSeed: seed,
-					Options: ec.options(),
+					PackPairs: ec.packPairs, Options: ec.options(),
 				})
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)

@@ -32,7 +32,7 @@ import (
 type engineConfig struct {
 	workers   int
 	laneWords int
-	packPairs int // ATPG pack width (only the test generator reads it)
+	packPairs int // ATPG pack width (atpg.Options/SeqOptions.PackPairs)
 }
 
 var engineConfigs = []engineConfig{
@@ -49,7 +49,7 @@ var engineConfigs = []engineConfig{
 
 // options projects the table entry onto the shared engine surface.
 func (e engineConfig) options() engine.Options {
-	return engine.Options{Workers: e.workers, LaneWords: e.laneWords, PackPairs: e.packPairs}
+	return engine.Options{Workers: e.workers, LaneWords: e.laneWords}
 }
 
 func (e engineConfig) String() string {

@@ -58,16 +58,6 @@ type Options struct {
 	// at batch (and, inside long batches, cycle-block) boundaries and
 	// return its error once it is done. Nil means never cancelled.
 	Ctx context.Context
-	// PackPairs selects how many concurrent PODEM searches the compiled
-	// ATPG engine packs into one dual-rail machine pass (each search
-	// occupies one lane pair of the W=1 twin word): 0 picks the full
-	// 32-pair capacity, 1 the single-pair engine kept as the packed
-	// scheduler's differential reference, and 2..32 an explicit pack
-	// width. Only the test generator reads it — the other engines batch
-	// through LaneWords. Results are identical for every setting: the
-	// pack scheduler commits targets in index order, so detection order
-	// (and therefore fault dropping) never depends on pack width.
-	PackPairs int
 }
 
 // Serial reports whether the serial reference engine is selected
