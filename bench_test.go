@@ -632,7 +632,11 @@ func BenchmarkPODEM(b *testing.B) {
 // drop-sim session, on one lane pair at PackPairs 1 and on up to 32
 // concurrent searches per machine pass at PackPairs 0. All settings
 // produce identical reports (pinned in atpg and internal/difftest); the
-// packed-vs-single-pair ratio is what filling the lanes buys.
+// packed-vs-single-pair ratio is what filling the lanes buys. A round
+// costs one machine pass, one rail-word load and one D-frontier pass
+// whatever the pack width, plus each search's own decision, so the
+// single pair pays all of it for one search per round and the full pack
+// shares it among 32: ~9x on b03 (BENCH_frontierpass).
 // MaxBacktracks is capped like the parity tests so aborted targets don't
 // dominate the measurement with search effort every engine shares
 // anyway.

@@ -7,10 +7,12 @@ import (
 
 // Lane assignment of the PODEM planes inside one compiled machine pass:
 // search k occupies lane pair k — the fault-free good plane on even lane
-// 2k, the fault-injected faulty plane on odd lane 2k+1 right above it.
-// The pack scheduler fills up to packMaxPairs pairs of the same W=1
-// word, so one instruction-stream pass evaluates up to 32 concurrent
-// searches; PackPairs == 1 runs the same scheduler on pair 0 alone.
+// 2k, the fault-injected faulty plane on odd lane 2k+1 right above it —
+// the same lanes it reads in the model's plane, so one copy of each
+// gate's two rail words serves every search. The pack scheduler fills up
+// to packMaxPairs pairs of the same W=1 word, so one instruction-stream
+// pass evaluates up to 32 concurrent searches; PackPairs == 1 runs the
+// same scheduler on pair 0 alone.
 const (
 	goodLane   = 0
 	faultyLane = 1
@@ -25,14 +27,17 @@ const (
 // W=1 machine, plus the twin PI scratch. Arming a pair translates each
 // of its target's fault sites into a rail pair and injects it into that
 // pair's faulty lane only; an implication pass is then one gather per
-// active pair, a single Machine.Eval, and a rail decode into each
-// active cursor's gv/fv arrays, which the search reads exactly as it
-// reads the interpreter's.
+// active pair, a single Machine.Eval, and one load of every gate's rail
+// words into the model's plane, which each search reads on its own
+// lanes exactly as it reads the interpreter's.
 type twin struct {
 	nl  *netlist.Netlist // model netlist (the twin's source)
 	tm  *netlist.TriMap
 	m   *netlist.Machine[lane.W1]
 	pis []lane.W1 // twin PI vectors: rails interleaved in model PI order
+	// sent[k] is the assignment pair k's lanes of pis hold, so a gather
+	// rewrites only the PIs its search changed since the last one.
+	sent [packMaxPairs][]tri
 }
 
 func newTwin(nl *netlist.Netlist) (*twin, error) {
@@ -44,12 +49,20 @@ func newTwin(nl *netlist.Netlist) (*twin, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &twin{
+	t := &twin{
 		nl:  nl,
 		tm:  tm,
 		m:   netlist.NewMachine[lane.W1](prog),
 		pis: make([]lane.W1, len(tn.PIs)),
-	}, nil
+	}
+	// Zero rails are X on every lane, as every sent cube starts.
+	for k := range t.sent {
+		t.sent[k] = make([]tri, len(nl.PIs))
+		for i := range t.sent[k] {
+			t.sent[k][i] = xx
+		}
+	}
+	return t, nil
 }
 
 // armPair injects a target's fault sites into pair k's faulty lane,
@@ -78,11 +91,18 @@ func (t *twin) clearPair(k int) {
 // the twin PI scratch: the hi rail carries assigned-1 positions, the lo
 // rail assigned-0, neither rail set is X. Both of the pair's lanes see
 // the same stimulus — the planes differ only through injected faults.
+// Only the PIs that differ from the pair's last gather are rewritten: a
+// round's decision changes one PI, or unassigns a few when it backtracks.
 //
 //repro:hotpath
 func (t *twin) gather(assign []tri, k int) {
 	pairLanes := uint64(3) << uint(2*k)
+	sent := t.sent[k][:len(assign)]
 	for i, v := range assign {
+		if v == sent[i] {
+			continue
+		}
+		sent[i] = v
 		var hw, lw uint64
 		switch v {
 		case hi:
@@ -95,29 +115,14 @@ func (t *twin) gather(assign []tri, k int) {
 	}
 }
 
-// decode slices pair k's two planes out of the shared evaluation into the
-// cursor's three-valued gv/fv arrays.
+// load copies the last evaluation's rail words of every model gate into
+// the plane: one pass over the gates serves every pair, each search
+// reading its own two lanes.
 //
 //repro:hotpath
-func (t *twin) decode(c *cursor, k int) {
-	gb, fb := uint(2*k+goodLane), uint(2*k+faultyLane)
-	for id := range t.nl.Gates {
-		hv := t.m.Value(t.tm.Hi[id])[0]
-		lv := t.m.Value(t.tm.Lo[id])[0]
-		c.gv[id] = railTri(hv>>gb&1, lv>>gb&1)
-		c.fv[id] = railTri(hv>>fb&1, lv>>fb&1)
+func (t *twin) load(pl *plane) {
+	for id := range pl.hi {
+		pl.hi[id] = t.m.Value(t.tm.Hi[id])[0]
+		pl.lo[id] = t.m.Value(t.tm.Lo[id])[0]
 	}
-}
-
-// railTri decodes one plane's rail pair: hi rail set means 1, lo rail set
-// means 0, neither means X (both set cannot arise — the twin preserves
-// the rail invariant and fault injection writes consistent pairs).
-func railTri(h, l uint64) tri {
-	if h != 0 {
-		return hi
-	}
-	if l != 0 {
-		return lo
-	}
-	return xx
 }

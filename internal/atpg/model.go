@@ -10,19 +10,21 @@ import (
 )
 
 // Model is the reusable ATPG evaluation model for one circuit: the PODEM
-// search structures (levelization, fanout, SCOAP) over the model netlist
-// — the circuit itself for combinational sources, its time-frame
-// expansion for sequential ones — plus, built on first use by the pack
-// scheduler, the dual-rail twin program it evaluates. Compiling is per
-// (netlist, unroll depth), so callers that run several campaigns against
-// one circuit (the top-off experiments run baseline and top-off back to
-// back) build one Model and share everything but the per-call state.
-// A Model is not safe for concurrent use.
+// search structures (levelization, SCOAP) over the model netlist — the
+// circuit itself for combinational sources, its time-frame expansion for
+// sequential ones — and the plane every search implicates into, plus,
+// built on first use by the pack scheduler, the dual-rail twin program
+// it evaluates. Compiling is per (netlist, unroll depth), so callers that
+// run several campaigns against one circuit (the top-off experiments run
+// baseline and top-off back to back) build one Model and share
+// everything but the per-call state. A Model is not safe for concurrent
+// use.
 type Model struct {
 	nl     *netlist.Netlist // source circuit
 	um     *netlist.UnrollMap
 	frames int // 0 for combinational models
 	eng    *search
+	pl     *plane    // the searches' shared values, sized to the model netlist
 	comp   *twin     // lazily built: TriExpand + Compile of the model netlist
 	curs   []*cursor // search cursors, grown to the pack width on first use
 }
@@ -61,7 +63,7 @@ func NewModel(nl *netlist.Netlist) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Model{nl: nl, eng: eng}, nil
+	return &Model{nl: nl, eng: eng, pl: newPlane(len(nl.Gates))}, nil
 }
 
 // NewSequentialModel builds the ATPG model of a sequential netlist at the
@@ -82,7 +84,7 @@ func NewSequentialModel(nl *netlist.Netlist, frames int) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Model{nl: nl, um: um, frames: frames, eng: eng}, nil
+	return &Model{nl: nl, um: um, frames: frames, eng: eng, pl: newPlane(len(unrolled.Gates))}, nil
 }
 
 // Frames returns the model's unroll depth (0 for combinational models).
@@ -101,11 +103,12 @@ func (m *Model) compiled() (*twin, error) {
 	return m.comp, nil
 }
 
-// cursors returns n search cursors, allocated on first use and reused
-// across campaigns on the same model.
+// cursors returns n search cursors, cursor k on the plane's lane pair k,
+// allocated on first use and reused across campaigns, serial or packed,
+// on the same model.
 func (m *Model) cursors(n int) []*cursor {
 	for len(m.curs) < n {
-		m.curs = append(m.curs, newCursor(m.eng.nl))
+		m.curs = append(m.curs, newCursor(m.pl, len(m.curs)))
 	}
 	return m.curs[:n]
 }
@@ -270,8 +273,9 @@ const packHorizonFactor = 4
 
 // packRun is the compiled driver: it runs up to pairs concurrent PODEM
 // searches over the targets in lockstep rounds. Every round broadcasts
-// one dual-rail machine pass, decodes each active pair's planes, and
-// advances each search by one decision. When a pair's search terminates
+// one dual-rail machine pass, loads its rail words into the plane once,
+// runs one D-frontier pass for every active pair, and advances each
+// search by one decision. When a pair's search terminates
 // its result is buffered and the pair immediately re-arms the next
 // pending target (work stealing — searches backtrack at very different
 // depths, so pairs turn over independently). Commits happen strictly in
@@ -333,18 +337,22 @@ func (m *Model) packRun(
 			return fmt.Errorf("atpg: %w", err)
 		}
 		if active > 0 {
-			// One broadcast implication pass serves every active search.
+			// One broadcast implication pass, one load and one frontier
+			// pass serve every active search.
+			var live uint64
 			for k := range slots {
 				if slots[k].active {
 					tw.gather(slots[k].cur.assign, k)
+					live |= slots[k].cur.bit
 				}
 			}
 			tw.m.Eval(tw.pis)
+			tw.load(m.pl)
+			m.eng.frontier(m.pl, live)
 			for k := range slots {
 				if !slots[k].active {
 					continue
 				}
-				tw.decode(slots[k].cur, k)
 				done, status := m.eng.step(slots[k].cur, maxBacktracks)
 				if !done {
 					continue

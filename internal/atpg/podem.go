@@ -15,9 +15,20 @@
 // target-index order, to the mode's single commit closure, which counts
 // it, fills the test and drops what the test detects through an
 // incremental faultsim.Simulator session — at Workers == 1 that session
-// is faultsim's single-fault reference engine. The decision
-// logic (objective, backtrace, backtracking) stays three-valued and
-// engine-independent, so every setting generates identical test sets —
+// is faultsim's single-fault reference engine.
+//
+// Serial and packed searches implicate into one value store, the
+// model's plane: per
+// gate a hi and a lo rail word, search k reading its good plane on lane
+// 2k and its faulty plane on lane 2k+1. The pack scheduler fills the
+// words once per round from the machine (twin.load); the interpreter
+// writes its search's two lanes itself. One D-frontier pass per round
+// then walks the gates once in levelized order with word operations and
+// finds every waiting search's frontier gate at the same time, so a
+// packed round costs one pass over the gates plus per-search decision
+// work, not one pass per search. The decision logic (objective,
+// backtrace, backtracking) reads the plane identically for both, so
+// every setting generates identical test sets —
 // internal/difftest fuzzes that pin.
 //
 // The paper's motivation is that mutation-derived validation data can be
@@ -27,6 +38,7 @@
 package atpg
 
 import (
+	"math/bits"
 	"math/rand"
 
 	"repro/internal/engine"
@@ -146,18 +158,80 @@ const (
 	statusAborted
 )
 
-// cursor is the mutable state of one PODEM search: the two value planes
-// an implication pass fills (the interpreter directly, the compiled twin
-// through decode), the armed target's sites, and the decision scratch.
-// The serial driver runs one cursor; the pack scheduler runs one cursor
-// per lane pair, all sharing the structural search core, so concurrent
-// searches backtrack independently. The search takes every decision by
-// reading gv/fv, so both backends must fill them bit for bit alike.
+// plane is the value store every search of a model reads its
+// implications from: per gate a hi rail word (bit set: the gate is 1 on
+// that lane) and a lo rail word (bit set: the gate is 0), X being neither
+// — the dual-rail twin's own encoding, so the pack scheduler copies it
+// out of the machine without translating. Search k (cursor k) owns lanes
+// 2k (good plane) and 2k+1 (faulty plane). The plane also carries what
+// the round's D-frontier pass needs beyond the values: which searches
+// have a branch-fault site at a gate, and the cursor of each search.
+type plane struct {
+	hi, lo []uint64
+	// branch[id] has bit 2k set while search k's armed target has a
+	// branch-fault site (Pin >= 0) on gate id: the pass's fix-up mask.
+	branch []uint64
+	curs   [packMaxPairs]*cursor
+}
+
+func newPlane(gates int) *plane {
+	return &plane{
+		hi:     make([]uint64, gates),
+		lo:     make([]uint64, gates),
+		branch: make([]uint64, gates),
+	}
+}
+
+// at decodes one gate's value on lane ln.
+func (p *plane) at(id int, ln uint) tri {
+	return railTri(p.hi[id]>>ln&1, p.lo[id]>>ln&1)
+}
+
+// set writes one gate's value on lane ln.
+func (p *plane) set(id int, ln uint, v tri) {
+	bit := uint64(1) << ln
+	p.hi[id] &^= bit
+	p.lo[id] &^= bit
+	switch v {
+	case hi:
+		p.hi[id] |= bit
+	case lo:
+		p.lo[id] |= bit
+	}
+}
+
+// railTri decodes one plane's rail pair: hi rail set means 1, lo rail set
+// means 0, neither means X (both set cannot arise — the twin preserves
+// the rail invariant and fault injection writes consistent pairs).
+func railTri(h, l uint64) tri {
+	if h != 0 {
+		return hi
+	}
+	if l != 0 {
+		return lo
+	}
+	return xx
+}
+
+// cursor is the mutable state of one PODEM search: its lane pair in the
+// model's plane (which an implication pass fills — the interpreter
+// directly, the compiled twin through load), the armed target's sites,
+// the frontier gate the round's pass found for it, and the decision
+// scratch. The serial reference runs cursor 0; the pack scheduler runs
+// cursor k on lane pair k, all sharing the structural search core and
+// the plane, so concurrent searches backtrack independently. A cursor's
+// lanes are fixed when it is built, so serial and packed runs can take
+// turns on one model's cursors. The search takes every decision by reading
+// its two lanes, so both backends must fill them bit for bit alike.
 type cursor struct {
-	gv []tri // good-plane values per gate
-	fv []tri // faulty-plane values per gate
+	pl   *plane
+	lane uint   // good-plane lane 2k; the faulty plane is lane+1
+	bit  uint64 // 1 << lane: the search's bit in the plane's pair masks
+	// front is the D-frontier gate the round's pass found (-1: none),
+	// valid in the rounds where step consults it.
+	front int
 	// sites and siteAt describe the armed target: the current fault's
-	// sites, indexed by gate for imply/objective.
+	// sites, indexed by gate for imply and the frontier fix-up.
 	sites  []netlist.FaultSite
 	siteAt map[int]netlist.FaultSite
 	// assign and stack are the cursor-owned decision scratch, recycled
@@ -170,26 +244,42 @@ type cursor struct {
 	backtracks int
 }
 
-// newCursor allocates a search cursor sized for the model netlist.
-func newCursor(nl *netlist.Netlist) *cursor {
-	return &cursor{
-		gv:     make([]tri, len(nl.Gates)),
-		fv:     make([]tri, len(nl.Gates)),
+// newCursor builds search k's cursor on the plane's lane pair k and
+// registers it there for the frontier pass.
+func newCursor(pl *plane, k int) *cursor {
+	c := &cursor{
+		pl:     pl,
+		lane:   uint(2 * k),
+		bit:    1 << uint(2*k),
+		front:  -1,
 		siteAt: make(map[int]netlist.FaultSite),
 	}
+	pl.curs[k] = c
+	return c
 }
 
-// arm points the cursor at a new target: sites installed and indexed,
+// good and faulty decode a gate's value on the cursor's two planes.
+func (c *cursor) good(id int) tri   { return c.pl.at(id, c.lane) }
+func (c *cursor) faulty(id int) tri { return c.pl.at(id, c.lane+1) }
+
+// arm points the cursor at a new target: sites installed, indexed and
+// marked in the plane's branch masks (the old target's marks retired),
 // every PI back to X, decision stack emptied, backtrack count zeroed.
 //
 //repro:hotpath
 func (c *cursor) arm(nl *netlist.Netlist, sites []netlist.FaultSite) {
-	c.sites = sites
-	for id := range c.siteAt {
+	for id, st := range c.siteAt {
+		if st.Pin >= 0 {
+			c.pl.branch[id] &^= c.bit
+		}
 		delete(c.siteAt, id)
 	}
+	c.sites = sites
 	for _, st := range sites {
 		c.siteAt[st.Gate] = st
+		if st.Pin >= 0 {
+			c.pl.branch[st.Gate] |= c.bit
+		}
 	}
 	assign := engine.Grow(c.assign, len(nl.PIs))
 	c.assign = assign
@@ -201,14 +291,17 @@ func (c *cursor) arm(nl *netlist.Netlist, sites []netlist.FaultSite) {
 }
 
 // search holds the structural PODEM search core over the model netlist
-// (the circuit itself, or its time-frame expansion): levels, fanout and
-// SCOAP controllabilities guiding every cursor that runs on it.
+// (the circuit itself, or its time-frame expansion): evaluation order,
+// levels and SCOAP controllabilities guiding every cursor that runs on it.
 type search struct {
 	nl    *netlist.Netlist
 	order []int // combinational evaluation order
-	piIdx map[int]int
-	fan   [][]int // fanout gate IDs per gate (for X-path checks)
-	level []int
+	// fanOff and fanIn lay the fanins out in evaluation order for the
+	// frontier pass: gate order[p] reads fanIn[fanOff[p]:fanOff[p+1]].
+	fanOff []int32
+	fanIn  []int32
+	piIdx  map[int]int
+	level  []int
 	// cc holds SCOAP controllabilities guiding the backtrace.
 	cc *scoap.Measures
 }
@@ -219,19 +312,20 @@ func newSearch(nl *netlist.Netlist) (*search, error) {
 		return nil, err
 	}
 	e := &search{
-		nl:    nl,
-		order: order,
-		piIdx: make(map[int]int),
-		fan:   make([][]int, len(nl.Gates)),
-		level: make([]int, len(nl.Gates)),
+		nl:     nl,
+		order:  order,
+		fanOff: make([]int32, 1, len(order)+1),
+		piIdx:  make(map[int]int),
+		level:  make([]int, len(nl.Gates)),
 	}
 	for i, id := range nl.PIs {
 		e.piIdx[id] = i
 	}
-	for _, g := range nl.Gates {
-		for _, f := range g.Fanin {
-			e.fan[f] = append(e.fan[f], g.ID)
+	for _, id := range order {
+		for _, f := range nl.Gates[id].Fanin {
+			e.fanIn = append(e.fanIn, int32(f))
 		}
+		e.fanOff = append(e.fanOff, int32(len(e.fanIn)))
 	}
 	// Approximate controllability by level for backtrace tie-breaking.
 	for _, id := range order {
@@ -269,6 +363,7 @@ func (e *search) podem(c *cursor, sites []netlist.FaultSite, maxBacktracks int) 
 	c.arm(e.nl, sites)
 	for {
 		e.imply(c)
+		e.frontier(c.pl, c.bit)
 		if done, status := e.step(c, maxBacktracks); done {
 			if status == statusDetected {
 				return c.assign, c.backtracks, status
@@ -279,14 +374,15 @@ func (e *search) podem(c *cursor, sites []netlist.FaultSite, maxBacktracks int) 
 }
 
 // step advances one search by a single decision after an implication
-// pass: check detection, extend the assignment towards the next
-// objective, or backtrack. It returns done=true with the terminal status
-// when the search ends; otherwise the cursor's assignment changed and the
-// caller owes it another implication pass. The pack scheduler interleaves
-// many cursors by broadcasting one machine pass per round and stepping
-// each survivor; the podem loop above is the degenerate single-cursor
-// schedule — both run this exact decision procedure, which is why
-// packing cannot change any per-target outcome.
+// pass and the round's frontier pass: check detection, extend the
+// assignment towards the next objective, or backtrack. It returns
+// done=true with the terminal status when the search ends; otherwise the
+// cursor's assignment changed and the caller owes it another round. The
+// pack scheduler interleaves many cursors by broadcasting one machine
+// pass and one frontier pass per round and stepping each survivor; the
+// podem loop above is the degenerate single-cursor schedule — both run
+// this exact decision procedure, which is why packing cannot change any
+// per-target outcome.
 func (e *search) step(c *cursor, maxBacktracks int) (bool, podemStatus) {
 	if e.detected(c) {
 		return true, statusDetected
@@ -322,56 +418,59 @@ func (e *search) step(c *cursor, maxBacktracks int) (bool, podemStatus) {
 // imply is the serial reference backend: a per-gate three-valued
 // interpreter over the model netlist that forward-simulates both of the
 // cursor's planes for its PI assignment, with the armed fault injected
-// into the faulty plane at every site. Kept (behind Workers == 1) as the
+// into the faulty plane at every site, writing the cursor's two lanes of
+// the plane (every other lane reads X). Kept (behind Workers == 1) as the
 // differential baseline for the compiled dual-rail twin. At most one
 // site may occupy a given gate (guaranteed by construction: one copy per
 // frame).
 func (e *search) imply(c *cursor) {
-	nl := e.nl
-	for id := range nl.Gates {
-		c.gv[id] = xx
-		c.fv[id] = xx
-	}
+	nl, pl := e.nl, c.pl
+	gl, fl := c.lane, c.lane+1
+	clear(pl.hi)
+	clear(pl.lo)
 	for i, id := range nl.PIs {
-		c.gv[id] = c.assign[i]
-		c.fv[id] = c.assign[i]
+		pl.set(id, gl, c.assign[i])
+		pl.set(id, fl, c.assign[i])
 	}
 	for _, g := range nl.Gates {
 		switch g.Type {
 		case netlist.Const0:
-			c.gv[g.ID], c.fv[g.ID] = lo, lo
+			pl.set(g.ID, gl, lo)
+			pl.set(g.ID, fl, lo)
 		case netlist.Const1:
-			c.gv[g.ID], c.fv[g.ID] = hi, hi
+			pl.set(g.ID, gl, hi)
+			pl.set(g.ID, fl, hi)
 		}
 	}
 	// Output faults on PIs or constants apply before gate evaluation.
 	for _, st := range c.sites {
 		if st.Pin < 0 && !nl.Gates[st.Gate].Type.IsComb() {
-			c.fv[st.Gate] = tri(st.Stuck)
+			pl.set(st.Gate, fl, tri(st.Stuck))
 		}
 	}
 	for _, id := range e.order {
 		g := nl.Gates[id]
-		c.gv[id] = evalTri(g, c.gv, -1, xx)
+		pl.set(id, gl, evalTri(g, pl, gl, -1, xx))
 		fpin, fval := -1, xx
-		if st, ok := c.siteAt[id]; ok && st.Pin >= 0 {
+		st, ok := c.siteAt[id]
+		if ok && st.Pin >= 0 {
 			fpin, fval = st.Pin, tri(st.Stuck)
 		}
-		c.fv[id] = evalTri(g, c.fv, fpin, fval)
-		if st, ok := c.siteAt[id]; ok && st.Pin < 0 {
-			c.fv[id] = tri(st.Stuck)
+		pl.set(id, fl, evalTri(g, pl, fl, fpin, fval))
+		if ok && st.Pin < 0 {
+			pl.set(id, fl, tri(st.Stuck))
 		}
 	}
 }
 
-// evalTri computes a gate's three-valued output on one plane, optionally
-// overriding input pin fpin with fval.
-func evalTri(g *netlist.Gate, vals []tri, fpin int, fval tri) tri {
+// evalTri computes a gate's three-valued output on lane ln of the plane,
+// optionally overriding input pin fpin with fval.
+func evalTri(g *netlist.Gate, pl *plane, ln uint, fpin int, fval tri) tri {
 	in := func(j int) tri {
 		if j == fpin {
 			return fval
 		}
-		return vals[g.Fanin[j]]
+		return pl.at(g.Fanin[j], ln)
 	}
 	switch g.Type {
 	case netlist.Buf:
@@ -424,7 +523,7 @@ func evalTri(g *netlist.Gate, vals []tri, fpin int, fval tri) tri {
 		}
 		return v
 	}
-	return vals[g.ID] // PI / const / DFF keep preset values
+	return pl.at(g.ID, ln) // PI / const / DFF keep preset values
 }
 
 func notTri(t tri) tri {
@@ -437,11 +536,130 @@ func notTri(t tri) tri {
 	return xx
 }
 
+// dLanes reads one gate's rail words h and l pair by pair: bit 2k is set
+// when search k's good and faulty values of the gate are both defined
+// and differ (a D). Odd bits are noise.
+func dLanes(h, l uint64) uint64 {
+	def := h | l
+	return def & (def >> 1) & (h ^ h>>1)
+}
+
 // detected reports whether any PO shows a definite good/faulty difference.
 func (e *search) detected(c *cursor) bool {
 	for _, id := range e.nl.POs {
-		g, f := c.gv[id], c.fv[id]
-		if g != xx && f != xx && g != f {
+		if dLanes(c.pl.hi[id], c.pl.lo[id])&c.bit != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// activation scans the armed target's sites: whether some site is
+// activated (its good value is the opposite of the stuck value) and the
+// first site net, in site order, whose good value is still X, with the
+// value that would activate it (net -1 when there is none). For branch
+// faults the site net is the net feeding the faulted pin.
+func (e *search) activation(c *cursor) (activated bool, net int, val tri) {
+	net = -1
+	for _, site := range c.sites {
+		siteNet := site.Gate
+		if site.Pin >= 0 {
+			siteNet = e.nl.Gates[site.Gate].Fanin[site.Pin]
+		}
+		switch c.good(siteNet) {
+		case xx:
+			if net < 0 {
+				net, val = siteNet, notTri(tri(site.Stuck))
+			}
+		case tri(site.Stuck):
+			// unactivatable at this site under the current assignment
+		default:
+			activated = true
+		}
+	}
+	return activated, net, val
+}
+
+// frontier is the round's D-frontier pass, shared by every search in
+// live (bit 2k: search k) after an implication pass filled the plane.
+// For each live search that step will ask for a frontier — its target
+// not yet detected, some site activated — it finds the first gate in
+// levelized order whose output is X in either plane, with a D on some
+// input and an X good-plane input, and leaves it in the cursor's front
+// (-1 when there is none). It walks the gates once, testing the three
+// conditions for every waiting search at a time with word operations on
+// the lane pairs, and stops once every search has its gate. At the
+// gates marked in the plane's branch masks a search's D test is redone
+// with the faulted pin's faulty value forced to its stuck value: the D
+// of a branch fault lives on the gate's pin, while the net feeding it is
+// healthy.
+//
+//repro:hotpath
+func (e *search) frontier(pl *plane, live uint64) {
+	hiw, low, branch := pl.hi, pl.lo, pl.branch
+	var detected, pending uint64
+	for _, id := range e.nl.POs {
+		detected |= dLanes(hiw[id], low[id])
+	}
+	for w := live &^ detected; w != 0; w &= w - 1 {
+		c := pl.curs[bits.TrailingZeros64(w)/2]
+		if activated, _, _ := e.activation(c); activated {
+			c.front = -1
+			pending |= c.bit
+		}
+	}
+	if pending == 0 {
+		return
+	}
+	for p, id := range e.order {
+		// Pairs with an X output in either plane: the faulty lane's X
+		// folds down onto the pair's good lane.
+		xout := ^(hiw[id] | low[id])
+		cand := (xout | xout>>1) & pending
+		if cand == 0 {
+			continue
+		}
+		// d: a D on some input; xin: an X good-plane input. Both are
+		// read on the pairs' good lanes.
+		var d, xin uint64
+		for _, f := range e.fanIn[e.fanOff[p]:e.fanOff[p+1]] {
+			h, l := hiw[f], low[f]
+			d |= dLanes(h, l)
+			xin |= ^(h | l)
+		}
+		for b := branch[id] & cand; b != 0; b &= b - 1 {
+			k := bits.TrailingZeros64(b)
+			if e.branchD(pl.curs[k/2], id) {
+				d |= 1 << uint(k)
+			} else {
+				d &^= 1 << uint(k)
+			}
+		}
+		hit := cand & d & xin
+		if hit == 0 {
+			continue
+		}
+		pending &^= hit
+		for ; hit != 0; hit &= hit - 1 {
+			pl.curs[bits.TrailingZeros64(hit)/2].front = id
+		}
+		if pending == 0 {
+			return
+		}
+	}
+}
+
+// branchD is the frontier pass's fix-up at a gate holding one of c's
+// branch-fault sites: whether some input of gate id shows a D on c's
+// planes once the faulted pin reads its stuck value on the faulty plane.
+func (e *search) branchD(c *cursor, id int) bool {
+	st := c.siteAt[id]
+	for j, f := range e.nl.Gates[id].Fanin {
+		gv, fv := c.good(f), c.faulty(f)
+		if j == st.Pin {
+			fv = tri(st.Stuck)
+		}
+		if gv != xx && fv != xx && gv != fv {
 			return true
 		}
 	}
@@ -450,59 +668,20 @@ func (e *search) detected(c *cursor) bool {
 
 // objective returns the next (net, value) goal: activate the fault at
 // some site whose good value is still X, otherwise advance the
-// D-frontier. For branch faults the D lives on the faulted gate's pin
-// (the driver net itself is healthy), so the pin's effective faulty value
-// is the stuck value, not the driver's.
+// D-frontier gate the round's pass found, setting its first X input to
+// the gate's non-controlling value.
 func (e *search) objective(c *cursor) (int, tri, bool) {
-	anyActivated := false
-	var pendingNet = -1
-	var pendingVal tri
-	for _, site := range c.sites {
-		siteNet := site.Gate
-		if site.Pin >= 0 {
-			siteNet = e.nl.Gates[site.Gate].Fanin[site.Pin]
-		}
-		switch c.gv[siteNet] {
-		case xx:
-			if pendingNet < 0 {
-				pendingNet, pendingVal = siteNet, notTri(tri(site.Stuck))
-			}
-		case tri(site.Stuck):
-			// unactivatable at this site under the current assignment
-		default:
-			anyActivated = true
-		}
-	}
-	if !anyActivated {
+	activated, pendingNet, pendingVal := e.activation(c)
+	if !activated {
 		if pendingNet >= 0 {
 			return pendingNet, pendingVal, true
 		}
 		return 0, xx, false // no site can activate under this assignment
 	}
-	// Some site is activated; find a D-frontier gate: output X with a D
-	// input (accounting for injected pin values at fault sites).
-	for _, id := range e.order {
-		g := e.nl.Gates[id]
-		if c.gv[id] != xx && c.fv[id] != xx {
-			continue
-		}
-		hasD := false
-		for j, f := range g.Fanin {
-			gvf, fvf := c.gv[f], c.fv[f]
-			if st, ok := c.siteAt[id]; ok && j == st.Pin {
-				fvf = tri(st.Stuck)
-			}
-			if gvf != xx && fvf != xx && gvf != fvf {
-				hasD = true
-				break
-			}
-		}
-		if !hasD {
-			continue
-		}
-		// Set one X input to the gate's non-controlling value.
+	if c.front >= 0 {
+		g := e.nl.Gates[c.front]
 		for _, f := range g.Fanin {
-			if c.gv[f] == xx {
+			if c.good(f) == xx {
 				return f, nonControlling(g.Type), true
 			}
 		}
@@ -548,7 +727,7 @@ func (e *search) backtrace(c *cursor, gate int, val tri) (int, tri) {
 		wantControlling := isControllingGoal(g.Type, v)
 		bestCost := -1
 		for _, f := range g.Fanin {
-			if c.gv[f] != xx {
+			if c.good(f) != xx {
 				continue
 			}
 			cost := e.cc.CC1[f]

@@ -3,8 +3,11 @@ package campaign
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -544,5 +547,41 @@ func TestExecuteEndpoint(t *testing.T) {
 	}
 	if !bytes.Equal(b1, b2) {
 		t.Error("cached bytes differ")
+	}
+}
+
+// TestSubmitMalformedBenchRejected submits inline netlists whose gates
+// have the wrong number of inputs: each submit must come back 400 with
+// the parser's line-numbered error, and the server must keep serving.
+func TestSubmitMalformedBenchRejected(t *testing.T) {
+	srv, err := NewServer(ServerConfig{Parallel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	hs := httptest.NewServer(srv)
+	defer hs.Close()
+	for _, line := range []string{"b = AND()", "b = NOT(a, a)", "b = BUFF()", "b = XOR(a)"} {
+		body, err := json.Marshal(Spec{Kind: ATPG, Bench: "INPUT(a)\nOUTPUT(b)\n" + line + "\n", Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(hs.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
+		msg := new(bytes.Buffer)
+		msg.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%q: status %s, want 400 Bad Request", line, resp.Status)
+		}
+		if !strings.Contains(msg.String(), "bench line 3") {
+			t.Errorf("%q: error body %q does not name the line", line, msg)
+		}
+	}
+	c := &Client{Base: hs.URL}
+	if _, err := c.Stats(context.Background()); err != nil {
+		t.Fatalf("server stopped serving after malformed submits: %v", err)
 	}
 }

@@ -178,7 +178,9 @@ func TestATPGCombinationalParity(t *testing.T) {
 // TestATPGModelReuseParity pins the compile-once contract: one Model
 // running baseline and subset campaigns back to back must produce
 // exactly what fresh per-call models produce (the model carries no state
-// between runs), for both engines.
+// between runs), for both engines. The runs alternate on the one model
+// — serial, packed, serial, packed — so state either kind of run leaves
+// on the model's shared cursors and plane must not leak into the next.
 func TestATPGModelReuseParity(t *testing.T) {
 	c := fuzzCircuit(t, 0)
 	nl, err := synth.Synthesize(c)
@@ -191,12 +193,12 @@ func TestATPGModelReuseParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	all := faultsim.Faults(nl)
-	for _, workers := range []int{0, 1} {
+	for i, workers := range []int{1, 0, 1, 0} {
 		// MaxBacktracks capped like the other fuzz legs: the random
 		// circuit's abort-heavy targets prove nothing about model reuse.
 		opts := &atpg.SeqOptions{Frames: frames, MaxBacktracks: fuzzBacktracks, FillSeed: 9,
 			Options: engine.Options{Workers: workers}}
-		label := fmt.Sprintf("workers=%d", workers)
+		label := fmt.Sprintf("run%d/workers=%d", i, workers)
 		first, err := model.GenerateSequential(all, opts)
 		if err != nil {
 			t.Fatal(err)

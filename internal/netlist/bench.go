@@ -109,6 +109,7 @@ func ReadBench(r io.Reader, name string) (*Netlist, error) {
 	type pending struct {
 		target string
 		op     string
+		typ    GateType // resolved gate type (unused for DFF)
 		args   []string
 		line   int
 	}
@@ -164,7 +165,15 @@ func ReadBench(r io.Reader, name string) (*Netlist, error) {
 					args = append(args, a)
 				}
 			}
-			defs = append(defs, pending{target: target, op: op, args: args, line: lineNo})
+			d := pending{target: target, op: op, args: args, line: lineNo}
+			if op != "DFF" {
+				t, err := benchGateType(op, len(args))
+				if err != nil {
+					return nil, fmt.Errorf("bench line %d: %v", lineNo, err)
+				}
+				d.typ = t
+			}
+			defs = append(defs, d)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -207,10 +216,8 @@ func ReadBench(r io.Reader, name string) (*Netlist, error) {
 				next = append(next, d)
 				continue
 			}
-			id, err := buildBenchGate(n, d.op, d.target, fanin)
-			if err != nil {
-				return nil, fmt.Errorf("bench line %d: %v", d.line, err)
-			}
+			id := n.AddGate(d.typ, fanin...)
+			n.Gates[id].Name = d.target
 			ids[d.target] = id
 			progress = true
 		}
@@ -246,7 +253,10 @@ func ReadBench(r io.Reader, name string) (*Netlist, error) {
 	return n, nil
 }
 
-func buildBenchGate(n *Netlist, op, target string, fanin []int) (int, error) {
+// benchGateType resolves a gate operator and its fanin count to the gate
+// type AddGate builds, rejecting arities AddGate would refuse so that a
+// malformed line is a parse error rather than a panic.
+func benchGateType(op string, fanins int) (GateType, error) {
 	var t GateType
 	switch op {
 	case "AND":
@@ -273,13 +283,25 @@ func buildBenchGate(n *Netlist, op, target string, fanin []int) (int, error) {
 		return 0, fmt.Errorf("unknown gate type %q", op)
 	}
 	// Single-input AND/OR degrade to BUF; this appears in some benchmarks.
-	if len(fanin) == 1 && (t == And || t == Or) {
+	if fanins == 1 && (t == And || t == Or) {
 		t = Buf
 	}
-	if len(fanin) == 1 && (t == Nand || t == Nor) {
+	if fanins == 1 && (t == Nand || t == Nor) {
 		t = Not
 	}
-	id := n.AddGate(t, fanin...)
-	n.Gates[id].Name = target
-	return id, nil
+	switch t {
+	case Const0, Const1:
+		if fanins != 0 {
+			return 0, fmt.Errorf("%s takes no inputs, got %d", op, fanins)
+		}
+	case Buf, Not:
+		if fanins != 1 {
+			return 0, fmt.Errorf("%s needs exactly 1 input, got %d", op, fanins)
+		}
+	default:
+		if fanins < 2 {
+			return 0, fmt.Errorf("%s needs at least 2 inputs, got %d", op, fanins)
+		}
+	}
+	return t, nil
 }

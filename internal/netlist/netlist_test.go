@@ -270,6 +270,13 @@ func TestBenchErrors(t *testing.T) {
 		{"bad gate", "INPUT(a)\nOUTPUT(b)\nb = FROB(a)\n"},
 		{"garbage", "INPUT(a)\nOUTPUT(b)\nwhat is this\n"},
 		{"dup", "INPUT(a)\nINPUT(a)\nOUTPUT(a)\n"},
+		// Wrong fanin counts are parse errors on their line, not panics
+		// in AddGate.
+		{"AND no inputs", "INPUT(a)\nOUTPUT(b)\nb = AND()\n"},
+		{"NOT two inputs", "INPUT(a)\nOUTPUT(b)\nb = NOT(a, a)\n"},
+		{"BUFF no inputs", "INPUT(a)\nOUTPUT(b)\nb = BUFF()\n"},
+		{"XOR one input", "INPUT(a)\nOUTPUT(b)\nb = XOR(a)\n"},
+		{"CONST0 with input", "INPUT(a)\nOUTPUT(b)\nb = CONST0(a)\n"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -277,6 +284,13 @@ func TestBenchErrors(t *testing.T) {
 				t.Error("no error")
 			}
 		})
+	}
+	// Arity errors name the offending line.
+	for _, line := range []string{"b = AND()", "b = NOT(a, a)", "b = BUFF()", "b = XOR(a)"} {
+		_, err := ReadBench(strings.NewReader("INPUT(a)\nOUTPUT(b)\n"+line+"\n"), "bad")
+		if err == nil || !strings.HasPrefix(err.Error(), "bench line 3: ") {
+			t.Errorf("%q: err = %v, want a bench line 3 error", line, err)
+		}
 	}
 }
 
