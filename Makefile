@@ -10,11 +10,15 @@ all: build
 build:
 	$(GO) build ./...
 
-# Explicit examples build: go build ./... covers these too, but keeping a
-# named target (and CI step) means a config-knob change that breaks an
-# example fails loudly as "examples", not somewhere in the package walk.
+# Build, then run every example end to end. go build ./... compiles them
+# too, but only running them catches an example that builds and then
+# fails (a config-knob change, say); the named target and CI step make it
+# fail loudly as "examples". About 8 s on a 2-core host.
 examples:
 	$(GO) build ./examples/...
+	@for d in examples/*/; do \
+		echo "== $$d"; $(GO) run "./$$d" || exit 1; \
+	done
 
 vet:
 	$(GO) vet ./...

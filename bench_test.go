@@ -141,9 +141,9 @@ func BenchmarkSeqTopoffB06(b *testing.B) {
 
 // --- A4: TG-discipline ablation -------------------------------------------------
 
-// BenchmarkTGDisciplines contrasts the three generation disciplines on one
-// operator class: dedicated per-mutant (value-rich, longer), mutation-
-// adequate per-mutant (hard mutants only), and greedy (near-minimal).
+// BenchmarkTGDisciplines contrasts the two generation disciplines on one
+// operator class: dedicated per-mutant (value-rich, longer) and mutation-
+// adequate per-mutant (hard mutants only).
 func BenchmarkTGDisciplines(b *testing.B) {
 	c := circuits.MustLoad("b01")
 	class := mutation.Generate(c, mutation.CR)
@@ -163,7 +163,6 @@ func BenchmarkTGDisciplines(b *testing.B) {
 		}{
 			{"per-mutant", tpg.PerMutant},
 			{"adequate", tpg.PerMutantSkip},
-			{"greedy", tpg.Greedy},
 		} {
 			tg, err := tpg.MutationTests(c, class, &tpg.Options{Mode: d.mode, Seed: 11})
 			if err != nil {

@@ -80,7 +80,16 @@ func run(listen string, parallel, workers, laneWords, cacheCap int, cacheDir, ck
 	if err != nil {
 		return err
 	}
-	hs := &http.Server{Addr: listen, Handler: srv}
+	// ReadHeaderTimeout drops clients that never finish their headers and
+	// IdleTimeout closes idle keep-alive connections. There is no read or
+	// write timeout: /v1/execute holds the request open while its job
+	// runs, and an expired read deadline would cancel that job.
+	hs := &http.Server{
+		Addr:              listen,
+		Handler:           srv,
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -1,0 +1,126 @@
+package repro
+
+import (
+	"crypto/sha256"
+	"fmt"
+	"testing"
+
+	"repro/internal/circuits"
+	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/faultsim"
+	"repro/internal/mutation"
+	"repro/internal/mutscore"
+	"repro/internal/sim"
+	"repro/internal/synth"
+	"repro/internal/tpg"
+)
+
+// The digests below pin the exact output of the paper flow and of the
+// engines under it. Every engine setting must print the same bytes, so
+// each digest is checked at Workers 0 (compiled pools) and Workers 1
+// (serial references). A change that alters any of them changes what the
+// repository reports and must say so.
+
+func digest(v any) string {
+	return fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprint(v))))
+}
+
+var digestWorkers = []int{0, 1}
+
+// TestFlowTablesDigest pins the Table 1 and Table 2 text of a short
+// flow: operator profiling (PerMutantSkip with the PerMutant fallback),
+// weighted and random sampling, TG, equivalence and mutation scoring.
+func TestFlowTablesDigest(t *testing.T) {
+	want := map[string]string{
+		"b01": "c8337c704e516f37f1456f6780b5552033774fcf6b090e911ad7df7d66367079",
+		"c17": "2807a900f93866845d7dd82b54ac861ec9cbec6b25abca3487dadde6190fd82b",
+	}
+	for _, name := range []string{"b01", "c17"} {
+		for _, w := range digestWorkers {
+			t.Run(fmt.Sprintf("%s/workers=%d", name, w), func(t *testing.T) {
+				cfg := core.Config{Seed: 1, Repeats: 1, RandHorizon: 256, EquivBudget: 128,
+					Options: engine.Options{Workers: w}}
+				f, err := core.NewFlow(circuits.MustLoad(name), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				profiles, err := f.ProfileOperators()
+				if err != nil {
+					t.Fatal(err)
+				}
+				cmp, err := f.CompareSampling()
+				if err != nil {
+					t.Fatal(err)
+				}
+				text := core.FormatTable1([]core.Table1Row{{Circuit: name, Profiles: profiles}}) +
+					core.FormatTable2([]*core.SamplingComparison{cmp})
+				if got := digest(text); got != want[name] {
+					t.Errorf("tables digest %s, want %s\n%s", got, want[name], text)
+				}
+			})
+		}
+	}
+}
+
+// TestEquivalenceDigest pins the probable-equivalence flags of b01 under
+// a random budget plus one extra sequence, the path that drops mutants
+// the budget already killed before scoring the extra. The extra toggles
+// reset at random, so it kills mutants the budget leaves alive.
+func TestEquivalenceDigest(t *testing.T) {
+	const want = "486f714479fc95c1f45e81dc96c5097a4db8783b23463dfef46adea93ebdde74"
+	c := circuits.MustLoad("b01")
+	ms := mutation.Generate(c)
+	extra := tpg.RawRandomSequence(c, 256, 77)
+	for _, w := range digestWorkers {
+		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
+			s, err := mutscore.Config{Options: engine.Options{Workers: w}}.NewScorer(c, ms)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eq, err := s.EstimateEquivalence([]sim.Sequence{extra},
+				&mutscore.EquivalenceOptions{Budget: 256, Seed: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := digest(eq); got != want {
+				t.Errorf("equivalence digest %s, want %s", got, want)
+			}
+		})
+	}
+}
+
+// TestFaultSimDigest pins first-detection profiles over 1024 random
+// cycles (b03) and patterns (c880), appended in 64-long windows so the
+// sequential scheduler runs ragged tails and re-plans.
+func TestFaultSimDigest(t *testing.T) {
+	want := map[string]string{
+		"b03":  "a67d9bdedf1d6dfa2ac19b3657b8a93667aed5082d54a1576972081f0dab8b01",
+		"c880": "938f039bf172a4af5e31a864e9dcb2d5d7c3c278169a1be30736777ef066d4d1",
+	}
+	for _, name := range []string{"b03", "c880"} {
+		c := circuits.MustLoad(name)
+		nl, err := synth.Synthesize(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pats := tpg.ToPatterns(c, tpg.RawRandomSequence(c, 1024, 5))
+		for _, w := range digestWorkers {
+			t.Run(fmt.Sprintf("%s/workers=%d", name, w), func(t *testing.T) {
+				fs, err := faultsim.Config{Options: engine.Options{Workers: w}}.New(nl, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var res *faultsim.Result
+				for lo := 0; lo < len(pats); lo += 64 {
+					if res, err = fs.Append(pats[lo : lo+64]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if got := digest(res.FirstDetected); got != want[name] {
+					t.Errorf("first-detection digest %s, want %s", got, want[name])
+				}
+			})
+		}
+	}
+}

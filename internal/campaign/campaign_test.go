@@ -264,6 +264,60 @@ func TestExecuteCheckpointResume(t *testing.T) {
 	}
 }
 
+// TestExecuteCorruptCheckpointDiscarded stores a checkpoint whose
+// detection index lies outside [-1, Applied) under a windowed FaultSim
+// job's key: Execute must discard it, return the fresh run's bytes
+// rather than copy the index into the report, and drop the checkpoint.
+func TestExecuteCorruptCheckpointDiscarded(t *testing.T) {
+	sp := Spec{Kind: FaultSim, Circuit: "b03", Seed: 4, Horizon: 120, Window: 20}
+	want := mustExecute(t, sp, nil)
+	key, err := JobKey(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []int{1 << 40, -7} {
+		st, err := NewCheckpointStore("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		cfg := &ExecConfig{
+			Options:     engine.Options{Ctx: ctx, Progress: func(engine.Stats) { cancel() }},
+			Checkpoints: st,
+		}
+		if _, err := Execute(sp, cfg); err == nil {
+			t.Fatal("interrupted run reported no error")
+		}
+		cancel()
+		ck, err := st.Load(key)
+		if err != nil || ck == nil {
+			t.Fatalf("no checkpoint saved: %v", err)
+		}
+		corrupt := *ck
+		corrupt.FirstDetected = append([]int(nil), ck.FirstDetected...)
+		det := -1
+		for i, d := range corrupt.FirstDetected {
+			if d >= 0 {
+				det = i
+				break
+			}
+		}
+		if det < 0 {
+			t.Fatalf("checkpoint after %d cycles records no detection", ck.Applied)
+		}
+		corrupt.FirstDetected[det] = bad
+		if err := st.Save(key, &corrupt); err != nil {
+			t.Fatal(err)
+		}
+		if got := mustExecute(t, sp, &ExecConfig{Checkpoints: st}); !bytes.Equal(got, want) {
+			t.Errorf("index %d: report differs from a fresh run\n got: %s\nwant: %s", bad, got, want)
+		}
+		if ck, _ := st.Load(key); ck != nil {
+			t.Errorf("index %d: corrupt checkpoint not dropped", bad)
+		}
+	}
+}
+
 // TestCacheLRUAndDisk covers the result cache: LRU eviction, disk
 // persistence across instances, and the counters.
 func TestCacheLRUAndDisk(t *testing.T) {
@@ -583,5 +637,45 @@ func TestSubmitMalformedBenchRejected(t *testing.T) {
 	c := &Client{Base: hs.URL}
 	if _, err := c.Stats(context.Background()); err != nil {
 		t.Fatalf("server stopped serving after malformed submits: %v", err)
+	}
+}
+
+// TestSubmitOversizedBodyRejected posts job specs whose inline netlist
+// exceeds the body limit to both spec endpoints: each must come back 413
+// without the server buffering the body, and a normal submit afterwards
+// must still complete.
+func TestSubmitOversizedBodyRejected(t *testing.T) {
+	srv, err := NewServer(ServerConfig{Parallel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	hs := httptest.NewServer(srv)
+	defer hs.Close()
+	body, err := json.Marshal(Spec{Kind: ATPG, Bench: strings.Repeat("#", maxSpecBytes), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/v1/jobs", "/v1/execute"} {
+		resp, err := http.Post(hs.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: status %s, want 413 Request Entity Too Large", path, resp.Status)
+		}
+	}
+	c := &Client{Base: hs.URL}
+	ctx := context.Background()
+	st, err := c.Submit(ctx, Spec{Kind: FaultSim, Circuit: "c17", Seed: 1, Horizon: 16})
+	if err != nil {
+		t.Fatalf("submit after oversized bodies: %v", err)
+	}
+	if st, err = c.Wait(ctx, st.ID, 0); err != nil {
+		t.Fatal(err)
+	}
+	if st.State != "done" {
+		t.Fatalf("job after oversized bodies: %s: %s", st.State, st.Error)
 	}
 }

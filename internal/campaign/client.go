@@ -50,33 +50,36 @@ func fail(resp *http.Response) error {
 	return fmt.Errorf("campaign: server returned %s: %s", resp.Status, bytes.TrimSpace(b))
 }
 
-// Submit registers a job and returns its initial status; a cache hit
-// comes back already done.
-func (c *Client) Submit(ctx context.Context, sp Spec) (*JobStatus, error) {
-	resp, err := c.do(ctx, http.MethodPost, "/v1/jobs", sp)
+// call sends one request and decodes the JSON of a 200 response into out.
+func (c *Client) call(ctx context.Context, method, path string, body, out any) error {
+	resp, err := c.do(ctx, method, path, body)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fail(resp)
+		return fail(resp)
 	}
+	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// Submit registers a job and returns its initial status; a cache hit
+// comes back already done.
+func (c *Client) Submit(ctx context.Context, sp Spec) (*JobStatus, error) {
 	st := new(JobStatus)
-	return st, json.NewDecoder(resp.Body).Decode(st)
+	if err := c.call(ctx, http.MethodPost, "/v1/jobs", sp, st); err != nil {
+		return nil, err
+	}
+	return st, nil
 }
 
 // Status fetches a job's current status.
 func (c *Client) Status(ctx context.Context, id string) (*JobStatus, error) {
-	resp, err := c.do(ctx, http.MethodGet, "/v1/jobs/"+id, nil)
-	if err != nil {
+	st := new(JobStatus)
+	if err := c.call(ctx, http.MethodGet, "/v1/jobs/"+id, nil, st); err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fail(resp)
-	}
-	st := new(JobStatus)
-	return st, json.NewDecoder(resp.Body).Decode(st)
+	return st, nil
 }
 
 // Result fetches a finished job's canonical report bytes.
@@ -133,10 +136,6 @@ func (c *Client) Wait(ctx context.Context, id string, poll time.Duration) (*JobS
 // Execute runs one spec synchronously on the server and returns the
 // canonical report bytes plus whether the server served it from cache.
 func (c *Client) Execute(ctx context.Context, sp Spec) (report []byte, cached bool, err error) {
-	return c.execute(ctx, sp)
-}
-
-func (c *Client) execute(ctx context.Context, sp Spec) ([]byte, bool, error) {
 	resp, err := c.do(ctx, http.MethodPost, "/v1/execute", sp)
 	if err != nil {
 		return nil, false, err
@@ -151,14 +150,9 @@ func (c *Client) execute(ctx context.Context, sp Spec) ([]byte, bool, error) {
 
 // Stats fetches the server's cache and job counters.
 func (c *Client) Stats(ctx context.Context) (*Stats, error) {
-	resp, err := c.do(ctx, http.MethodGet, "/v1/stats", nil)
-	if err != nil {
+	st := new(Stats)
+	if err := c.call(ctx, http.MethodGet, "/v1/stats", nil, st); err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fail(resp)
-	}
-	st := new(Stats)
-	return st, json.NewDecoder(resp.Body).Decode(st)
+	return st, nil
 }

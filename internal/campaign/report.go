@@ -33,7 +33,7 @@ type Report struct {
 	Patterns      int   `json:"patterns,omitempty"`
 	FirstDetected []int `json:"firstdetected,omitempty"`
 
-	// MutationTG: targeted/killed mutants, greedy rounds, total sequence
+	// MutationTG: targeted/killed mutants, candidate rounds, total sequence
 	// cycles, and the content hash of the generated stimulus.
 	Targets int    `json:"targets,omitempty"`
 	Killed  int    `json:"killed,omitempty"`

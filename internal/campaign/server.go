@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -21,11 +22,9 @@ type ServerConfig struct {
 	// is created when nil).
 	Cache *Cache
 	// Parallel bounds concurrently executing local shards (default 2).
+	// Each submitted job is offered to Shards at a width of Parallel
+	// plus one per peer.
 	Parallel int
-	// ShardsPerJob is the decomposition width offered to Shards for each
-	// submitted job (default: Parallel plus one per peer; 1 disables
-	// sharding).
-	ShardsPerJob int
 	// Peers lists base URLs of remote campaign servers (e.g.
 	// "http://host:9190") that shard execution fans out to, round-robin
 	// with the local pool.
@@ -113,9 +112,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Parallel <= 0 {
 		cfg.Parallel = 2
 	}
-	if cfg.ShardsPerJob <= 0 {
-		cfg.ShardsPerJob = cfg.Parallel + len(cfg.Peers)
-	}
 	cache := cfg.Cache
 	if cache == nil {
 		var err error
@@ -164,12 +160,21 @@ func writeJSON(w http.ResponseWriter, v any) {
 	enc.Encode(v)
 }
 
+// maxSpecBytes bounds a job spec body; the largest in-repo netlist is
+// about 9 KB of .bench text.
+const maxSpecBytes = 1 << 20
+
 func decodeSpec(w http.ResponseWriter, r *http.Request) (Spec, bool) {
 	var sp Spec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&sp); err != nil {
-		httpError(w, http.StatusBadRequest, "decoding job spec: %v", err)
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, code, "decoding job spec: %v", err)
 		return sp, false
 	}
 	return sp, true
@@ -332,7 +337,7 @@ func (s *Server) executeLocal(ctx context.Context, sp Spec, progress func(engine
 // feeds the local cache with the returned bytes.
 func (s *Server) executeRemote(ctx context.Context, peer string, sp Spec, key Key) ([]byte, error) {
 	c := &Client{Base: peer}
-	b, _, err := c.execute(ctx, sp)
+	b, _, err := c.Execute(ctx, sp)
 	if err != nil {
 		return nil, err
 	}
@@ -363,7 +368,7 @@ func (s *Server) runSharded(ctx context.Context, j *job) ([]byte, error) {
 	j.state = stateRunning
 	j.mu.Unlock()
 
-	shards, err := Shards(j.spec, s.cfg.ShardsPerJob)
+	shards, err := Shards(j.spec, s.cfg.Parallel+len(s.cfg.Peers))
 	if err != nil {
 		return nil, err
 	}

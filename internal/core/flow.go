@@ -44,23 +44,9 @@ type Config struct {
 	// EquivBudget is the random-campaign length for the probable-
 	// equivalence estimate E. Default 1024.
 	EquivBudget int
-	// WeightFloor keeps inefficient operators minimally represented in the
-	// test-oriented sample: every operator weight is at least WeightFloor
-	// times the maximum weight. Default 0.05.
-	WeightFloor float64
-	// TG forwards options to the mutation-driven test generator.
-	TG tpg.Options
-	// Operators restricts the mutant population; nil means all ten.
-	Operators []mutation.Operator
 	// Repeats averages every randomized measurement (TG stimuli, sample
-	// draws) over this many independently-seeded runs. Default 3.
+	// draws) over this many independently-seeded runs. Default 5.
 	Repeats int
-	// ProfileCap bounds the per-class subsample used when profiling an
-	// operator's efficiency (Table 1): every class is measured through at
-	// most this many of its mutants (a fresh deterministic draw per
-	// repeat), so operators with very different class sizes are compared
-	// on the same data-length scale. Default 40.
-	ProfileCap int
 	// Options is the shared engine surface forwarded to every substrate
 	// — mutant scoring, fault simulation and test generation. See
 	// engine.Options for the Workers/LaneWords semantics (Workers:1 +
@@ -70,15 +56,20 @@ type Config struct {
 	engine.Options
 }
 
-// mutscoreConfig projects the flow configuration onto the scoring engine.
-func (c Config) mutscoreConfig() mutscore.Config {
-	return mutscore.Config{Options: c.Options}
-}
-
-// faultsimConfig projects the flow configuration onto the fault simulator.
-func (c Config) faultsimConfig() faultsim.Config {
-	return faultsim.Config{Options: c.Options}
-}
+// The flow's fixed parameters. Every flow targets the full population of
+// all ten operators and seeds its test generator with Seed+1.
+const (
+	// weightFloor keeps inefficient operators minimally represented in
+	// the test-oriented sample: every operator weight is at least
+	// weightFloor times the maximum weight.
+	weightFloor = 0.05
+	// profileCap bounds the per-class subsample used when profiling an
+	// operator's efficiency (Table 1): every class is measured through at
+	// most this many of its mutants (a fresh deterministic draw per
+	// repeat), so operators with very different class sizes are compared
+	// on the same data-length scale.
+	profileCap = 40
+)
 
 func (c Config) withDefaults() Config {
 	if c.SampleFrac <= 0 {
@@ -90,17 +81,8 @@ func (c Config) withDefaults() Config {
 	if c.EquivBudget <= 0 {
 		c.EquivBudget = 1024
 	}
-	if c.WeightFloor <= 0 {
-		c.WeightFloor = 0.05
-	}
-	if c.TG.Seed == 0 {
-		c.TG.Seed = c.Seed + 1
-	}
 	if c.Repeats <= 0 {
 		c.Repeats = 5
-	}
-	if c.ProfileCap <= 0 {
-		c.ProfileCap = 40
 	}
 	return c
 }
@@ -136,9 +118,7 @@ type Flow struct {
 // afterwards.
 func (f *Flow) tgSession() (*tpg.Session, error) {
 	if f.tg == nil {
-		opts := f.cfg.TG
-		opts.Options = f.cfg.Options
-		s, err := tpg.NewSession(f.Circuit, f.Mutants, &opts)
+		s, err := tpg.NewSession(f.Circuit, f.Mutants, &tpg.Options{Options: f.cfg.Options})
 		if err != nil {
 			return nil, err
 		}
@@ -164,7 +144,7 @@ func (f *Flow) tgSession() (*tpg.Session, error) {
 // so repeated strategy evaluations don't recompile it.
 func (f *Flow) fullScorer() (*mutscore.Scorer, error) {
 	if f.scorer == nil {
-		s, err := f.cfg.mutscoreConfig().NewScorer(f.Circuit, f.Mutants)
+		s, err := mutscore.Config{Options: f.cfg.Options}.NewScorer(f.Circuit, f.Mutants)
 		if err != nil {
 			return nil, err
 		}
@@ -185,11 +165,11 @@ func NewFlow(c *hdl.Circuit, cfg Config) (*Flow, error) {
 	f := &Flow{
 		Circuit: c,
 		Netlist: nl,
-		Mutants: mutation.Generate(c, cfg.Operators...),
+		Mutants: mutation.Generate(c),
 		cfg:     cfg,
 	}
 	f.Faults = faultsim.Faults(nl)
-	f.fsim, err = cfg.faultsimConfig().New(nl, f.Faults)
+	f.fsim, err = faultsim.Config{Options: cfg.Options}.New(nl, f.Faults)
 	if err != nil {
 		return nil, err
 	}
@@ -225,7 +205,7 @@ func (f *Flow) FaultSim(seq sim.Sequence) (*faultsim.Result, error) {
 type OperatorProfile struct {
 	Op      mutation.Operator
 	Mutants int // class size
-	Probed  int // subsample size actually measured (≤ ProfileCap)
+	Probed  int // subsample size actually measured (≤ profileCap)
 	Killed  int // probed mutants killed by the targeted sequence (mean)
 	SeqLen  int // validation sequence length (mean)
 	Eff     metrics.Efficiency
@@ -259,12 +239,12 @@ func (f *Flow) ProfileOperators() ([]OperatorProfile, error) {
 		p := OperatorProfile{Op: op, Mutants: len(class)}
 		for rep := 0; rep < f.cfg.Repeats; rep++ {
 			probe := class
-			if len(probe) > f.cfg.ProfileCap {
-				probe = sampling.Random(class, f.cfg.ProfileCap,
+			if len(probe) > profileCap {
+				probe = sampling.Random(class, profileCap,
 					f.cfg.Seed+int64(777+101*opIdx+rep))
 			}
 			p.Probed = len(probe)
-			tg, err := f.generateMode(probe, int64(1000+37*opIdx+rep), tpg.PerMutantSkip)
+			tg, err := f.generate(probe, int64(1000+37*opIdx+rep), tpg.PerMutantSkip)
 			if err != nil {
 				return nil, fmt.Errorf("core: TG for %s: %w", op, err)
 			}
@@ -273,7 +253,7 @@ func (f *Flow) ProfileOperators() ([]OperatorProfile, error) {
 			// an efficiency measured on a handful of vectors is noise, so
 			// fall back to the dedicated discipline for this probe.
 			if len(tg.Seq) < minProfileLen {
-				tg, err = f.generateMode(probe, int64(1000+37*opIdx+rep), tpg.PerMutant)
+				tg, err = f.generate(probe, int64(1000+37*opIdx+rep), tpg.PerMutant)
 				if err != nil {
 					return nil, fmt.Errorf("core: TG for %s: %w", op, err)
 				}
@@ -370,13 +350,10 @@ func (f *Flow) campaignFaultSim(tg *tpg.Result) (*faultsim.Result, error) {
 	return f.FaultSim(tg.Seq)
 }
 
-// generate runs mutation-driven TG with the flow's options, offsetting the
-// seed so distinct calls explore distinct stimuli deterministically.
-func (f *Flow) generate(targets []*mutation.Mutant, seedOffset int64) (*tpg.Result, error) {
-	return f.generateMode(targets, seedOffset, f.cfg.TG.Mode)
-}
-
-func (f *Flow) generateMode(targets []*mutation.Mutant, seedOffset int64, mode tpg.Mode) (*tpg.Result, error) {
+// generate runs mutation-driven TG in the given mode, offsetting the
+// generator seed (Seed+1) so distinct calls explore distinct stimuli
+// deterministically.
+func (f *Flow) generate(targets []*mutation.Mutant, seedOffset int64, mode tpg.Mode) (*tpg.Result, error) {
 	s, err := f.tgSession()
 	if err != nil {
 		return nil, err
@@ -389,11 +366,7 @@ func (f *Flow) generateMode(targets []*mutation.Mutant, seedOffset int64, mode t
 		}
 		idx[i] = mi
 	}
-	opts := f.cfg.TG
-	opts.Options = f.cfg.Options
-	opts.Mode = mode
-	opts.Seed = f.cfg.TG.Seed + seedOffset
-	return s.Generate(idx, &opts)
+	return s.Generate(idx, &tpg.Options{Options: f.cfg.Options, Mode: mode, Seed: f.cfg.Seed + 1 + seedOffset})
 }
 
 // FullTG generates (and caches) validation data targeting the entire
@@ -403,7 +376,7 @@ func (f *Flow) FullTG() (*tpg.Result, error) {
 	if f.fullTG != nil {
 		return f.fullTG, nil
 	}
-	tg, err := f.generate(f.Mutants, 2)
+	tg, err := f.generate(f.Mutants, 2, tpg.PerMutant)
 	if err != nil {
 		return nil, err
 	}
@@ -473,7 +446,7 @@ func (f *Flow) CompareSampling() (*SamplingComparison, error) {
 	if err != nil {
 		return nil, err
 	}
-	weights := DeriveWeights(profiles, f.cfg.WeightFloor)
+	weights := DeriveWeights(profiles, weightFloor)
 	n := sampling.SampleSize(len(f.Mutants), f.cfg.SampleFrac)
 
 	testOriented, err := f.evalStrategy("test-oriented", func(rep int64) []*mutation.Mutant {
@@ -513,7 +486,7 @@ func (f *Flow) evalStrategy(name string, draw func(rep int64) []*mutation.Mutant
 	var effs []metrics.Efficiency
 	for rep := 0; rep < f.cfg.Repeats; rep++ {
 		sample := draw(int64(rep * 1009))
-		tg, err := f.generate(sample, int64(5000+991*rep))
+		tg, err := f.generate(sample, int64(5000+991*rep), tpg.PerMutant)
 		if err != nil {
 			return nil, err
 		}

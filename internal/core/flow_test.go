@@ -263,7 +263,7 @@ func TestFormatTables(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.SampleFrac != 0.10 || c.RandHorizon != 2048 || c.EquivBudget != 1024 || c.WeightFloor != 0.05 {
+	if c.SampleFrac != 0.10 || c.RandHorizon != 2048 || c.EquivBudget != 1024 || c.Repeats != 5 {
 		t.Errorf("defaults wrong: %+v", c)
 	}
 }

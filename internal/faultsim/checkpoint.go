@@ -51,9 +51,13 @@ func (s *Simulator) Checkpoint() *Checkpoint {
 // continues the campaign bit-identically to one that was never
 // interrupted — the kill/resume legs in internal/difftest pin this.
 //
-// Restore verifies the replay against the checkpoint and fails (leaving
-// the session reset) if any frontier fault is detected by the prefix —
-// the signature of a checkpoint paired with the wrong stimulus.
+// Restore rejects a checkpoint whose shape does not fit the session: a
+// fault count or applied count that differs, a frontier index out of
+// range or also recorded as detected, or a detection index outside
+// [-1, Applied). It then verifies the replay against the checkpoint and
+// fails (leaving the session reset) if any frontier fault is detected by
+// the prefix — the signature of a checkpoint paired with the wrong
+// stimulus.
 func (s *Simulator) Restore(ck *Checkpoint, applied []Pattern) error {
 	if ck == nil {
 		return fmt.Errorf("faultsim: nil checkpoint")
@@ -65,6 +69,12 @@ func (s *Simulator) Restore(ck *Checkpoint, applied []Pattern) error {
 	if len(applied) != ck.Applied {
 		return fmt.Errorf("faultsim: checkpoint applied %d patterns, got %d to replay",
 			ck.Applied, len(applied))
+	}
+	for fi, d := range ck.FirstDetected {
+		if d < -1 || d >= ck.Applied {
+			return fmt.Errorf("faultsim: checkpoint detects fault %d at %d, outside [-1,%d)",
+				fi, d, ck.Applied)
+		}
 	}
 	for _, fi := range ck.Frontier {
 		if fi < 0 || fi >= len(s.faults) {

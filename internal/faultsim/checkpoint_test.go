@@ -148,4 +148,33 @@ func TestRestoreValidation(t *testing.T) {
 	if err := s.Restore(both, make([]Pattern, 6)); err == nil {
 		t.Error("fault listed both detected and on the frontier accepted")
 	}
+
+	// A detection index outside [-1, Applied) would index past the
+	// coverage curve once the session continues.
+	tests := randPatterns(len(nl.PIs), 20, 5)
+	if _, err := s.Run(tests); err != nil {
+		t.Fatal(err)
+	}
+	good := s.Checkpoint()
+	det := -1
+	for i, d := range good.FirstDetected {
+		if d >= 0 {
+			det = i
+			break
+		}
+	}
+	if det < 0 {
+		t.Fatal("20 random cycles detected nothing on b01")
+	}
+	for _, d := range []int{1 << 40, -7} {
+		ck := *good
+		ck.FirstDetected = append([]int(nil), good.FirstDetected...)
+		ck.FirstDetected[det] = d
+		if err := s.Restore(&ck, tests); err == nil {
+			t.Errorf("detection index %d accepted for %d applied cycles", d, ck.Applied)
+		}
+	}
+	if err := s.Restore(good, tests); err != nil {
+		t.Fatalf("uncorrupted checkpoint rejected: %v", err)
+	}
 }

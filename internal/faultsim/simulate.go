@@ -116,8 +116,6 @@ type Config struct {
 	StaticPlan bool
 }
 
-func (c Config) reference() bool { return c.Serial() }
-
 // Simulator runs stuck-at fault simulation against a fixed netlist and
 // collapsed fault list.
 //
@@ -145,7 +143,6 @@ type Simulator struct {
 	batches  []seqBatch                // live parallel-fault batches (compiled sequential)
 	batchFor map[int]seqBatch          // fault index -> planned batch (Retire lane lookup)
 	goodM    *netlist.Machine[lane.W1] // persistent good machine (compiled sequential)
-	combM    any                       // cached []*netlist.Machine[W] worker pool (compiled combinational)
 	refSeq   []Pattern                 // accumulated stimulus (reference sequential replay)
 	testMode bool                      // session is in AppendTest (reset-per-test) discipline
 	err      error                     // sticky failure from a cancelled/failed Append
@@ -154,33 +151,50 @@ type Simulator struct {
 	// allocates nothing (see the engine package's ownership contract).
 	// Only the owning session touches these between calls; the parallel
 	// sections read them but never grow them.
-	res     Result                      // the view snapshot() refreshes per window
-	incAll  []int                       // Reset's full-fault-list include buffer
-	goodPOs [][]uint64                  // good-trace PO rows for the current window
-	errs    []error                     // per-batch error slots for the current window
-	stim    seqStim                     // per-width broadcast stimulus buffers
-	combSc  any                         // *combScratch[W]: pattern-parallel window buffers
-	freeW1  []*netlist.Machine[lane.W1] // per-width armed-machine free
-	freeW4  []*netlist.Machine[lane.W4] // lists: retired batches return
-	freeW8  []*netlist.Machine[lane.W8] // machines here, arming redraws
-	chunks  []seqChunk                  // plan scratch (planSeqChunks + re-plan cost probe)
-	surv    [][]uint64                  // re-plan scratch: packed FF state per surviving lane
-	shellW1 []*seqBatchW[lane.W1]       // per-width batch-shell free lists:
-	shellW4 []*seqBatchW[lane.W4]       // re-planning recycles batch state
-	shellW8 []*seqBatchW[lane.W8]       // like machines, so warm re-plans allocate nothing
+	res     Result              // the view snapshot() refreshes per window
+	incAll  []int               // Reset's full-fault-list include buffer
+	goodPOs [][]uint64          // good-trace PO rows for the current window
+	errs    []error             // per-batch error slots for the current window
+	chunks  []seqChunk          // plan scratch (planSeqChunks + re-plan cost probe)
+	surv    [][]uint64          // re-plan scratch: packed FF state per surviving lane
+	w1      widthState[lane.W1] // per-width state, reached through widthOf
+	w4      widthState[lane.W4]
+	w8      widthState[lane.W8]
 }
 
-// freeList returns the session's machine free list at width W (the same
-// any-cast stencil trick as stimFor).
-func freeList[W lane.Word](s *Simulator) *[]*netlist.Machine[W] {
+// widthState is the session's state at one lane width W, reached through
+// widthOf. Sequential batches of every width can be live at once (ragged
+// tails and re-plans pick narrower widths), so each width keeps its own
+// machines, batch shells and stimulus rows. Serial session code grows and
+// rewrites these; the parallel sections only read them.
+type widthState[W lane.Word] struct {
+	// free holds armed machines of retired batches; arming redraws them.
+	free []*netlist.Machine[W]
+	// shells holds retired batch shells, so warm re-plans allocate nothing.
+	shells []*seqBatchW[W]
+	// stim is the sequential window's stimulus, every cycle broadcast to
+	// all lanes.
+	stim [][]W
+	// comb holds the combinational worker machines; comb[0] also traces
+	// the good circuit. They carry no state across patterns (each job
+	// clears and re-injects its own fault), so reuse across Appends is
+	// free.
+	comb []*netlist.Machine[W]
+	// pis and good are the combinational window: the packed PI vector
+	// batches and the good-machine PO rows per batch.
+	pis, good [][]W
+}
+
+// widthOf returns the session's state at width W.
+func widthOf[W lane.Word](s *Simulator) *widthState[W] {
 	var w W
 	switch len(w) {
 	case 4:
-		return any(&s.freeW4).(*[]*netlist.Machine[W])
+		return any(&s.w4).(*widthState[W])
 	case 8:
-		return any(&s.freeW8).(*[]*netlist.Machine[W])
+		return any(&s.w8).(*widthState[W])
 	default:
-		return any(&s.freeW1).(*[]*netlist.Machine[W])
+		return any(&s.w1).(*widthState[W])
 	}
 }
 
@@ -190,11 +204,11 @@ func freeList[W lane.Word](s *Simulator) *[]*netlist.Machine[W] {
 // flip-flop state, and net values are recomputed from scratch every Eval.
 // Serial session code only — the free lists are not locked.
 func getMachine[W lane.Word](s *Simulator) *netlist.Machine[W] {
-	lst := freeList[W](s)
-	if n := len(*lst); n > 0 {
-		m := (*lst)[n-1]
-		(*lst)[n-1] = nil
-		*lst = (*lst)[:n-1]
+	ws := widthOf[W](s)
+	if n := len(ws.free); n > 0 {
+		m := ws.free[n-1]
+		ws.free[n-1] = nil
+		ws.free = ws.free[:n-1]
 		m.ClearFaults()
 		m.Reset()
 		return m
@@ -208,21 +222,8 @@ func putMachine[W lane.Word](s *Simulator, m *netlist.Machine[W]) {
 	if m == nil {
 		return
 	}
-	lst := freeList[W](s)
-	*lst = append(*lst, m)
-}
-
-// shellList returns the session's batch-shell free list at width W.
-func shellList[W lane.Word](s *Simulator) *[]*seqBatchW[W] {
-	var w W
-	switch len(w) {
-	case 4:
-		return any(&s.shellW4).(*[]*seqBatchW[W])
-	case 8:
-		return any(&s.shellW8).(*[]*seqBatchW[W])
-	default:
-		return any(&s.shellW1).(*[]*seqBatchW[W])
-	}
+	ws := widthOf[W](s)
+	ws.free = append(ws.free, m)
 }
 
 // newBatch draws a recycled batch shell at width W (or builds one when
@@ -230,12 +231,12 @@ func shellList[W lane.Word](s *Simulator) *[]*seqBatchW[W] {
 // every lane live and the machine not yet armed. Serial session code
 // only.
 func newBatch[W lane.Word](s *Simulator, faults []int) *seqBatchW[W] {
-	lst := shellList[W](s)
+	ws := widthOf[W](s)
 	var c *seqBatchW[W]
-	if n := len(*lst); n > 0 {
-		c = (*lst)[n-1]
-		(*lst)[n-1] = nil
-		*lst = (*lst)[:n-1]
+	if n := len(ws.shells); n > 0 {
+		c = ws.shells[n-1]
+		ws.shells[n-1] = nil
+		ws.shells = ws.shells[:n-1]
 	} else {
 		c = &seqBatchW[W]{}
 	}
@@ -272,7 +273,7 @@ func (c Config) New(nl *netlist.Netlist, faults []Fault) (*Simulator, error) {
 		faults = Faults(nl)
 	}
 	s := &Simulator{nl: nl, faults: faults, cfg: c, words: words}
-	if c.reference() {
+	if c.Serial() {
 		if s.good, err = netlist.NewEvaluator(nl); err != nil {
 			return nil, err
 		}
@@ -481,7 +482,7 @@ func (s *Simulator) appendWindow(tests []Pattern, fromReset bool) (*Result, erro
 		}
 		var err error
 		if s.nl.IsSequential() {
-			if s.cfg.reference() {
+			if s.cfg.Serial() {
 				err = s.appendSequentialRef(tests, fromReset)
 			} else {
 				// Re-plan at window START, not after the previous one: a
@@ -494,7 +495,7 @@ func (s *Simulator) appendWindow(tests []Pattern, fromReset bool) (*Result, erro
 				err = s.appendSequential(tests, fromReset)
 			}
 		} else {
-			if s.cfg.reference() {
+			if s.cfg.Serial() {
 				err = s.appendCombinationalRef(tests)
 			} else {
 				err = s.appendCombinational(tests)
@@ -654,34 +655,14 @@ func (s *Simulator) appendCombinational(tests []Pattern) error {
 	}
 }
 
-// combScratch is the session-owned window scratch of the pattern-parallel
-// path: the packed PI vector batches and the good-machine PO rows per
-// batch, rewritten per Append. The parallel section reads both but never
-// grows them.
-type combScratch[W lane.Word] struct {
-	batchPIs  [][]W
-	batchGood [][]W
-}
-
-// combScratchFor returns the session's width-W combinational scratch,
-// creating it on first use (the session width never changes, so the any
-// indirection resolves to the same value every call).
-func combScratchFor[W lane.Word](s *Simulator) *combScratch[W] {
-	if sc, ok := s.combSc.(*combScratch[W]); ok {
-		return sc
-	}
-	sc := &combScratch[W]{}
-	s.combSc = sc
-	return sc
-}
-
 // packPatternBatches packs the test set into W×64-pattern PI vector
-// batches (lane k·64+t of every vector is pattern lo+k·64+t) into a
-// reusable buffer.
-func packPatternBatches[W lane.Word](s *Simulator, tests []Pattern, out [][]W) [][]W {
+// batches (lane k·64+t of every vector is pattern lo+k·64+t) into the
+// session's width-W window rows and returns them.
+func packPatternBatches[W lane.Word](s *Simulator, tests []Pattern) [][]W {
 	L := lane.Count[W]()
 	nBatches := (len(tests) + L - 1) / L
-	out = engine.Grow(out, nBatches)
+	ws := widthOf[W](s)
+	out := engine.Grow(ws.pis, nBatches)
 	for b := 0; b < nBatches; b++ {
 		lo := b * L
 		hi := min(lo+L, len(tests))
@@ -697,17 +678,19 @@ func packPatternBatches[W lane.Word](s *Simulator, tests []Pattern, out [][]W) [
 		}
 		out[b] = words
 	}
+	ws.pis = out
 	return out
 }
 
-// broadcastInto converts each pattern to PI vectors replicated across
-// all lanes (the sequential stimulus: every lane applies the same cycle)
-// into a reusable buffer — the session keeps one per width, so a warm
-// window rewrites rows in place instead of allocating them.
-func broadcastInto[W lane.Word](s *Simulator, tests []Pattern, out [][]W) [][]W {
+// broadcast converts each pattern to PI vectors replicated across all
+// lanes (the sequential stimulus: every lane applies the same cycle) into
+// the session's width-W stimulus rows, rewritten in place so a warm
+// window allocates nothing, and returns them.
+func broadcast[W lane.Word](s *Simulator, tests []Pattern) [][]W {
 	var zero W
 	one := lane.Broadcast[W](allLanes)
-	out = engine.Grow(out, len(tests))
+	ws := widthOf[W](s)
+	out := engine.Grow(ws.stim, len(tests))
 	for cyc, p := range tests {
 		words := engine.Grow(out[cyc], len(s.nl.PIs))
 		for pi, v := range p {
@@ -719,20 +702,8 @@ func broadcastInto[W lane.Word](s *Simulator, tests []Pattern, out [][]W) [][]W 
 		}
 		out[cyc] = words
 	}
+	ws.stim = out
 	return out
-}
-
-// combMachines returns the session's cached worker-machine pool at the
-// session width, grown to at least n machines. Machines carry no state
-// across patterns (each job clears and re-injects its own fault batch),
-// so reuse across Appends is free.
-func combMachines[W lane.Word](s *Simulator, n int) []*netlist.Machine[W] {
-	ms, _ := s.combM.([]*netlist.Machine[W])
-	for len(ms) < n {
-		ms = append(ms, netlist.NewMachine[W](s.prog))
-	}
-	s.combM = ms
-	return ms
 }
 
 // appendCombLanes is the compiled pattern-parallel path: per live fault,
@@ -740,15 +711,16 @@ func combMachines[W lane.Word](s *Simulator, n int) []*netlist.Machine[W] {
 // detection, fanned over a worker pool with a private Machine per worker.
 // Detection indices are offset by the patterns already applied.
 func appendCombLanes[W lane.Word](s *Simulator, tests []Pattern) error {
-	sc := combScratchFor[W](s)
-	sc.batchPIs = packPatternBatches[W](s, tests, sc.batchPIs)
-	batchPIs := sc.batchPIs
-	workers := par.Workers(s.cfg.Workers, len(s.live))
-	machines := combMachines[W](s, max(workers, 1))
+	ws := widthOf[W](s)
+	batchPIs := packPatternBatches[W](s, tests)
+	for len(ws.comb) < max(par.Workers(s.cfg.Workers, len(s.live)), 1) {
+		ws.comb = append(ws.comb, netlist.NewMachine[W](s.prog))
+	}
+	machines := ws.comb
 	goodM := machines[0]
 	goodM.ClearFaults()
-	sc.batchGood = engine.Grow(sc.batchGood, len(batchPIs))
-	batchGood := sc.batchGood
+	ws.good = engine.Grow(ws.good, len(batchPIs))
+	batchGood := ws.good
 	for b, words := range batchPIs {
 		if err := s.cfg.Cancelled(); err != nil {
 			return err
@@ -897,7 +869,7 @@ func (s *Simulator) planBatches(include []int) []seqBatch {
 // lane), the active-lane mask, and the armed fault machine whose
 // flip-flop state continues exactly where the last Append stopped.
 type seqBatch interface {
-	run(s *Simulator, st *seqStim, goodPOs [][]uint64, base int, ctx context.Context) error
+	run(s *Simulator, goodPOs [][]uint64, base int, ctx context.Context) error
 	width() int
 	retired() bool
 	// arm draws and injects the batch machine if the batch is unarmed and
@@ -957,8 +929,8 @@ func (c *seqBatchW[W]) armed() bool      { return c.m != nil }
 
 func (c *seqBatchW[W]) recycle(s *Simulator) {
 	c.release(s)
-	lst := shellList[W](s)
-	*lst = append(*lst, c)
+	ws := widthOf[W](s)
+	ws.shells = append(ws.shells, c)
 }
 
 func (c *seqBatchW[W]) extractLive(s *Simulator, idx int) int {
@@ -1026,7 +998,7 @@ func (c *seqBatchW[W]) dropLane(s *Simulator, fault int) bool {
 // worker). The machine continues from its own state, so a chunked run
 // replays nothing; arm() has already injected it. Detection indices are
 // base plus the local cycle.
-func (c *seqBatchW[W]) run(s *Simulator, st *seqStim, goodPOs [][]uint64, base int, ctx context.Context) error {
+func (c *seqBatchW[W]) run(s *Simulator, goodPOs [][]uint64, base int, ctx context.Context) error {
 	if c.done {
 		return nil // retired via dropLane; prune removes it next
 	}
@@ -1037,7 +1009,7 @@ func (c *seqBatchW[W]) run(s *Simulator, st *seqStim, goodPOs [][]uint64, base i
 	active := c.active
 	faults := c.faults
 	detected := s.detected
-	pi := stimFor[W](st)
+	pi := widthOf[W](s).stim
 	for cyc := range pi {
 		if ctx != nil && cyc&31 == 31 && ctx.Err() != nil {
 			c.active = active
@@ -1076,29 +1048,6 @@ func (c *seqBatchW[W]) run(s *Simulator, st *seqStim, goodPOs [][]uint64, base i
 	return nil
 }
 
-// seqStim holds the per-width broadcast stimulus buffers, owned by the
-// session and rewritten per Append window; only the widths live batches
-// need are materialized (a stale wider buffer is simply not read once
-// its last batch retires).
-type seqStim struct {
-	w1 [][]lane.W1
-	w4 [][]lane.W4
-	w8 [][]lane.W8
-}
-
-// stimFor returns the window stimulus at width W.
-func stimFor[W lane.Word](st *seqStim) [][]W {
-	var w W
-	switch len(w) {
-	case 4:
-		return any(st.w4).([][]W)
-	case 8:
-		return any(st.w8).([][]W)
-	default:
-		return any(st.w1).([][]W)
-	}
-}
-
 // appendSequential is the parallel-fault path the lane vectors were built
 // for: the live frontier is held as W×64-fault batches, one fault machine
 // per lane, against broadcast stimuli. A lane is dropped at its first
@@ -1118,8 +1067,7 @@ func (s *Simulator) appendSequential(tests []Pattern, fromReset bool) error {
 			b.resetState()
 		}
 	}
-	s.stim.w1 = broadcastInto[lane.W1](s, tests, s.stim.w1)
-	pi1 := s.stim.w1
+	pi1 := broadcast[lane.W1](s, tests)
 	goodPOs := engine.Grow(s.goodPOs, len(tests))
 	s.goodPOs = goodPOs
 	for cyc, words := range pi1 {
@@ -1138,6 +1086,8 @@ func (s *Simulator) appendSequential(tests []Pattern, fromReset bool) error {
 	// Arm unarmed batches (first window after a plan) and materialize the
 	// broadcast stimuli per width actually scheduled — both serially,
 	// before the fan-out, because arming touches the machine free lists.
+	// A stale wider stimulus is simply not read once its last batch
+	// retires.
 	need4, need8 := false, false
 	for _, b := range s.batches {
 		if b.retired() {
@@ -1152,12 +1102,11 @@ func (s *Simulator) appendSequential(tests []Pattern, fromReset bool) error {
 		}
 	}
 	if need4 {
-		s.stim.w4 = broadcastInto[lane.W4](s, tests, s.stim.w4)
+		broadcast[lane.W4](s, tests)
 	}
 	if need8 {
-		s.stim.w8 = broadcastInto[lane.W8](s, tests, s.stim.w8)
+		broadcast[lane.W8](s, tests)
 	}
-	st := &s.stim
 
 	base := s.applied
 	total := len(s.batches)
@@ -1170,7 +1119,7 @@ func (s *Simulator) appendSequential(tests []Pattern, fromReset bool) error {
 			if ctx != nil && ctx.Err() != nil {
 				return ctx.Err()
 			}
-			if err := b.run(s, st, goodPOs, base, ctx); err != nil {
+			if err := b.run(s, goodPOs, base, ctx); err != nil {
 				return err
 			}
 			s.cfg.Report(bi+1, total)
@@ -1180,7 +1129,7 @@ func (s *Simulator) appendSequential(tests []Pattern, fromReset bool) error {
 	errs := engine.GrowZero(s.errs, len(s.batches))
 	s.errs = errs
 	err := par.IndexedCtx(ctx, len(s.batches), s.cfg.Workers, func(_, bi int) {
-		errs[bi] = s.batches[bi].run(s, st, goodPOs, base, ctx)
+		errs[bi] = s.batches[bi].run(s, goodPOs, base, ctx)
 	}, func(done int) { s.cfg.Report(done, total) })
 	if err != nil {
 		return err

@@ -8,8 +8,9 @@
 // dropping against a shared good-circuit trace; Config.Workers sizes the
 // pool, Config.LaneWords the batches, and a Scorer carries the
 // compilation across calls so campaigns don't recompile. Workers == 1
-// selects the legacy serial AST-interpreter path, kept for differential
-// testing — all paths produce identical results (see parity_test.go).
+// selects the serial AST interpreter, the reference the compiled engine
+// is differentially tested against — both produce identical results (see
+// parity_test.go).
 package mutscore
 
 import (
@@ -26,20 +27,19 @@ import (
 // Config tunes mutant scoring. The zero value is the fast default. The
 // execution knobs are the shared engine surface (see engine.Options for
 // the Workers/LaneWords semantics, the progress hook and cancellation):
-// Workers == 1 selects the legacy serial interpreter path kept for
-// differential testing, and LaneWords sizes the compiled engine's
-// lockstep scoring batches (0 selects lane.DefaultWords). Results are
-// identical for every setting (see parity_test.go).
+// Workers == 1 selects the serial interpreter reference, and LaneWords
+// sizes the compiled engine's lockstep scoring batches (0 selects
+// lane.DefaultWords). Results are identical for every setting (see
+// parity_test.go).
 type Config struct {
 	engine.Options
 }
 
-func (cfg Config) legacy() bool { return cfg.Serial() }
-
-// Scorer scores one mutant population against arbitrary sequences. The
-// compiled engine's programs are built once at construction, and the
-// execution state — one machine per mutant, the good machine and its
-// trace buffer — is built on first use and recycled across calls, so
+// Scorer scores one mutant population against arbitrary sequences.
+// Every method funnels into firstKill, the one place that picks the
+// engine. The compiled engine's programs are built once at construction,
+// and the execution state — one machine per mutant, the good machine and
+// its trace buffer — is built on first use and recycled across calls, so
 // callers that score repeatedly (strategy evaluation, equivalence
 // campaigns) allocate per campaign, not per sequence. A Scorer is safe
 // for sequential reuse only (its scratch is unsynchronized); methods are
@@ -48,8 +48,8 @@ type Scorer struct {
 	cfg     Config
 	c       *hdl.Circuit
 	mutants []*mutation.Mutant
-	good    *sim.Program   // nil on the legacy path
-	progs   []*sim.Program // nil on the legacy path
+	good    *sim.Program   // nil on the serial reference
+	progs   []*sim.Program // nil on the serial reference
 
 	// Session-owned scratch (see internal/engine: the session owns its
 	// scratch; results handed to callers stay freshly allocated).
@@ -59,15 +59,15 @@ type Scorer struct {
 	subM     []*sim.Machine // subset-call machine selection scratch
 }
 
-// NewScorer builds a scorer for the population. Under the legacy
-// configuration (Workers == 1) no compilation happens and every call runs
-// the serial interpreter.
+// NewScorer builds a scorer for the population. Under the serial
+// reference (Workers == 1) no compilation happens and every call runs the
+// interpreter.
 func (cfg Config) NewScorer(c *hdl.Circuit, mutants []*mutation.Mutant) (*Scorer, error) {
 	if _, err := cfg.Lanes(); err != nil {
 		return nil, fmt.Errorf("mutscore: %w", err)
 	}
 	s := &Scorer{cfg: cfg, c: c, mutants: mutants}
-	if cfg.legacy() {
+	if cfg.Serial() {
 		return s, nil
 	}
 	good, err := sim.Compile(c)
@@ -130,18 +130,7 @@ func (s *Scorer) allMachines() []*sim.Machine {
 // mutant, the first cycle whose outputs differ from the original's, or -1
 // if the sequence never distinguishes it.
 func (s *Scorer) FirstKillCycles(seq sim.Sequence) ([]int, error) {
-	if s.cfg.legacy() {
-		return firstKillCyclesSerial(s.c, s.mutants, seq, s.cfg.Options)
-	}
-	goodOuts, err := s.goodTrace(seq)
-	if err != nil {
-		return nil, err
-	}
-	cycles, err := sim.FirstKillBatchMachines(s.allMachines(), seq, goodOuts, s.cfg.Options)
-	if err != nil {
-		return nil, s.wrapBatchErr(err, nil)
-	}
-	return cycles, nil
+	return s.firstKill(nil, seq)
 }
 
 // Kills classifies each mutant as killed (true) or live under the sequence.
@@ -157,36 +146,39 @@ func (s *Scorer) Kills(seq sim.Sequence) ([]bool, error) {
 	return out, nil
 }
 
-// killsSubset scores only the mutants listed in idx and reports a kill
-// flag per entry of idx, letting a campaign drop already-killed mutants.
-func (s *Scorer) killsSubset(idx []int, seq sim.Sequence) ([]bool, error) {
+// firstKill returns FirstKillCycles for the mutants listed in idx, in idx
+// order (nil lists the whole population), so a campaign can drop mutants
+// it already killed. Workers == 1 runs the serial interpreter reference;
+// every other setting runs the compiled lockstep pool.
+func (s *Scorer) firstKill(idx []int, seq sim.Sequence) ([]int, error) {
+	if s.cfg.Serial() {
+		return s.firstKillSerial(idx, seq)
+	}
 	goodOuts, err := s.goodTrace(seq)
 	if err != nil {
 		return nil, err
 	}
-	all := s.allMachines()
-	s.subM = engine.Grow(s.subM, len(idx))
-	for i, mi := range idx {
-		s.subM[i] = all[mi]
+	machines := s.allMachines()
+	if idx != nil {
+		s.subM = engine.Grow(s.subM, len(idx))
+		for i, mi := range idx {
+			s.subM[i] = machines[mi]
+		}
+		machines = s.subM
 	}
-	cycles, err := sim.FirstKillBatchMachines(s.subM, seq, goodOuts, s.cfg.Options)
+	cycles, err := sim.FirstKillBatchMachines(machines, seq, goodOuts, s.cfg.Options)
 	if err != nil {
 		return nil, s.wrapBatchErr(err, idx)
 	}
-	out := make([]bool, len(cycles))
-	for i, cy := range cycles {
-		out[i] = cy >= 0
-	}
-	return out, nil
+	return cycles, nil
 }
 
 // EstimateEquivalence runs a budgeted campaign — a long pseudo-random
 // sequence plus any caller-provided sequences — and flags as *probably
 // equivalent* every mutant that nothing killed. True equivalence is
 // undecidable in general; the paper's E term is approximated this way,
-// with the budget as the knob. The compiled engine reuses the scorer's
-// compilation across all campaign sequences and drops mutants at their
-// first kill.
+// with the budget as the knob. Each campaign sequence scores only the
+// mutants every earlier one left alive.
 func (s *Scorer) EstimateEquivalence(extra []sim.Sequence, opts *EquivalenceOptions) ([]bool, error) {
 	o := EquivalenceOptions{Budget: 2048}
 	if opts != nil {
@@ -196,36 +188,12 @@ func (s *Scorer) EstimateEquivalence(extra []sim.Sequence, opts *EquivalenceOpti
 		o.Seed = opts.Seed
 	}
 	equivalent := make([]bool, len(s.mutants))
-	for i := range equivalent {
-		equivalent[i] = true
-	}
-	campaign := append([]sim.Sequence{tpg.RandomSequence(s.c, o.Budget, o.Seed)}, extra...)
-
-	if s.cfg.legacy() {
-		for _, seq := range campaign {
-			if len(seq) == 0 {
-				continue
-			}
-			if err := s.cfg.Cancelled(); err != nil {
-				return nil, fmt.Errorf("mutscore: %w", err)
-			}
-			killed, err := s.Kills(seq)
-			if err != nil {
-				return nil, err
-			}
-			for i, k := range killed {
-				if k {
-					equivalent[i] = false
-				}
-			}
-		}
-		return equivalent, nil
-	}
-
 	live := make([]int, len(s.mutants))
 	for i := range live {
+		equivalent[i] = true
 		live[i] = i
 	}
+	campaign := append([]sim.Sequence{tpg.RandomSequence(s.c, o.Budget, o.Seed)}, extra...)
 	for _, seq := range campaign {
 		if len(seq) == 0 || len(live) == 0 {
 			continue
@@ -233,13 +201,13 @@ func (s *Scorer) EstimateEquivalence(extra []sim.Sequence, opts *EquivalenceOpti
 		if err := s.cfg.Cancelled(); err != nil {
 			return nil, fmt.Errorf("mutscore: %w", err)
 		}
-		killed, err := s.killsSubset(live, seq)
+		cycles, err := s.firstKill(live, seq)
 		if err != nil {
 			return nil, err
 		}
 		still := live[:0]
-		for i, k := range killed {
-			if k {
+		for i, cy := range cycles {
+			if cy >= 0 {
 				equivalent[live[i]] = false
 			} else {
 				still = append(still, live[i])
@@ -299,13 +267,13 @@ func EstimateEquivalence(c *hdl.Circuit, mutants []*mutation.Mutant, extra []sim
 	return Config{}.EstimateEquivalence(c, mutants, extra, opts)
 }
 
-// --- legacy serial path ------------------------------------------------------
+// --- serial reference -------------------------------------------------------
 
-// firstKillCyclesSerial is the original engine: one AST-walking
-// interpreter run per mutant, strictly sequential. It is the reference
-// the compiled pool is differentially tested against.
-func firstKillCyclesSerial(c *hdl.Circuit, mutants []*mutation.Mutant, seq sim.Sequence, opts engine.Options) ([]int, error) {
-	origSim, err := sim.New(c)
+// firstKillSerial is the original engine: one AST-walking interpreter run
+// per listed mutant, strictly sequential. It is the reference the
+// compiled pool is differentially tested against.
+func (s *Scorer) firstKillSerial(idx []int, seq sim.Sequence) ([]int, error) {
+	origSim, err := sim.New(s.c)
 	if err != nil {
 		return nil, err
 	}
@@ -313,17 +281,24 @@ func firstKillCyclesSerial(c *hdl.Circuit, mutants []*mutation.Mutant, seq sim.S
 	if err != nil {
 		return nil, err
 	}
-	out := make([]int, len(mutants))
-	for i, m := range mutants {
-		if err := opts.Cancelled(); err != nil {
+	if idx == nil {
+		idx = make([]int, len(s.mutants))
+		for i := range idx {
+			idx[i] = i
+		}
+	}
+	out := make([]int, len(idx))
+	for i, mi := range idx {
+		if err := s.cfg.Cancelled(); err != nil {
 			return nil, fmt.Errorf("mutscore: %w", err)
 		}
+		m := s.mutants[mi]
 		cy, err := firstKillInterpreted(m, seq, origOuts)
 		if err != nil {
-			return nil, fmt.Errorf("mutscore: mutant %d (%s): %w", i, m.Desc, err)
+			return nil, fmt.Errorf("mutscore: mutant %d (%s): %w", mi, m.Desc, err)
 		}
 		out[i] = cy
-		opts.Report(i+1, len(mutants))
+		s.cfg.Report(i+1, len(idx))
 	}
 	return out, nil
 }

@@ -85,7 +85,7 @@ func TestEngineParity(t *testing.T) {
 
 // TestEstimateEquivalenceParityWithExtras exercises the early-drop
 // campaign path (mutants killed by the random budget are skipped for the
-// extra sequences) against the legacy full-rescore path.
+// extra sequences) on the compiled pool against the serial reference.
 func TestEstimateEquivalenceParityWithExtras(t *testing.T) {
 	c := circuits.MustLoad("b01")
 	ms := mutation.Generate(c, mutation.CR, mutation.LOR)

@@ -32,10 +32,10 @@ import (
 //
 // A Session is not safe for concurrent use; run one campaign at a time.
 type Session struct {
-	c        *hdl.Circuit
-	mutants  []*mutation.Mutant
-	opts     Options // session defaults, withDefaults applied
-	seqShape bool
+	c       *hdl.Circuit
+	mutants []*mutation.Mutant
+	opts    Options // session defaults, withDefaults applied
+	segLen  int     // cycles per candidate segment
 
 	orig     *sim.Machine
 	machines []*sim.Machine // one per population mutant
@@ -69,12 +69,14 @@ type sessScratch struct {
 // pool; Mode/Seed/limits become the defaults a nil-opts Generate runs
 // with).
 func NewSession(c *hdl.Circuit, mutants []*mutation.Mutant, opts *Options) (*Session, error) {
-	seqShape := len(c.Regs) > 0 || len(c.AssignedSignals(hdl.Seq)) > 0
 	s := &Session{
-		c:        c,
-		mutants:  mutants,
-		opts:     opts.withDefaults(seqShape),
-		seqShape: seqShape,
+		c:       c,
+		mutants: mutants,
+		opts:    opts.withDefaults(),
+		segLen:  1,
+	}
+	if len(c.Regs) > 0 || len(c.AssignedSignals(hdl.Seq)) > 0 {
+		s.segLen = seqSegmentLen
 	}
 	origProg, err := sim.Compile(c)
 	if err != nil {
@@ -130,7 +132,7 @@ type liveMutant struct {
 func (s *Session) Generate(targets []int, opts *Options) (*Result, error) {
 	o := s.opts
 	if opts != nil {
-		o = opts.withDefaults(s.seqShape)
+		o = opts.withDefaults()
 	}
 	if targets == nil {
 		targets = make([]int, len(s.mutants))
@@ -208,19 +210,11 @@ func (r *genRun) generate(targets []int) (*Result, error) {
 		return nil, err
 	}
 
-	if r.o.Mode == Greedy {
-		if err := r.greedy(); err != nil {
-			return nil, err
-		}
-		return r.finish(), nil
-	}
-
-	// PerMutant: every target gets a dedicated search for a killing
-	// segment from the current stream state, whether or not an earlier
-	// segment killed it collaterally (PerMutantSkip skips those).
-	// Candidates are first screened against the target alone (cheap);
-	// only qualifying segments pay for full collateral scoring (used as
-	// the tie-break).
+	// Every target gets a dedicated search for a killing segment from
+	// the current stream state, whether or not an earlier segment killed
+	// it collaterally (PerMutantSkip skips those). Candidates are first
+	// screened against the target alone (cheap); only qualifying
+	// segments pay for full collateral scoring (used as the tie-break).
 	for ti := range targets {
 		if len(r.res.Seq) >= r.o.MaxLen {
 			break
@@ -231,14 +225,14 @@ func (r *genRun) generate(targets []int) (*Result, error) {
 		}
 		target := r.all[ti]
 		found := false
-		for round := 0; round < r.o.MaxStall && !found && len(r.res.Seq) < r.o.MaxLen; round++ {
+		for round := 0; round < maxStall && !found && len(r.res.Seq) < r.o.MaxLen; round++ {
 			if err := r.cancelled(); err != nil {
 				return nil, err
 			}
 			r.res.Rounds++
 			var bestSeg sim.Sequence
 			bestKills := -1
-			for ci := 0; ci < r.o.Candidates; ci++ {
+			for ci := 0; ci < candidates; ci++ {
 				seg := r.newSegment(ci)
 				origOuts, err := r.origOutputs(seg)
 				if err != nil {
@@ -280,42 +274,6 @@ func (r *genRun) finish() *Result {
 		r.res.FaultSim = r.s.fsim.Current().Clone()
 	}
 	return r.res
-}
-
-// greedy maximizes fresh kills per appended segment (best of Candidates).
-func (r *genRun) greedy() error {
-	stall := 0
-	for r.liveCount() > 0 && len(r.res.Seq) < r.o.MaxLen && stall < r.o.MaxStall {
-		if err := r.cancelled(); err != nil {
-			return err
-		}
-		r.res.Rounds++
-		var bestSeg sim.Sequence
-		bestKills := 0
-		for ci := 0; ci < r.o.Candidates; ci++ {
-			seg := r.newSegment(ci)
-			origOuts, err := r.origOutputs(seg)
-			if err != nil {
-				return err
-			}
-			kills, err := r.scoreCandidate(seg, origOuts)
-			if err != nil {
-				return err
-			}
-			if kills > bestKills || bestSeg == nil {
-				bestSeg, bestKills = seg, kills
-			}
-		}
-		if bestKills == 0 {
-			stall++
-			continue
-		}
-		stall = 0
-		if err := r.appendSegment(bestSeg); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func (r *genRun) cancelled() error {
@@ -427,23 +385,13 @@ func (r *genRun) scoreCandidate(seg sim.Sequence, origOuts []sim.Vector) (int, e
 	return kills, nil
 }
 
-func (r *genRun) liveCount() int {
-	n := 0
-	for _, k := range r.res.Killed {
-		if !k {
-			n++
-		}
-	}
-	return n
-}
-
 // newSegment fills candidate slot ci's reusable segment buffer with
 // fresh random cycles. The returned sequence stays valid for the whole
 // round (each candidate has its own slot), then gets overwritten.
 func (r *genRun) newSegment(ci int) sim.Sequence {
-	segLen := min(r.o.SegmentLen, r.o.MaxLen-len(r.res.Seq))
+	segLen := min(r.s.segLen, r.o.MaxLen-len(r.res.Seq))
 	sc := &r.s.sc
-	sc.segs = engine.Grow(sc.segs, r.o.Candidates)
+	sc.segs = engine.Grow(sc.segs, candidates)
 	seg := engine.Grow(sc.segs[ci], segLen)
 	sc.segs[ci] = seg
 	for k := range seg {

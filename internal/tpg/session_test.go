@@ -58,7 +58,7 @@ func TestSessionMatchesMutationTests(t *testing.T) {
 			if len(ms) < 6 {
 				t.Fatalf("population too small: %d", len(ms))
 			}
-			for _, mode := range []Mode{PerMutant, PerMutantSkip, Greedy} {
+			for _, mode := range []Mode{PerMutant, PerMutantSkip} {
 				for _, eng := range []engine.Options{{}, {Workers: 1}, {Workers: 3, LaneWords: 4}} {
 					label := fmt.Sprintf("mode=%d/workers=%d/lanewords=%d", mode, eng.Workers, eng.LaneWords)
 					opts := &Options{Options: eng, Mode: mode, Seed: 17, MaxLen: 200}

@@ -115,18 +115,24 @@ const (
 	// profiling uses this mode — an operator's sampling weight should
 	// reflect the marginal value of its difficult mutants.
 	PerMutantSkip
-	// Greedy maximizes kills per appended segment (best of Candidates),
-	// producing near-minimal sequences. Kept as an ablation of the
-	// generation discipline.
-	Greedy
+)
+
+// The candidate search has one shape for every campaign: each round
+// draws candidates random segments of seqSegmentLen cycles (a single
+// cycle on combinational circuits, whose cycles are independent), and a
+// target is given up after maxStall rounds in which no candidate kills
+// it.
+const (
+	candidates    = 8
+	seqSegmentLen = 4
+	maxStall      = 12
 )
 
 // Options tunes the mutation-driven generator. It embeds the shared
 // engine surface (engine.Options): Workers sizes the mutant batch
 // compilation pool, Ctx cancels a running generation between candidate
-// rounds, and Progress reports completed targets for the per-mutant
-// disciplines. LaneWords has no effect here — candidate scoring is
-// per-machine, not lane-packed.
+// rounds, and Progress reports completed targets. LaneWords has no
+// effect here — candidate scoring is per-machine, not lane-packed.
 type Options struct {
 	engine.Options
 
@@ -134,43 +140,18 @@ type Options struct {
 	Mode Mode
 	// Seed drives all pseudo-random choices.
 	Seed int64
-	// SegmentLen is the number of cycles appended per accepted candidate
-	// (1 for combinational circuits). Default 4 for sequential circuits,
-	// 1 otherwise.
-	SegmentLen int
-	// Candidates is how many random candidate segments compete per round.
-	// Default 8.
-	Candidates int
 	// MaxLen bounds the produced sequence length. Default 1024.
 	MaxLen int
-	// MaxStall stops the search after this many consecutive rounds without
-	// a new kill. Default 12.
-	MaxStall int
 }
 
-func (o *Options) withDefaults(sequential bool) Options {
-	out := Options{SegmentLen: 1, Candidates: 8, MaxLen: 1024, MaxStall: 12}
-	if sequential {
-		out.SegmentLen = 4
+func (o *Options) withDefaults() Options {
+	var out Options
+	if o != nil {
+		out = *o
 	}
-	if o == nil {
-		return out
+	if out.MaxLen <= 0 {
+		out.MaxLen = 1024
 	}
-	out.Mode = o.Mode
-	if o.SegmentLen > 0 {
-		out.SegmentLen = o.SegmentLen
-	}
-	if o.Candidates > 0 {
-		out.Candidates = o.Candidates
-	}
-	if o.MaxLen > 0 {
-		out.MaxLen = o.MaxLen
-	}
-	if o.MaxStall > 0 {
-		out.MaxStall = o.MaxStall
-	}
-	out.Seed = o.Seed
-	out.Options = o.Options
 	return out
 }
 
@@ -181,7 +162,7 @@ type Result struct {
 	Seq sim.Sequence
 	// Killed reports, per target mutant, whether the sequence kills it.
 	Killed []bool
-	// Rounds is the number of greedy rounds executed.
+	// Rounds is the number of candidate rounds executed.
 	Rounds int
 	// Segments lists the sequence length after each accepted segment —
 	// the round boundaries of the campaign.
@@ -213,8 +194,8 @@ func (r *Result) KilledCount() int {
 // killing segment — the constraint-based discipline of the paper's
 // reference [2] — even when an earlier segment already killed it
 // collaterally, which makes the data value-rich per sampled mutant. In
-// Greedy mode each appended segment maximizes fresh kills and collaterally
-// killed mutants are skipped, yielding near-minimal sequences.
+// PerMutantSkip mode collaterally killed targets get no segment of their
+// own.
 //
 // MutationTests is the one-shot convenience over Session: it compiles
 // the targets, runs one campaign and discards the compilation. Callers

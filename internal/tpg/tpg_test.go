@@ -195,32 +195,25 @@ func TestOptionsWithDefaults(t *testing.T) {
 	// Options embeds engine.Options (whose Progress hook makes the struct
 	// non-comparable), so the pins compare the scalar fields explicitly.
 	same := func(a, b Options) bool {
-		return a.Mode == b.Mode && a.Seed == b.Seed &&
-			a.SegmentLen == b.SegmentLen && a.Candidates == b.Candidates &&
-			a.MaxLen == b.MaxLen && a.MaxStall == b.MaxStall &&
+		return a.Mode == b.Mode && a.Seed == b.Seed && a.MaxLen == b.MaxLen &&
 			a.Workers == b.Workers && a.LaneWords == b.LaneWords
 	}
-	for _, sequential := range []bool{false, true} {
-		got := (*Options)(nil).withDefaults(sequential)
-		want := Options{Mode: PerMutant, Seed: 0, SegmentLen: 1, Candidates: 8, MaxLen: 1024, MaxStall: 12}
-		if sequential {
-			want.SegmentLen = 4
-		}
-		if !same(got, want) {
-			t.Errorf("nil options (sequential=%v): defaults %+v, want %+v", sequential, got, want)
-		}
+	got := (*Options)(nil).withDefaults()
+	want := Options{Mode: PerMutant, Seed: 0, MaxLen: 1024}
+	if !same(got, want) {
+		t.Errorf("nil options: defaults %+v, want %+v", got, want)
 	}
 	// Explicit values must pass through untouched — including the
 	// embedded engine knobs.
-	in := &Options{Mode: Greedy, Seed: 9, SegmentLen: 2, Candidates: 3, MaxLen: 64, MaxStall: 5}
+	in := &Options{Mode: PerMutantSkip, Seed: 9, MaxLen: 64}
 	in.Workers = 3
 	in.LaneWords = 4
-	if got := in.withDefaults(true); !same(got, *in) {
+	if got := in.withDefaults(); !same(got, *in) {
 		t.Errorf("explicit options rewritten: %+v, want %+v", got, *in)
 	}
 	// Zero fields of a non-nil struct still pick up defaults.
-	part := (&Options{Seed: 7}).withDefaults(false)
-	if part.MaxLen != 1024 || part.Candidates != 8 || part.MaxStall != 12 || part.SegmentLen != 1 {
+	part := (&Options{Seed: 7}).withDefaults()
+	if part.MaxLen != 1024 {
 		t.Errorf("partial options defaults wrong: %+v", part)
 	}
 	if part.Seed != 7 || part.Mode != PerMutant {
