@@ -461,9 +461,12 @@ func BenchmarkFaultSimCombinational(b *testing.B) { benchmarkFaultSimCombination
 func BenchmarkFaultSimCombinationalReference(b *testing.B) { benchmarkFaultSimCombinational(b, 1) }
 
 // benchmarkFaultSimCombinationalLanes is the combinational lane-width
-// ablation: c880 under a 256-pattern set on one core. A W=8 vector packs
-// all 256 patterns into half a pass, so its extra words are pure waste
-// here — the README's "when wider lanes hurt" example.
+// ablation: c880 under a 256-pattern set on one core. Every live fault
+// propagates through the gates it disturbs once per batch, so a wider
+// batch widens every disturbed gate and keeps faults a narrow batch
+// would already have dropped; a W=8 batch also packs all 256 patterns
+// into half its lanes. W=1 is the fastest row — the README's "when wider
+// lanes hurt" example.
 func benchmarkFaultSimCombinationalLanes(b *testing.B, laneWords int) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	c := circuits.MustLoad("c880")

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/faultsim"
 )
 
 // mustExecute runs a spec and returns its canonical bytes.
@@ -264,18 +265,68 @@ func TestExecuteCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestExecuteCorruptCheckpointDiscarded stores a checkpoint whose
-// detection index lies outside [-1, Applied) under a windowed FaultSim
-// job's key: Execute must discard it, return the fresh run's bytes
-// rather than copy the index into the report, and drop the checkpoint.
+// TestExecuteCorruptCheckpointDiscarded stores corrupt checkpoints
+// under windowed FaultSim jobs' keys: Execute must discard each one,
+// return the fresh run's bytes rather than trust it, and drop it. The
+// unsharded job gets detection indices outside [-1, Applied). The
+// sharded job (faults [10, 60)) gets checkpoints that reach outside its
+// shard: a detection recorded for a fault it does not cover, and a
+// frontier fault from another shard that the unsharded run detects after
+// the checkpoint, so a resumed run that kept simulating it would report
+// it.
 func TestExecuteCorruptCheckpointDiscarded(t *testing.T) {
-	sp := Spec{Kind: FaultSim, Circuit: "b03", Seed: 4, Horizon: 120, Window: 20}
-	want := mustExecute(t, sp, nil)
-	key, err := JobKey(sp)
+	whole := Spec{Kind: FaultSim, Circuit: "b03", Seed: 4, Horizon: 120, Window: 20}
+	shard := whole
+	shard.FaultLo, shard.FaultHi = 10, 60
+	wholeRep, err := DecodeReport(mustExecute(t, whole, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, bad := range []int{1 << 40, -7} {
+	type corruption struct {
+		name    string
+		sp      Spec
+		corrupt func(ck *faultsim.Checkpoint) bool // false: no candidate
+	}
+	// detectionAt overwrites the checkpoint's first recorded detection.
+	detectionAt := func(bad int) func(*faultsim.Checkpoint) bool {
+		return func(ck *faultsim.Checkpoint) bool {
+			for i, d := range ck.FirstDetected {
+				if d >= 0 {
+					ck.FirstDetected[i] = bad
+					return true
+				}
+			}
+			return false
+		}
+	}
+	cases := []corruption{
+		{"detection index 1<<40", whole, detectionAt(1 << 40)},
+		{"detection index -7", whole, detectionAt(-7)},
+		{"detection outside the shard", shard, func(ck *faultsim.Checkpoint) bool {
+			for fi := shard.FaultHi; fi < len(ck.FirstDetected); fi++ {
+				if ck.FirstDetected[fi] < 0 {
+					ck.FirstDetected[fi] = 0
+					return true
+				}
+			}
+			return false
+		}},
+		{"frontier fault outside the shard", shard, func(ck *faultsim.Checkpoint) bool {
+			for fi := shard.FaultHi; fi < len(wholeRep.FirstDetected); fi++ {
+				if wholeRep.FirstDetected[fi] >= ck.Applied {
+					ck.Frontier = append(ck.Frontier, fi)
+					return true
+				}
+			}
+			return false
+		}},
+	}
+	for _, c := range cases {
+		want := mustExecute(t, c.sp, nil)
+		key, err := JobKey(c.sp)
+		if err != nil {
+			t.Fatal(err)
+		}
 		st, err := NewCheckpointStore("")
 		if err != nil {
 			t.Fatal(err)
@@ -285,35 +336,28 @@ func TestExecuteCorruptCheckpointDiscarded(t *testing.T) {
 			Options:     engine.Options{Ctx: ctx, Progress: func(engine.Stats) { cancel() }},
 			Checkpoints: st,
 		}
-		if _, err := Execute(sp, cfg); err == nil {
-			t.Fatal("interrupted run reported no error")
+		if _, err := Execute(c.sp, cfg); err == nil {
+			t.Fatalf("%s: interrupted run reported no error", c.name)
 		}
 		cancel()
 		ck, err := st.Load(key)
 		if err != nil || ck == nil {
-			t.Fatalf("no checkpoint saved: %v", err)
+			t.Fatalf("%s: no checkpoint saved: %v", c.name, err)
 		}
 		corrupt := *ck
 		corrupt.FirstDetected = append([]int(nil), ck.FirstDetected...)
-		det := -1
-		for i, d := range corrupt.FirstDetected {
-			if d >= 0 {
-				det = i
-				break
-			}
+		corrupt.Frontier = append([]int(nil), ck.Frontier...)
+		if !c.corrupt(&corrupt) {
+			t.Fatalf("%s: checkpoint after %d cycles offers nothing to corrupt", c.name, ck.Applied)
 		}
-		if det < 0 {
-			t.Fatalf("checkpoint after %d cycles records no detection", ck.Applied)
-		}
-		corrupt.FirstDetected[det] = bad
 		if err := st.Save(key, &corrupt); err != nil {
 			t.Fatal(err)
 		}
-		if got := mustExecute(t, sp, &ExecConfig{Checkpoints: st}); !bytes.Equal(got, want) {
-			t.Errorf("index %d: report differs from a fresh run\n got: %s\nwant: %s", bad, got, want)
+		if got := mustExecute(t, c.sp, &ExecConfig{Checkpoints: st}); !bytes.Equal(got, want) {
+			t.Errorf("%s: report differs from a fresh run\n got: %s\nwant: %s", c.name, got, want)
 		}
 		if ck, _ := st.Load(key); ck != nil {
-			t.Errorf("index %d: corrupt checkpoint not dropped", bad)
+			t.Errorf("%s: corrupt checkpoint not dropped", c.name)
 		}
 	}
 }

@@ -157,7 +157,10 @@ func executeFaultSim(pr *prepared, cfg *ExecConfig) (*Report, error) {
 	applied := 0
 	if st := cfg.checkpoints(); st != nil {
 		if ck, err := st.Load(key); err == nil && ck != nil && ck.Applied > 0 && ck.Applied <= len(tests) {
-			if err := sim.Restore(ck, tests[:ck.Applied]); err == nil {
+			// Restore checks the checkpoint against the whole fault list;
+			// the job covers only its shard, so a frontier fault or a
+			// detection outside [lo, hi) is as foreign as a bad index.
+			if withinShard(ck, lo, hi) && sim.Restore(ck, tests[:ck.Applied]) == nil {
 				applied = ck.Applied
 			} else {
 				// A stale or mismatched checkpoint is discarded, not fatal:
@@ -212,6 +215,22 @@ func executeFaultSim(pr *prepared, cfg *ExecConfig) (*Report, error) {
 		st.Drop(key)
 	}
 	return rep, nil
+}
+
+// withinShard reports whether a checkpoint stays inside the fault shard
+// [lo, hi): every frontier fault and every recorded detection.
+func withinShard(ck *faultsim.Checkpoint, lo, hi int) bool {
+	for _, fi := range ck.Frontier {
+		if fi < lo || fi >= hi {
+			return false
+		}
+	}
+	for fi, d := range ck.FirstDetected {
+		if d >= 0 && (fi < lo || fi >= hi) {
+			return false
+		}
+	}
+	return true
 }
 
 // executeTG runs one mutation-TG round over the job's mutant population

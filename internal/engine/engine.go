@@ -44,8 +44,9 @@ type Options struct {
 	// per-engine default — lane.DefaultWords for mutant scoring, a
 	// topology-dependent width for fault simulation (8 for sequential
 	// circuits, where wide vectors amortize the per-gate decode over more
-	// fault machines; 1 for combinational ones, where per-fault early
-	// exit makes the first 64-pattern batch decisive). The serial
+	// fault machines; 1 for combinational ones, where each live fault
+	// propagates through only the gates it disturbs and 64-pattern
+	// batches drop detected faults soonest). The serial
 	// reference engines (Workers == 1) ignore this knob. Results are
 	// identical for every setting.
 	LaneWords int

@@ -1,7 +1,9 @@
 // Package faultsim implements the single stuck-at fault model and fault
 // simulation on gate-level netlists: fault-list generation with classical
-// structural equivalence collapsing, parallel-pattern simulation for
-// combinational circuits (64 test patterns per pass), and parallel-fault
+// structural equivalence collapsing, parallel-pattern single-fault
+// propagation for combinational circuits (one fault-free pass per
+// 64-pattern batch, then each live fault re-evaluates only the gates it
+// disturbs, with fault dropping between batches), and parallel-fault
 // whole-sequence simulation for sequential circuits (64 faults per pass,
 // one fault machine per lane of the compiled netlist engine, with
 // per-lane fault dropping at first detection). Both paths run the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/lane"
@@ -99,10 +100,12 @@ func (r *Result) Undetected() []Fault {
 // pass per fault, strictly serial, kept for differential testing — and a
 // zero LaneWords picks the measured per-topology auto width: 8 words for
 // sequential circuits (wide vectors amortize the per-gate decode over
-// more fault machines) and 1 for combinational ones (per-fault early exit
-// makes the first 64-pattern batch decisive, so extra words are waste;
-// see the engine-ablation benchmarks). Results are identical for every
-// setting (see parity_test.go and internal/difftest).
+// more fault machines) and 1 for combinational ones (a batch's
+// fault-free pass is shared by every live fault, whose propagation
+// touches only the gates it disturbs; 64-pattern batches drop detected
+// faults soonest and keep each disturbed gate one word wide, the fastest
+// width in the engine-ablation benchmarks). Results are identical for
+// every setting (see parity_test.go and internal/difftest).
 type Config struct {
 	engine.Options
 	// StaticPlan pins the initial parallel-fault batch plan for the
@@ -175,14 +178,13 @@ type widthState[W lane.Word] struct {
 	// stim is the sequential window's stimulus, every cycle broadcast to
 	// all lanes.
 	stim [][]W
-	// comb holds the combinational worker machines; comb[0] also traces
-	// the good circuit. They carry no state across patterns (each job
-	// clears and re-injects its own fault), so reuse across Appends is
-	// free.
+	// comb holds the combinational worker machines. They never carry an
+	// injected fault: each batch starts with a fault-free Eval, and fault
+	// propagation restores every net it touches, so reuse across Appends
+	// is free.
 	comb []*netlist.Machine[W]
-	// pis and good are the combinational window: the packed PI vector
-	// batches and the good-machine PO rows per batch.
-	pis, good [][]W
+	// pis is the combinational window: the packed PI vector batches.
+	pis [][]W
 }
 
 // widthOf returns the session's state at width W.
@@ -363,7 +365,7 @@ func (s *Simulator) Current() *Result {
 
 // Run fault-simulates the ordered test set from power-on reset and
 // returns the first-detection profile. Combinational circuits treat each
-// pattern independently (W×64 patterns per pass); sequential circuits
+// pattern independently (W×64 patterns per batch); sequential circuits
 // treat the whole set as one sequence applied from power-on reset,
 // simulated W×64 faults at a time (parallel-fault, one fault machine per
 // lane) with per-lane fault dropping at first detection. W is the
@@ -706,64 +708,84 @@ func broadcast[W lane.Word](s *Simulator, tests []Pattern) [][]W {
 	return out
 }
 
-// appendCombLanes is the compiled pattern-parallel path: per live fault,
-// one Machine pass per W×64-pattern batch of the new patterns until first
-// detection, fanned over a worker pool with a private Machine per worker.
-// Detection indices are offset by the patterns already applied.
+// appendCombLanes is the compiled pattern-parallel path, batch-major per
+// worker: worker j owns every workers-th live fault (which spreads the
+// few faults that propagate far evenly over the pool) and, per W×64-
+// pattern batch of the new patterns, runs one fault-free pass on its
+// machine and propagates each of its undetected faults through only the
+// gates the fault disturbs (Machine.PropagateFault). A fault a batch
+// detects is skipped by every later batch, so its first detection is the
+// lowest lane of the first batch that detects it. Faults are
+// independent, so the workers never wait on each other. Detection
+// indices are offset by the patterns already applied; progress counts
+// the live faults settled (detected, or undetected by the whole window),
+// reported after every batch.
 func appendCombLanes[W lane.Word](s *Simulator, tests []Pattern) error {
-	ws := widthOf[W](s)
-	batchPIs := packPatternBatches[W](s, tests)
-	for len(ws.comb) < max(par.Workers(s.cfg.Workers, len(s.live)), 1) {
-		ws.comb = append(ws.comb, netlist.NewMachine[W](s.prog))
-	}
-	machines := ws.comb
-	goodM := machines[0]
-	goodM.ClearFaults()
-	ws.good = engine.Grow(ws.good, len(batchPIs))
-	batchGood := ws.good
-	for b, words := range batchPIs {
-		if err := s.cfg.Cancelled(); err != nil {
-			return err
-		}
-		batchGood[b] = append(batchGood[b][:0], goodM.Eval(words)...)
-	}
-
-	L := lane.Count[W]()
-	all := lane.Broadcast[W](allLanes)
-	base := s.applied
 	live := s.live
 	total := len(live)
-	return par.IndexedCtx(s.cfg.Ctx, len(live), s.cfg.Workers, func(w, j int) {
-		fi := live[j]
-		m := machines[w]
-		m.ClearFaults()
-		m.InjectFault(s.faults[fi].Site, all)
+	if total == 0 {
+		return nil
+	}
+	ws := widthOf[W](s)
+	batchPIs := packPatternBatches[W](s, tests)
+	workers := par.Workers(s.cfg.Workers, total)
+	for len(ws.comb) < workers {
+		ws.comb = append(ws.comb, netlist.NewMachine[W](s.prog))
+	}
+	L := lane.Count[W]()
+	base := s.applied
+	var mu sync.Mutex
+	settled := 0
+	return par.IndexedCtx(s.cfg.Ctx, workers, workers, func(_, j int) {
+		m := ws.comb[j]
+		left := (total - j + workers - 1) / workers // this worker's undetected faults
 		for b, words := range batchPIs {
-			// IndexedCtx polls between jobs; one job spans every batch,
-			// so long pattern sets poll inside the job too.
-			if b&15 == 15 && s.cfg.Cancelled() != nil {
+			if s.cfg.Cancelled() != nil {
 				return
 			}
+			m.Eval(words)
 			lo := b * L
 			laneMask := lane.FirstN[W](len(tests) - lo)
-			badOut := m.Eval(words)
-			var diff W
-			for po := range badOut {
-				bad, good := badOut[po], batchGood[b][po]
-				for k := 0; k < len(diff); k++ {
-					diff[k] |= (bad[k] ^ good[k]) & laneMask[k]
-				}
-			}
-			// First detection is the lowest set lane: words in order, then
-			// the lowest bit of the first non-zero word.
-			for k := 0; k < len(diff); k++ {
-				if diff[k] != 0 {
-					s.detected[fi] = base + lo + k*64 + bits.TrailingZeros64(diff[k])
+			done := 0
+			for n, i := 0, j; i < total; n, i = n+1, i+workers {
+				if n&1023 == 1023 && s.cfg.Cancelled() != nil {
 					return
 				}
+				fi := live[i]
+				if s.detected[fi] >= 0 {
+					continue // detected by an earlier batch
+				}
+				if d := firstLane(m.PropagateFault(s.faults[fi].Site), laneMask); d >= 0 {
+					s.detected[fi] = base + lo + d
+					done++
+				}
+			}
+			left -= done
+			if b == len(batchPIs)-1 {
+				done, left = done+left, 0
+			}
+			// Count and report under one lock so Done never goes
+			// backwards, as par.IndexedCtx does for its job counts.
+			mu.Lock()
+			settled += done
+			s.cfg.Report(settled, total)
+			mu.Unlock()
+			if left == 0 {
+				return
 			}
 		}
-	}, func(done int) { s.cfg.Report(done, total) })
+	}, nil)
+}
+
+// firstLane returns the lowest lane set in both vectors, or -1: words in
+// order, then the lowest bit of the first non-zero word.
+func firstLane[W lane.Word](diff, mask W) int {
+	for k := 0; k < len(diff); k++ {
+		if d := diff[k] & mask[k]; d != 0 {
+			return k*64 + bits.TrailingZeros64(d)
+		}
+	}
+	return -1
 }
 
 // --- compiled sequential (parallel-fault) ------------------------------------

@@ -28,6 +28,7 @@ package netlist
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/lane"
 )
@@ -66,8 +67,9 @@ type ginstr struct {
 
 // Program is a compiled netlist: the levelized instruction stream plus the
 // load/latch plans the Machine executes around it. It is immutable after
-// Compile and safe to share between any number of Machines, of any lane
-// width.
+// Compile, apart from the fanout index PropagateFault builds once on
+// first use, and safe to share between any number of Machines, of any
+// lane width.
 type Program struct {
 	nl     *Netlist
 	code   []ginstr
@@ -77,6 +79,9 @@ type Program struct {
 	ffSrc  []int32 // D-input gate ID per FF state index
 	ffInit []uint64
 	consts []slotWord
+
+	fanOnce sync.Once
+	fan     *fanouts // built on first use by fanoutIndex
 }
 
 type slotWord struct {
@@ -237,6 +242,11 @@ type Machine[W lane.Word] struct {
 	loadInj  []slotInj[W] // stem faults on PIs, FFs and constants
 	clockInj []ffInj[W]   // DFF D-pin faults, applied at Clock
 	faulty   bool
+
+	// PropagateFault scratch, grown on its first call.
+	fan   *fanouts
+	sched []uint64     // bitset over instructions awaiting evaluation
+	undo  []undoRec[W] // nets the propagation overwrote
 }
 
 // NewMachine creates fresh execution state at lane width W in power-on
