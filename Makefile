@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build examples vet lint fmt-check test race bench-module bench bench-smoke bench-compare determinism-smoke campaign-smoke ci clean
+.PHONY: all build examples vet lint fmt-check test race fuzz-smoke bench-module bench bench-smoke bench-compare determinism-smoke campaign-smoke ci clean
 
 all: build
 
@@ -40,6 +40,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# 20 s of native fuzzing on the .bench parser: ReadBench must never
+# panic, and every netlist it accepts must compile and simulate like the
+# Evaluator. go test ./... only replays the seed corpus; this explores.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadBench$$' -fuzztime 20s ./internal/netlist
 
 # The repository benchmark (bench/) is a Go module of its own, so the
 # root build, vet and test never compile it; this keeps it building and
@@ -84,7 +90,7 @@ determinism-smoke:
 campaign-smoke:
 	sh scripts/campaignsmoke.sh
 
-ci: build examples vet lint fmt-check race bench-module bench-smoke campaign-smoke
+ci: build examples vet lint fmt-check race fuzz-smoke bench-module bench-smoke campaign-smoke
 
 clean:
 	rm -f BENCH_*.json BENCH_*.txt BENCH_*.mem.pprof

@@ -614,6 +614,83 @@ func TestServerPeerFanout(t *testing.T) {
 	if st := peerSrv.cache.Stats(); st.Misses == 0 {
 		t.Error("peer executed nothing")
 	}
+	// The front's misses are the job lookup at submit and its two local
+	// shards; a fourth would mean it refused the peer's reply and ran
+	// that shard itself.
+	if st := front.cache.Stats(); st.Misses != 3 || st.Hits != 0 {
+		t.Errorf("front cache %+v, want 3 misses and no hits", st)
+	}
+}
+
+// TestServerPeerBadReplies runs a 3-shard job whose middle shard goes to
+// a peer that answers with a bad reply: bytes that are not a report, the
+// report of another shard, or the right report in non-canonical form.
+// Each reply must be refused and the shard run locally, so the merged
+// report equals a single-machine run and the front's cache holds the
+// shard's canonical report.
+func TestServerPeerBadReplies(t *testing.T) {
+	sp := Spec{Kind: ATPG, Circuit: "c432", Seed: 2, MaxBacktracks: 64}
+	shards, err := Shards(sp, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(shards) != 3 {
+		t.Fatalf("%d shards, want 3", len(shards))
+	}
+	want := mustExecute(t, sp, nil)
+	first := mustExecute(t, shards[0], nil)
+	middle := mustExecute(t, shards[1], nil)
+	middleKey, err := JobKey(shards[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		reply []byte
+	}{
+		{"not json", []byte("not json\n")},
+		{"other shard", first},
+		{"non-canonical", append([]byte(" "), middle...)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				w.Header().Set("Content-Type", "application/json")
+				w.Write(tc.reply)
+			}))
+			defer peer.Close()
+			// Parallel 2 plus one peer makes three shards; shard 1 goes
+			// to the peer.
+			front, err := NewServer(ServerConfig{Parallel: 2, Peers: []string{peer.URL}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer front.Close()
+			hs := httptest.NewServer(front)
+			defer hs.Close()
+			c := &Client{Base: hs.URL}
+			ctx := context.Background()
+			st, err := c.Submit(ctx, sp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st, err = c.Wait(ctx, st.ID, 0); err != nil {
+				t.Fatal(err)
+			}
+			if st.State != "done" {
+				t.Fatalf("job %s: %s", st.State, st.Error)
+			}
+			got, err := c.Result(ctx, st.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("merged report differs from single-machine run\n got: %s\nwant: %s", got, want)
+			}
+			if b := front.cache.Get(middleKey); !bytes.Equal(b, middle) {
+				t.Errorf("cache holds %q under the peer's shard key, want its canonical report", b)
+			}
+		})
+	}
 }
 
 // TestExecuteEndpoint exercises the synchronous endpoint and its cache
@@ -649,8 +726,9 @@ func TestExecuteEndpoint(t *testing.T) {
 }
 
 // TestSubmitMalformedBenchRejected submits inline netlists whose gates
-// have the wrong number of inputs: each submit must come back 400 with
-// the parser's line-numbered error, and the server must keep serving.
+// have the wrong number of inputs, or that define a net as a gate and
+// then as a flip-flop: each submit must come back 400 with the parser's
+// line-numbered error, and the server must keep serving.
 func TestSubmitMalformedBenchRejected(t *testing.T) {
 	srv, err := NewServer(ServerConfig{Parallel: 1})
 	if err != nil {
@@ -659,23 +737,29 @@ func TestSubmitMalformedBenchRejected(t *testing.T) {
 	defer srv.Close()
 	hs := httptest.NewServer(srv)
 	defer hs.Close()
-	for _, line := range []string{"b = AND()", "b = NOT(a, a)", "b = BUFF()", "b = XOR(a)"} {
-		body, err := json.Marshal(Spec{Kind: ATPG, Bench: "INPUT(a)\nOUTPUT(b)\n" + line + "\n", Seed: 1})
+	for _, tc := range []struct{ lines, want string }{
+		{"b = AND()", "bench line 3"},
+		{"b = NOT(a, a)", "bench line 3"},
+		{"b = BUFF()", "bench line 3"},
+		{"b = XOR(a)", "bench line 3"},
+		{"b = NOT(a)\nb = DFF(a)", "bench line 4"},
+	} {
+		body, err := json.Marshal(Spec{Kind: ATPG, Bench: "INPUT(a)\nOUTPUT(b)\n" + tc.lines + "\n", Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp, err := http.Post(hs.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
 		if err != nil {
-			t.Fatalf("%q: %v", line, err)
+			t.Fatalf("%q: %v", tc.lines, err)
 		}
 		msg := new(bytes.Buffer)
 		msg.ReadFrom(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%q: status %s, want 400 Bad Request", line, resp.Status)
+			t.Errorf("%q: status %s, want 400 Bad Request", tc.lines, resp.Status)
 		}
-		if !strings.Contains(msg.String(), "bench line 3") {
-			t.Errorf("%q: error body %q does not name the line", line, msg)
+		if !strings.Contains(msg.String(), tc.want) {
+			t.Errorf("%q: error body %q does not name %s", tc.lines, msg, tc.want)
 		}
 	}
 	c := &Client{Base: hs.URL}

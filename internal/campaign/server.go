@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -333,18 +334,31 @@ func (s *Server) executeLocal(ctx context.Context, sp Spec, progress func(engine
 	return b, nil
 }
 
-// executeRemote runs one spec on a peer via its /v1/execute endpoint and
-// feeds the local cache with the returned bytes.
-func (s *Server) executeRemote(ctx context.Context, peer string, sp Spec, key Key) ([]byte, error) {
+// executeRemote runs one spec on a peer via its /v1/execute endpoint.
+// The reply is checked before the local cache takes it: it must decode to
+// a report of the spec's kind and key whose canonical encoding is the
+// reply itself. A reply that fails is an error, as an unreachable peer
+// is.
+func (s *Server) executeRemote(ctx context.Context, peer string, sp Spec, key Key) (*Report, error) {
 	c := &Client{Base: peer}
 	b, _, err := c.Execute(ctx, sp)
 	if err != nil {
 		return nil, err
 	}
+	rep, err := DecodeReport(b)
+	if err != nil {
+		return nil, fmt.Errorf("peer %s: %w", peer, err)
+	}
+	if rep.Kind != sp.Kind || rep.Key != key {
+		return nil, fmt.Errorf("peer %s: got a %s report keyed %s, want %s keyed %s", peer, rep.Kind, rep.Key, sp.Kind, key)
+	}
+	if canon, err := rep.Encode(); err != nil || !bytes.Equal(canon, b) {
+		return nil, fmt.Errorf("peer %s: report is not canonically encoded", peer)
+	}
 	if err := s.cache.Put(key, b); err != nil {
 		return nil, err
 	}
-	return b, nil
+	return rep, nil
 }
 
 // runJob executes one submitted job: decompose into shards, fan the
@@ -419,22 +433,23 @@ func (s *Server) runSharded(ctx context.Context, j *job) ([]byte, error) {
 
 // runShard executes shard i of a job, round-robining across the local
 // pool (slot 0) and the configured peers, with a local fallback when a
-// peer is unreachable.
+// peer is unreachable or its reply fails executeRemote's check.
 func (s *Server) runShard(ctx context.Context, j *job, i int, shard Spec) (*Report, error) {
 	key, err := JobKey(shard)
 	if err != nil {
 		return nil, err
 	}
 	if target := i % (1 + len(s.cfg.Peers)); target > 0 {
-		b, err := s.executeRemote(ctx, s.cfg.Peers[target-1], shard, key)
+		rep, err := s.executeRemote(ctx, s.cfg.Peers[target-1], shard, key)
 		if err == nil {
 			j.progressSink(i)(engine.Stats{Done: 1, Total: 1})
-			return DecodeReport(b)
+			return rep, nil
 		}
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		// Peer failure is not job failure: fall through to local execution.
+		// Peer failure, or a reply that fails its check, is not job
+		// failure: fall through to local execution.
 	}
 	b, err := s.executeLocal(ctx, shard, j.progressSink(i))
 	if err != nil {

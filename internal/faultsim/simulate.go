@@ -202,7 +202,7 @@ func widthOf[W lane.Word](s *Simulator) *widthState[W] {
 
 // getMachine draws a sanitized machine from the width-W free list, or
 // builds one when the list is dry. Recycled machines are exactly fresh
-// ones: ClearFaults restores the clean fast path, Reset restores power-on
+// ones: ClearFaults removes every injection, Reset restores power-on
 // flip-flop state, and net values are recomputed from scratch every Eval.
 // Serial session code only — the free lists are not locked.
 func getMachine[W lane.Word](s *Simulator) *netlist.Machine[W] {

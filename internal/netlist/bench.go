@@ -180,12 +180,14 @@ func ReadBench(r io.Reader, name string) (*Netlist, error) {
 		return nil, err
 	}
 
-	// First pass: create DFFs (they may be referenced before their D nets
-	// exist) and reserve IDs for every defined net.
+	// First pass: reject a second definition of any net, and create DFFs
+	// (they may be referenced before their D nets exist).
+	defined := make(map[string]bool, len(defs))
 	for _, d := range defs {
-		if _, dup := ids[d.target]; dup {
+		if _, dup := ids[d.target]; dup || defined[d.target] {
 			return nil, fmt.Errorf("bench line %d: duplicate definition of %q", d.line, d.target)
 		}
+		defined[d.target] = true
 		if d.op == "DFF" {
 			ids[d.target] = n.AddDFF(d.target, inits[d.target])
 		}

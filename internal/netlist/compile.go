@@ -16,9 +16,11 @@
 // every net value is a W-word vector, so one instruction-stream pass
 // carries W×64 lanes, amortizing the per-gate decode over up to 512 fault
 // machines. Each width stencils its own exec loop with constant-length
-// inner loops. The fault-free path pays no injection cost (a separate
-// exec loop), and injected gates re-evaluate through a generic masked
-// path that reproduces Evaluator.EvalWith bit-for-bit in every lane.
+// inner loops. The loop runs the stream in runs that each end at an
+// injected gate, which re-evaluates through a generic masked path that
+// reproduces Evaluator.EvalWith bit-for-bit in every lane before any of
+// its readers run; a fault-free pass is one run with nothing to patch,
+// so it pays no per-gate injection check.
 //
 // Semantics are pinned against the Evaluator differentially: every lane of
 // a Machine pass — at every width — must equal the corresponding
@@ -200,30 +202,50 @@ func (p *Program) Netlist() *Netlist { return p.nl }
 // faults). All masks are per-lane, so one record carries many faults.
 // dirty marks the words any of the record's masks touch: lanes are
 // independent, so a fault confined to word k can only ever disturb word k
-// of any value in the circuit, and the faulty exec loop re-evaluates
-// exactly the dirty words — the injection cost per pass stays
-// proportional to the fault count, not to the fault count times W.
+// of any value in the circuit, and patchInjected re-evaluates exactly
+// the dirty words — the injection cost per pass stays proportional to
+// the fault count, not to the fault count times W.
 type injRec[W lane.Word] struct {
-	pins    []pinInj[W]
-	outMask W      // lanes with a stem fault on this gate's output
-	outVal  W      // the stuck word, restricted to outMask
-	dirty   uint16 // bit k: word k carries a fault at this gate
-	code    int32  // owning instruction index (for lane-scoped compaction)
+	pins    []force[W] // at: the overridden fanin pin
+	outMask W          // lanes with a stem fault on this gate's output
+	outVal  W          // the stuck word, restricted to outMask
+	dirty   uint16     // bit k: word k carries a fault at this gate
+	code    int32      // owning instruction index (for lane-scoped compaction)
 }
 
-type pinInj[W lane.Word] struct {
-	pin       int32
+// force is one masked override: in the lanes of mask, the value at index
+// at reads val. The index is a fanin pin (injRec.pins), a gate ID
+// (Machine.loadInj) or a flip-flop state index (Machine.clockInj).
+type force[W lane.Word] struct {
+	at        int32
 	mask, val W
 }
 
-type slotInj[W lane.Word] struct {
-	slot      int32
-	mask, val W
+// mergeForce adds the lanes of mask to the override at index at,
+// appending one when fs has none, and returns the list.
+func mergeForce[W lane.Word](fs []force[W], at int32, mask, val W) []force[W] {
+	for i := range fs {
+		if fs[i].at == at {
+			fs[i].mask = lane.Or(fs[i].mask, mask)
+			fs[i].val = lane.Merge(fs[i].val, mask, val)
+			return fs
+		}
+	}
+	return append(fs, force[W]{at: at, mask: mask, val: val})
 }
 
-type ffInj[W lane.Word] struct {
-	ff        int32
-	mask, val W
+// dropForceLanes removes the lanes of laneMask from every override in
+// fs, compacting away the overrides left with no lanes, in order.
+func dropForceLanes[W lane.Word](fs []force[W], laneMask W) []force[W] {
+	kept := fs[:0]
+	for _, f := range fs {
+		f.mask = lane.AndNot(f.mask, laneMask)
+		f.val = lane.AndNot(f.val, laneMask)
+		if !lane.None(f.mask) {
+			kept = append(kept, f)
+		}
+	}
+	return kept
 }
 
 // Machine is the mutable execution state of one Program at one lane
@@ -238,10 +260,9 @@ type Machine[W lane.Word] struct {
 
 	inj      []int32 // per instruction: index into recs, or -1
 	recs     []injRec[W]
-	touched  []int32      // instruction indices with inj set, for O(batch) clearing
-	loadInj  []slotInj[W] // stem faults on PIs, FFs and constants
-	clockInj []ffInj[W]   // DFF D-pin faults, applied at Clock
-	faulty   bool
+	touched  []int32    // instruction indices with inj set, in instruction order
+	loadInj  []force[W] // stem faults on PIs, FFs and constants
+	clockInj []force[W] // DFF D-pin faults, applied at Clock
 
 	// PropagateFault scratch, grown on its first call.
 	fan   *fanouts
@@ -358,17 +379,14 @@ func (m *Machine[W]) InjectFault(f FaultSite, laneMask W) {
 		r.outVal = lane.Merge(r.outVal, laneMask, val)
 		r.markDirty(laneMask)
 	case f.Pin < 0:
-		m.mergeLoadInj(int32(f.Gate), laneMask, val)
+		m.loadInj = mergeForce(m.loadInj, int32(f.Gate), laneMask, val)
 	case g.Type == DFF && f.Pin == 0:
-		m.mergeClockInj(m.p.ffIdx[f.Gate], laneMask, val)
+		m.clockInj = mergeForce(m.clockInj, m.p.ffIdx[f.Gate], laneMask, val)
 	case g.Type.IsComb() && f.Pin < len(g.Fanin):
 		r := m.rec(m.p.codeOf[f.Gate])
-		r.mergePin(int32(f.Pin), laneMask, val)
+		r.pins = mergeForce(r.pins, int32(f.Pin), laneMask, val)
 		r.markDirty(laneMask)
-	default:
-		return // inert site: keep the fault-free fast path
 	}
-	m.faulty = true
 }
 
 func (r *injRec[W]) markDirty(laneMask W) {
@@ -392,15 +410,7 @@ func (m *Machine[W]) ClearFaultLanes(laneMask W) {
 		r := &m.recs[m.inj[ci]]
 		r.outMask = lane.AndNot(r.outMask, laneMask)
 		r.outVal = lane.AndNot(r.outVal, laneMask)
-		pins := r.pins[:0]
-		for _, p := range r.pins {
-			p.mask = lane.AndNot(p.mask, laneMask)
-			p.val = lane.AndNot(p.val, laneMask)
-			if !lane.None(p.mask) {
-				pins = append(pins, p)
-			}
-		}
-		r.pins = pins
+		r.pins = dropForceLanes(r.pins, laneMask)
 		remain := r.outMask
 		for _, p := range r.pins {
 			remain = lane.Or(remain, p.mask)
@@ -423,29 +433,12 @@ func (m *Machine[W]) ClearFaultLanes(laneMask W) {
 		kept = append(kept, ci)
 	}
 	m.touched = kept
-	loads := m.loadInj[:0]
-	for _, li := range m.loadInj {
-		li.mask = lane.AndNot(li.mask, laneMask)
-		li.val = lane.AndNot(li.val, laneMask)
-		if !lane.None(li.mask) {
-			loads = append(loads, li)
-		}
-	}
-	m.loadInj = loads
-	clocks := m.clockInj[:0]
-	for _, ci := range m.clockInj {
-		ci.mask = lane.AndNot(ci.mask, laneMask)
-		ci.val = lane.AndNot(ci.val, laneMask)
-		if !lane.None(ci.mask) {
-			clocks = append(clocks, ci)
-		}
-	}
-	m.clockInj = clocks
-	m.faulty = len(m.touched) > 0 || len(m.loadInj) > 0 || len(m.clockInj) > 0
+	m.loadInj = dropForceLanes(m.loadInj, laneMask)
+	m.clockInj = dropForceLanes(m.clockInj, laneMask)
 }
 
-// ClearFaults removes every injected fault, restoring the fault-free fast
-// path. Cost is proportional to the batch size, not the circuit size.
+// ClearFaults removes every injected fault, leaving a fault-free pass.
+// Cost is proportional to the batch size, not the circuit size.
 func (m *Machine[W]) ClearFaults() {
 	for _, ci := range m.touched {
 		m.inj[ci] = -1
@@ -454,49 +447,26 @@ func (m *Machine[W]) ClearFaults() {
 	m.recs = m.recs[:0]
 	m.loadInj = m.loadInj[:0]
 	m.clockInj = m.clockInj[:0]
-	m.faulty = false
 }
 
+// rec returns the injection record of one instruction, creating it on
+// first use. touched stays in instruction order (levelized: by level,
+// then gate ID), which is the order exec patches in. A new index is
+// inserted by scanning back from the end, so one insert moves up to
+// len(touched) entries; fault lists in gate-ID order are only partly in
+// that order, but the moves are cheap next to the passes a batch runs.
 func (m *Machine[W]) rec(codeIdx int32) *injRec[W] {
 	if m.inj[codeIdx] < 0 {
 		m.inj[codeIdx] = int32(len(m.recs))
 		m.recs = append(m.recs, injRec[W]{code: codeIdx})
 		m.touched = append(m.touched, codeIdx)
+		i := len(m.touched) - 1
+		for ; i > 0 && m.touched[i-1] > codeIdx; i-- {
+			m.touched[i] = m.touched[i-1]
+		}
+		m.touched[i] = codeIdx
 	}
 	return &m.recs[m.inj[codeIdx]]
-}
-
-func (r *injRec[W]) mergePin(pin int32, mask, val W) {
-	for i := range r.pins {
-		if r.pins[i].pin == pin {
-			r.pins[i].mask = lane.Or(r.pins[i].mask, mask)
-			r.pins[i].val = lane.Merge(r.pins[i].val, mask, val)
-			return
-		}
-	}
-	r.pins = append(r.pins, pinInj[W]{pin: pin, mask: mask, val: val})
-}
-
-func (m *Machine[W]) mergeLoadInj(slot int32, mask, val W) {
-	for i := range m.loadInj {
-		if m.loadInj[i].slot == slot {
-			m.loadInj[i].mask = lane.Or(m.loadInj[i].mask, mask)
-			m.loadInj[i].val = lane.Merge(m.loadInj[i].val, mask, val)
-			return
-		}
-	}
-	m.loadInj = append(m.loadInj, slotInj[W]{slot: slot, mask: mask, val: val})
-}
-
-func (m *Machine[W]) mergeClockInj(ff int32, mask, val W) {
-	for i := range m.clockInj {
-		if m.clockInj[i].ff == ff {
-			m.clockInj[i].mask = lane.Or(m.clockInj[i].mask, mask)
-			m.clockInj[i].val = lane.Merge(m.clockInj[i].val, mask, val)
-			return
-		}
-	}
-	m.clockInj = append(m.clockInj, ffInj[W]{ff: ff, mask: mask, val: val})
 }
 
 // Eval runs one combinational pass with the given PI vectors (ordered
@@ -523,15 +493,11 @@ func (m *Machine[W]) Eval(pis []W) []W {
 	for _, c := range m.p.consts {
 		vals[c.slot] = lane.Broadcast[W](c.word)
 	}
-	if m.faulty {
-		for i := range m.loadInj {
-			li := &m.loadInj[i]
-			vals[li.slot] = lane.Merge(vals[li.slot], li.mask, li.val)
-		}
-		m.execFaulty()
-	} else {
-		m.execClean()
+	for i := range m.loadInj {
+		li := &m.loadInj[i]
+		vals[li.at] = lane.Merge(vals[li.at], li.mask, li.val)
 	}
+	m.exec()
 	for i, id := range nl.POs {
 		m.out[i] = vals[id]
 	}
@@ -549,239 +515,151 @@ func (m *Machine[W]) Clock() {
 	}
 	for i := range m.clockInj {
 		ci := &m.clockInj[i]
-		m.state[ci.ff] = lane.Merge(m.state[ci.ff], ci.mask, ci.val)
+		m.state[ci.at] = lane.Merge(m.state[ci.at], ci.mask, ci.val)
 	}
 }
 
 // Value returns the last computed vector on a gate's output.
 func (m *Machine[W]) Value(id int) W { return m.vals[id] }
 
+// exec evaluates the instruction stream in runs, each ending at the next
+// injected instruction in touched: every gate takes the fast path, and
+// the run's last gate then has its faulted lanes patched before any of
+// its readers runs. A fault-free pass is one run with nothing to patch.
+// The loop body carries no injection check, and slicing each run before
+// its loop keeps the instruction loads free of bounds checks. Between
+// runs the loop keeps only m and the run counter t, and reads code and
+// touched back through m: keeping their slice headers live across the
+// gate loop made the register allocator reload them on every gate, which
+// slowed the W=1 fault-free pass by up to a fifth. Gates read and
+// write their W-word values in place through pointers: copying them
+// through stack temporaries cost the W=8 loop a third of its time.
+//
 //repro:hotpath
-func (m *Machine[W]) execClean() {
+func (m *Machine[W]) exec() {
 	var w W
 	if len(w) == 1 {
 		// Shape-constant dispatch: the branch folds per instantiation.
-		m.execClean1()
+		m.exec1()
 		return
 	}
 	vals := m.vals
-	code := m.p.code
 	args := m.p.args
+	var zero W
 	ones := lane.Broadcast[W](^uint64(0))
-	for i := range code {
-		in := &code[i]
-		var v W
-		switch in.op {
-		case gopBuf:
-			v = vals[in.a]
-		case gopNot:
-			a := vals[in.a]
-			for k := 0; k < len(v); k++ {
-				v[k] = ^a[k]
-			}
-		case gopAnd2:
-			a, b := vals[in.a], vals[in.b]
-			for k := 0; k < len(v); k++ {
-				v[k] = a[k] & b[k]
-			}
-		case gopNand2:
-			a, b := vals[in.a], vals[in.b]
-			for k := 0; k < len(v); k++ {
-				v[k] = ^(a[k] & b[k])
-			}
-		case gopOr2:
-			a, b := vals[in.a], vals[in.b]
-			for k := 0; k < len(v); k++ {
-				v[k] = a[k] | b[k]
-			}
-		case gopNor2:
-			a, b := vals[in.a], vals[in.b]
-			for k := 0; k < len(v); k++ {
-				v[k] = ^(a[k] | b[k])
-			}
-		case gopXor2:
-			a, b := vals[in.a], vals[in.b]
-			for k := 0; k < len(v); k++ {
-				v[k] = a[k] ^ b[k]
-			}
-		case gopXnor2:
-			a, b := vals[in.a], vals[in.b]
-			for k := 0; k < len(v); k++ {
-				v[k] = ^(a[k] ^ b[k])
-			}
-		case gopAndN:
-			v = ones
-			for _, s := range args[in.off : in.off+in.n] {
-				sv := vals[s]
-				for k := 0; k < len(v); k++ {
-					v[k] &= sv[k]
+	for t, lo := 0, 0; ; t++ {
+		code := m.p.code
+		hi := len(code)
+		if t < len(m.touched) {
+			hi = int(m.touched[t]) + 1
+		}
+		seg := code[lo:hi]
+		for i := range seg {
+			in := &seg[i]
+			d := &vals[in.dst]
+			switch in.op {
+			case gopBuf:
+				*d = vals[in.a]
+			case gopNot:
+				a := &vals[in.a]
+				for k := 0; k < len(*d); k++ {
+					(*d)[k] = ^(*a)[k]
 				}
-			}
-		case gopNandN:
-			v = ones
-			for _, s := range args[in.off : in.off+in.n] {
-				sv := vals[s]
-				for k := 0; k < len(v); k++ {
-					v[k] &= sv[k]
+			case gopAnd2:
+				a, b := &vals[in.a], &vals[in.b]
+				for k := 0; k < len(*d); k++ {
+					(*d)[k] = (*a)[k] & (*b)[k]
 				}
-			}
-			for k := 0; k < len(v); k++ {
-				v[k] = ^v[k]
-			}
-		case gopOrN:
-			for _, s := range args[in.off : in.off+in.n] {
-				sv := vals[s]
-				for k := 0; k < len(v); k++ {
-					v[k] |= sv[k]
+			case gopNand2:
+				a, b := &vals[in.a], &vals[in.b]
+				for k := 0; k < len(*d); k++ {
+					(*d)[k] = ^((*a)[k] & (*b)[k])
 				}
-			}
-		case gopNorN:
-			for _, s := range args[in.off : in.off+in.n] {
-				sv := vals[s]
-				for k := 0; k < len(v); k++ {
-					v[k] |= sv[k]
+			case gopOr2:
+				a, b := &vals[in.a], &vals[in.b]
+				for k := 0; k < len(*d); k++ {
+					(*d)[k] = (*a)[k] | (*b)[k]
 				}
-			}
-			for k := 0; k < len(v); k++ {
-				v[k] = ^v[k]
-			}
-		case gopXorN:
-			for _, s := range args[in.off : in.off+in.n] {
-				sv := vals[s]
-				for k := 0; k < len(v); k++ {
-					v[k] ^= sv[k]
+			case gopNor2:
+				a, b := &vals[in.a], &vals[in.b]
+				for k := 0; k < len(*d); k++ {
+					(*d)[k] = ^((*a)[k] | (*b)[k])
 				}
-			}
-		case gopXnorN:
-			for _, s := range args[in.off : in.off+in.n] {
-				sv := vals[s]
-				for k := 0; k < len(v); k++ {
-					v[k] ^= sv[k]
+			case gopXor2:
+				a, b := &vals[in.a], &vals[in.b]
+				for k := 0; k < len(*d); k++ {
+					(*d)[k] = (*a)[k] ^ (*b)[k]
 				}
-			}
-			for k := 0; k < len(v); k++ {
-				v[k] = ^v[k]
+			case gopXnor2:
+				a, b := &vals[in.a], &vals[in.b]
+				for k := 0; k < len(*d); k++ {
+					(*d)[k] = ^((*a)[k] ^ (*b)[k])
+				}
+			case gopAndN:
+				*d = ones
+				for _, s := range args[in.off : in.off+in.n] {
+					sv := &vals[s]
+					for k := 0; k < len(*d); k++ {
+						(*d)[k] &= (*sv)[k]
+					}
+				}
+			case gopNandN:
+				*d = ones
+				for _, s := range args[in.off : in.off+in.n] {
+					sv := &vals[s]
+					for k := 0; k < len(*d); k++ {
+						(*d)[k] &= (*sv)[k]
+					}
+				}
+				for k := 0; k < len(*d); k++ {
+					(*d)[k] = ^(*d)[k]
+				}
+			case gopOrN:
+				*d = zero
+				for _, s := range args[in.off : in.off+in.n] {
+					sv := &vals[s]
+					for k := 0; k < len(*d); k++ {
+						(*d)[k] |= (*sv)[k]
+					}
+				}
+			case gopNorN:
+				*d = zero
+				for _, s := range args[in.off : in.off+in.n] {
+					sv := &vals[s]
+					for k := 0; k < len(*d); k++ {
+						(*d)[k] |= (*sv)[k]
+					}
+				}
+				for k := 0; k < len(*d); k++ {
+					(*d)[k] = ^(*d)[k]
+				}
+			case gopXorN:
+				*d = zero
+				for _, s := range args[in.off : in.off+in.n] {
+					sv := &vals[s]
+					for k := 0; k < len(*d); k++ {
+						(*d)[k] ^= (*sv)[k]
+					}
+				}
+			case gopXnorN:
+				*d = zero
+				for _, s := range args[in.off : in.off+in.n] {
+					sv := &vals[s]
+					for k := 0; k < len(*d); k++ {
+						(*d)[k] ^= (*sv)[k]
+					}
+				}
+				for k := 0; k < len(*d); k++ {
+					(*d)[k] = ^(*d)[k]
+				}
 			}
 		}
-		vals[in.dst] = v
-	}
-}
-
-// execFaulty is execClean plus a per-instruction injection check: every
-// gate takes the fast path first, then gates with an injection record
-// re-evaluate their dirty words through the scalar masked path.
-//
-//repro:hotpath
-func (m *Machine[W]) execFaulty() {
-	var w W
-	if len(w) == 1 {
-		m.execFaulty1()
-		return
-	}
-	vals := m.vals
-	code := m.p.code
-	args := m.p.args
-	inj := m.inj
-	ones := lane.Broadcast[W](^uint64(0))
-	for i := range code {
-		in := &code[i]
-		var v W
-		switch in.op {
-		case gopBuf:
-			v = vals[in.a]
-		case gopNot:
-			a := vals[in.a]
-			for k := 0; k < len(v); k++ {
-				v[k] = ^a[k]
-			}
-		case gopAnd2:
-			a, b := vals[in.a], vals[in.b]
-			for k := 0; k < len(v); k++ {
-				v[k] = a[k] & b[k]
-			}
-		case gopNand2:
-			a, b := vals[in.a], vals[in.b]
-			for k := 0; k < len(v); k++ {
-				v[k] = ^(a[k] & b[k])
-			}
-		case gopOr2:
-			a, b := vals[in.a], vals[in.b]
-			for k := 0; k < len(v); k++ {
-				v[k] = a[k] | b[k]
-			}
-		case gopNor2:
-			a, b := vals[in.a], vals[in.b]
-			for k := 0; k < len(v); k++ {
-				v[k] = ^(a[k] | b[k])
-			}
-		case gopXor2:
-			a, b := vals[in.a], vals[in.b]
-			for k := 0; k < len(v); k++ {
-				v[k] = a[k] ^ b[k]
-			}
-		case gopXnor2:
-			a, b := vals[in.a], vals[in.b]
-			for k := 0; k < len(v); k++ {
-				v[k] = ^(a[k] ^ b[k])
-			}
-		case gopAndN:
-			v = ones
-			for _, s := range args[in.off : in.off+in.n] {
-				sv := vals[s]
-				for k := 0; k < len(v); k++ {
-					v[k] &= sv[k]
-				}
-			}
-		case gopNandN:
-			v = ones
-			for _, s := range args[in.off : in.off+in.n] {
-				sv := vals[s]
-				for k := 0; k < len(v); k++ {
-					v[k] &= sv[k]
-				}
-			}
-			for k := 0; k < len(v); k++ {
-				v[k] = ^v[k]
-			}
-		case gopOrN:
-			for _, s := range args[in.off : in.off+in.n] {
-				sv := vals[s]
-				for k := 0; k < len(v); k++ {
-					v[k] |= sv[k]
-				}
-			}
-		case gopNorN:
-			for _, s := range args[in.off : in.off+in.n] {
-				sv := vals[s]
-				for k := 0; k < len(v); k++ {
-					v[k] |= sv[k]
-				}
-			}
-			for k := 0; k < len(v); k++ {
-				v[k] = ^v[k]
-			}
-		case gopXorN:
-			for _, s := range args[in.off : in.off+in.n] {
-				sv := vals[s]
-				for k := 0; k < len(v); k++ {
-					v[k] ^= sv[k]
-				}
-			}
-		case gopXnorN:
-			for _, s := range args[in.off : in.off+in.n] {
-				sv := vals[s]
-				for k := 0; k < len(v); k++ {
-					v[k] ^= sv[k]
-				}
-			}
-			for k := 0; k < len(v); k++ {
-				v[k] = ^v[k]
-			}
+		if t == len(m.touched) {
+			return
 		}
-		vals[in.dst] = v
-		if ri := inj[i]; ri >= 0 {
-			m.patchInjected(in, &m.recs[ri])
-		}
+		ci := m.touched[t]
+		m.patchInjected(&m.p.code[ci], &m.recs[m.inj[ci]])
+		lo = int(ci) + 1
 	}
 }
 
@@ -817,7 +695,7 @@ func (m *Machine[W]) patchInjected(in *ginstr, rec *injRec[W]) {
 		read := func(j int) uint64 { //repro:ok hotalloc non-escaping closure, inlined; AllocsPerRun pins the path at zero
 			v := vals[fanin[j]][k]
 			for pi := range rec.pins {
-				if int(rec.pins[pi].pin) == j {
+				if int(rec.pins[pi].at) == j {
 					v = v&^rec.pins[pi].mask[k] | rec.pins[pi].val[k]
 				}
 			}
@@ -863,133 +741,83 @@ func (m *Machine[W]) patchInjected(in *ginstr, rec *injRec[W]) {
 	}
 }
 
-// execClean1 and execFaulty1 are the scalar specializations for the
-// single-word instantiation (W = [1]uint64): array-of-one locals keep
-// values in memory form and defeat the register allocator, so W=1 —
-// the combinational production width and the ragged-tail machine — runs
-// the original uint64 loop on word 0. The generic loops above serve
-// W=4/8, and the width-agreement and parity tests pin all paths
-// bit-identical. The [0] accessors are valid for every W; the callers'
+// exec1 is exec's scalar specialization for the single-word
+// instantiation (W = [1]uint64): array-of-one locals keep values in
+// memory form and defeat the register allocator, so W=1 — the
+// combinational production width, the ATPG twin and the ragged-tail
+// machine — runs the original uint64 loop on word 0, over the same runs.
+// exec serves W=4/8, and the width-agreement and parity tests pin both
+// loops bit-identical. The [0] accessors are valid for every W; exec's
 // shape-constant dispatch makes them reachable only when len(W) == 1.
 //
 //repro:hotpath
-func (m *Machine[W]) execClean1() {
+func (m *Machine[W]) exec1() {
 	vals := m.vals
-	code := m.p.code
 	args := m.p.args
-	for i := range code {
-		in := &code[i]
-		var v uint64
-		switch in.op {
-		case gopBuf:
-			v = vals[in.a][0]
-		case gopNot:
-			v = ^vals[in.a][0]
-		case gopAnd2:
-			v = vals[in.a][0] & vals[in.b][0]
-		case gopNand2:
-			v = ^(vals[in.a][0] & vals[in.b][0])
-		case gopOr2:
-			v = vals[in.a][0] | vals[in.b][0]
-		case gopNor2:
-			v = ^(vals[in.a][0] | vals[in.b][0])
-		case gopXor2:
-			v = vals[in.a][0] ^ vals[in.b][0]
-		case gopXnor2:
-			v = ^(vals[in.a][0] ^ vals[in.b][0])
-		case gopAndN:
-			v = ^uint64(0)
-			for _, s := range args[in.off : in.off+in.n] {
-				v &= vals[s][0]
-			}
-		case gopNandN:
-			v = ^uint64(0)
-			for _, s := range args[in.off : in.off+in.n] {
-				v &= vals[s][0]
-			}
-			v = ^v
-		case gopOrN:
-			for _, s := range args[in.off : in.off+in.n] {
-				v |= vals[s][0]
-			}
-		case gopNorN:
-			for _, s := range args[in.off : in.off+in.n] {
-				v |= vals[s][0]
-			}
-			v = ^v
-		case gopXorN:
-			for _, s := range args[in.off : in.off+in.n] {
-				v ^= vals[s][0]
-			}
-		case gopXnorN:
-			for _, s := range args[in.off : in.off+in.n] {
-				v ^= vals[s][0]
-			}
-			v = ^v
+	for t, lo := 0, 0; ; t++ {
+		code := m.p.code
+		hi := len(code)
+		if t < len(m.touched) {
+			hi = int(m.touched[t]) + 1
 		}
-		vals[in.dst][0] = v
-	}
-}
-
-//repro:hotpath
-func (m *Machine[W]) execFaulty1() {
-	vals := m.vals
-	code := m.p.code
-	args := m.p.args
-	inj := m.inj
-	for i := range code {
-		in := &code[i]
-		var v uint64
-		switch in.op {
-		case gopBuf:
-			v = vals[in.a][0]
-		case gopNot:
-			v = ^vals[in.a][0]
-		case gopAnd2:
-			v = vals[in.a][0] & vals[in.b][0]
-		case gopNand2:
-			v = ^(vals[in.a][0] & vals[in.b][0])
-		case gopOr2:
-			v = vals[in.a][0] | vals[in.b][0]
-		case gopNor2:
-			v = ^(vals[in.a][0] | vals[in.b][0])
-		case gopXor2:
-			v = vals[in.a][0] ^ vals[in.b][0]
-		case gopXnor2:
-			v = ^(vals[in.a][0] ^ vals[in.b][0])
-		case gopAndN:
-			v = ^uint64(0)
-			for _, s := range args[in.off : in.off+in.n] {
-				v &= vals[s][0]
+		seg := code[lo:hi]
+		for i := range seg {
+			in := &seg[i]
+			var v uint64
+			switch in.op {
+			case gopBuf:
+				v = vals[in.a][0]
+			case gopNot:
+				v = ^vals[in.a][0]
+			case gopAnd2:
+				v = vals[in.a][0] & vals[in.b][0]
+			case gopNand2:
+				v = ^(vals[in.a][0] & vals[in.b][0])
+			case gopOr2:
+				v = vals[in.a][0] | vals[in.b][0]
+			case gopNor2:
+				v = ^(vals[in.a][0] | vals[in.b][0])
+			case gopXor2:
+				v = vals[in.a][0] ^ vals[in.b][0]
+			case gopXnor2:
+				v = ^(vals[in.a][0] ^ vals[in.b][0])
+			case gopAndN:
+				v = ^uint64(0)
+				for _, s := range args[in.off : in.off+in.n] {
+					v &= vals[s][0]
+				}
+			case gopNandN:
+				v = ^uint64(0)
+				for _, s := range args[in.off : in.off+in.n] {
+					v &= vals[s][0]
+				}
+				v = ^v
+			case gopOrN:
+				for _, s := range args[in.off : in.off+in.n] {
+					v |= vals[s][0]
+				}
+			case gopNorN:
+				for _, s := range args[in.off : in.off+in.n] {
+					v |= vals[s][0]
+				}
+				v = ^v
+			case gopXorN:
+				for _, s := range args[in.off : in.off+in.n] {
+					v ^= vals[s][0]
+				}
+			case gopXnorN:
+				for _, s := range args[in.off : in.off+in.n] {
+					v ^= vals[s][0]
+				}
+				v = ^v
 			}
-		case gopNandN:
-			v = ^uint64(0)
-			for _, s := range args[in.off : in.off+in.n] {
-				v &= vals[s][0]
-			}
-			v = ^v
-		case gopOrN:
-			for _, s := range args[in.off : in.off+in.n] {
-				v |= vals[s][0]
-			}
-		case gopNorN:
-			for _, s := range args[in.off : in.off+in.n] {
-				v |= vals[s][0]
-			}
-			v = ^v
-		case gopXorN:
-			for _, s := range args[in.off : in.off+in.n] {
-				v ^= vals[s][0]
-			}
-		case gopXnorN:
-			for _, s := range args[in.off : in.off+in.n] {
-				v ^= vals[s][0]
-			}
-			v = ^v
+			vals[in.dst][0] = v
 		}
-		vals[in.dst][0] = v
-		if ri := inj[i]; ri >= 0 {
-			m.patchInjected(in, &m.recs[ri])
+		if t == len(m.touched) {
+			return
 		}
+		ci := m.touched[t]
+		m.patchInjected(&m.p.code[ci], &m.recs[m.inj[ci]])
+		lo = int(ci) + 1
 	}
 }

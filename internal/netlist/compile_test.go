@@ -301,8 +301,8 @@ func TestMachineWidthAgreement(t *testing.T) {
 	}
 }
 
-// TestMachineClearFaults verifies a cleared machine returns to the
-// fault-free fast path bit-identically.
+// TestMachineClearFaults verifies a cleared machine computes the
+// fault-free pass bit-identically.
 func TestMachineClearFaults(t *testing.T) {
 	nl := randomNetlist(t, 7, 4, 2, 15)
 	prog, err := Compile(nl)
@@ -343,14 +343,19 @@ func TestMachineClearFaults(t *testing.T) {
 	}
 }
 
-// TestMachineClearFaultLanes pins the pair-scoped clearing the ATPG pack
-// scheduler re-arms through: clearing one lane subset must fully retire
-// those lanes' injections (they return to the fault-free path) while the
-// other lanes' fault machines evolve untouched, across repeated
-// clear/re-inject cycles on the same machine.
-func TestMachineClearFaultLanes(t *testing.T) {
-	for seed := int64(0); seed < 4; seed++ {
-		nl := randomNetlist(t, seed+40, 4, 3, 15)
+// machineClearFaultLanes pins the pair-scoped clearing the ATPG pack
+// scheduler re-arms through, at width W: clearing one lane subset must
+// fully retire those lanes' injections (they compute fault-free values)
+// while the other lanes' fault machines evolve untouched, across
+// repeated clear/re-inject cycles on the same machine. Each round injects
+// its sites in a shuffled order, so the machine's instruction-ordered
+// injection list is built from out-of-order inserts.
+func machineClearFaultLanes[W lane.Word](t *testing.T, seedBase int64) {
+	t.Helper()
+	L := lane.Count[W]()
+	for seed := seedBase; seed < seedBase+4; seed++ {
+		// 15 gates per 64 lanes, so wide machines fill every lane.
+		nl := randomNetlist(t, seed+40, 4, 3, 15*L/64)
 		prog, err := Compile(nl)
 		if err != nil {
 			t.Fatal(err)
@@ -359,22 +364,22 @@ func TestMachineClearFaultLanes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := NewMachine[lane.W1](prog)
+		m := NewMachine[W](prog)
 		sites := allSites(nl)
-		if len(sites) > 64 {
-			sites = sites[:64]
+		if len(sites) > L {
+			sites = sites[:L]
 		}
 		rng := rand.New(rand.NewSource(seed + 33))
 		for round := 0; round < 3; round++ {
-			for ln, site := range sites {
-				m.InjectFault(site, lane.Bit[lane.W1](ln))
+			for _, ln := range rng.Perm(len(sites)) {
+				m.InjectFault(sites[ln], lane.Bit[W](ln))
 			}
 			// Clear a round-dependent subset lane by lane (the scheduler
 			// clears one pair at a time).
 			cleared := make([]bool, len(sites))
 			for ln := range sites {
 				if (ln+round)%3 == 0 {
-					m.ClearFaultLanes(lane.Bit[lane.W1](ln))
+					m.ClearFaultLanes(lane.Bit[W](ln))
 					cleared[ln] = true
 				}
 			}
@@ -388,13 +393,13 @@ func TestMachineClearFaultLanes(t *testing.T) {
 					}
 				}
 			}
-			got := make([][]lane.W1, len(stim))
+			got := make([][]W, len(stim))
 			for cyc, pis := range stim {
-				wide := make([]lane.W1, len(pis))
+				wide := make([]W, len(pis))
 				for i, w := range pis {
-					wide[i] = lane.Broadcast[lane.W1](w)
+					wide[i] = lane.Broadcast[W](w)
 				}
-				got[cyc] = append([]lane.W1(nil), m.Eval(wide)...)
+				got[cyc] = append([]W(nil), m.Eval(wide)...)
 				m.Clock()
 			}
 			for ln, site := range sites {
@@ -413,19 +418,27 @@ func TestMachineClearFaultLanes(t *testing.T) {
 					}
 					for po := range want {
 						wbit := want[po] & 1
-						gbit := got[cyc][po][0] >> uint(ln) & 1
+						gbit := got[cyc][po][ln>>6] >> uint(ln&63) & 1
 						if gbit != wbit {
-							t.Fatalf("seed %d round %d lane %d (cleared=%v) site %+v cyc %d PO %d: lane bit %d, reference %d",
-								seed, round, ln, cleared[ln], site, cyc, po, gbit, wbit)
+							t.Fatalf("W=%d seed %d round %d lane %d (cleared=%v) site %+v cyc %d PO %d: lane bit %d, reference %d",
+								L/64, seed, round, ln, cleared[ln], site, cyc, po, gbit, wbit)
 						}
 					}
 				}
 			}
 			// Retire everything before the next round re-injects: the
-			// machine must land back on the fault-free fast path.
-			m.ClearFaultLanes(lane.Broadcast[lane.W1](^uint64(0)))
+			// machine must be left with nothing to patch.
+			m.ClearFaultLanes(lane.Broadcast[W](^uint64(0)))
 		}
 	}
+}
+
+// TestMachineClearFaultLanes pins lane-scoped clearing at every
+// supported width against the Evaluator.
+func TestMachineClearFaultLanes(t *testing.T) {
+	t.Run("W=1", func(t *testing.T) { machineClearFaultLanes[lane.W1](t, 0) })
+	t.Run("W=4", func(t *testing.T) { machineClearFaultLanes[lane.W4](t, 10) })
+	t.Run("W=8", func(t *testing.T) { machineClearFaultLanes[lane.W8](t, 20) })
 }
 
 // TestMachinePIWordCountPanics pins the documented panic on shape misuse.

@@ -277,6 +277,10 @@ func TestBenchErrors(t *testing.T) {
 		{"BUFF no inputs", "INPUT(a)\nOUTPUT(b)\nb = BUFF()\n"},
 		{"XOR one input", "INPUT(a)\nOUTPUT(b)\nb = XOR(a)\n"},
 		{"CONST0 with input", "INPUT(a)\nOUTPUT(b)\nb = CONST0(a)\n"},
+		// A net defined twice is an error on the second definition,
+		// whichever kinds the two are.
+		{"gate then DFF", benchGateThenDFF},
+		{"gate twice", benchGateTwice},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -284,6 +288,12 @@ func TestBenchErrors(t *testing.T) {
 				t.Error("no error")
 			}
 		})
+	}
+	for _, src := range []string{benchGateThenDFF, benchGateTwice} {
+		_, err := ReadBench(strings.NewReader(src), "bad")
+		if err == nil || !strings.HasPrefix(err.Error(), "bench line 4: ") {
+			t.Errorf("%q: err = %v, want a bench line 4 error", src, err)
+		}
 	}
 	// Arity errors name the offending line.
 	for _, line := range []string{"b = AND()", "b = NOT(a, a)", "b = BUFF()", "b = XOR(a)"} {

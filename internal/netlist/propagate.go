@@ -183,7 +183,7 @@ func (m *Machine[W]) growPropagate() {
 }
 
 // evalInstr evaluates one compiled gate over the current net values, in
-// every word — the fault-free exec loop's body for a single instruction.
+// every word — the exec loop's unpatched body for a single instruction.
 // The two-input opcodes read their operands directly: sending them
 // through evalPinForced's fanin loop made propagation 20–30% slower on
 // c880, c499 and the 3.4k-gate benchmark design.
