@@ -21,7 +21,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/faultsim"
-	"repro/internal/hdl"
 	"repro/internal/lane"
 	"repro/internal/mutation"
 	"repro/internal/mutscore"
@@ -179,39 +178,19 @@ func BenchmarkTGDisciplines(b *testing.B) {
 	}
 }
 
-// --- TG: session-based generation vs the one-shot API (b03) -------------------
+// --- TG: session-based generation (b03) -----------------------------------------
 
-// tgBenchFixture draws the deterministic 120-mutant b03 sample both TG
-// benchmarks generate against, plus the synthesized netlist for
-// round-by-round fault coverage.
-func tgBenchFixture(b *testing.B) (*hdl.Circuit, []*mutation.Mutant, *netlist.Netlist) {
-	b.Helper()
+// BenchmarkMutationTests is the session-based TG path on a deterministic
+// 120-mutant b03 sample: the sample is compiled once into a tpg.Session,
+// and every iteration runs a full generation campaign over it with
+// nothing recompiled between campaigns.
+func BenchmarkMutationTests(b *testing.B) {
 	c := circuits.MustLoad("b03")
 	sample := sampling.Random(mutation.Generate(c), 120, 9)
-	nl, err := synth.Synthesize(c)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return c, sample, nl
-}
-
-// BenchmarkMutationTests is the session-based TG path (b03): the target
-// sample is compiled once into a tpg.Session with an attached
-// incremental fault simulator, and every iteration runs a full
-// generation campaign whose round-by-round fault coverage is maintained
-// by Append — no accepted prefix is ever re-simulated and nothing is
-// recompiled between campaigns.
-func BenchmarkMutationTests(b *testing.B) {
-	c, sample, nl := tgBenchFixture(b)
 	s, err := tpg.NewSession(c, sample, &tpg.Options{Seed: 11})
 	if err != nil {
 		b.Fatal(err)
 	}
-	fs, err := faultsim.New(nl, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s.AttachFaultSim(fs)
 	b.ResetTimer()
 	cycles := 0
 	for i := 0; i < b.N; i++ {
@@ -219,44 +198,8 @@ func BenchmarkMutationTests(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(res.RoundCoverage) == 0 || res.FaultSim.Coverage() == 0 {
-			b.Fatal("campaign produced no round coverage")
-		}
-		cycles += len(res.Seq)
-	}
-	b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "tgcycles/s")
-}
-
-// BenchmarkMutationTestsOneshotResim is the same campaign driven through
-// the pre-session API shape: MutationTests compiles the targets on every
-// call, and the per-round coverage trajectory is reconstructed afterwards
-// by fault-simulating every accepted prefix from scratch — the
-// O(rounds × prefix) cost the ISSUE's session redesign eliminates. The
-// ratio against BenchmarkMutationTests is the incremental win.
-func BenchmarkMutationTestsOneshotResim(b *testing.B) {
-	c, sample, nl := tgBenchFixture(b)
-	fs, err := faultsim.New(nl, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	cycles := 0
-	for i := 0; i < b.N; i++ {
-		res, err := tpg.MutationTests(c, sample, &tpg.Options{Seed: 11})
-		if err != nil {
-			b.Fatal(err)
-		}
-		pats := tpg.ToPatterns(c, res.Seq)
-		cov := make([]float64, 0, len(res.Segments))
-		for _, end := range res.Segments {
-			pre, err := fs.Run(pats[:end])
-			if err != nil {
-				b.Fatal(err)
-			}
-			cov = append(cov, pre.Coverage())
-		}
-		if len(cov) == 0 || cov[len(cov)-1] == 0 {
-			b.Fatal("campaign produced no round coverage")
+		if len(res.Segments) == 0 {
+			b.Fatal("campaign accepted no segment")
 		}
 		cycles += len(res.Seq)
 	}
@@ -328,7 +271,11 @@ func BenchmarkWeightSources(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			killed, err := mutscore.Kills(flow.Circuit, flow.Mutants, tg.Seq)
+			scorer, err := mutscore.Config{}.NewScorer(flow.Circuit, flow.Mutants)
+			if err != nil {
+				b.Fatal(err)
+			}
+			killed, err := scorer.Kills(tg.Seq)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -356,7 +303,11 @@ func BenchmarkEquivalenceBudget(b *testing.B) {
 	for _, budget := range []int{128, 512, 2048} {
 		b.Run(fmt.Sprintf("budget=%d", budget), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				eq, err := mutscore.EstimateEquivalence(c, ms, nil,
+				scorer, err := mutscore.Config{}.NewScorer(c, ms)
+				if err != nil {
+					b.Fatal(err)
+				}
+				eq, err := scorer.EstimateEquivalence(nil,
 					&mutscore.EquivalenceOptions{Budget: budget, Seed: 3})
 				if err != nil {
 					b.Fatal(err)
@@ -684,7 +635,11 @@ func BenchmarkMutationScore(b *testing.B) {
 	seq := tpg.RandomSequence(c, 256, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := mutscore.Kills(c, ms, seq); err != nil {
+		scorer, err := mutscore.Config{}.NewScorer(c, ms)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := scorer.Kills(seq); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -692,9 +647,10 @@ func BenchmarkMutationScore(b *testing.B) {
 }
 
 // benchmarkMutationScoreEngine times one-shot scoring at a fixed worker
-// setting, compile included for the pooled engine. Flows amortize that
-// compile over many calls via mutscore.Scorer, so this is the pooled
-// engine's worst case, not its steady state.
+// setting: a fresh Scorer per iteration, so compile is included for the
+// pooled engine. Flows amortize that compile over many calls on one
+// Scorer, so this is the pooled engine's worst case, not its steady
+// state.
 func benchmarkMutationScoreEngine(b *testing.B, workers int) {
 	c := circuits.MustLoad("b03")
 	ms := mutation.Generate(c)
@@ -702,7 +658,11 @@ func benchmarkMutationScoreEngine(b *testing.B, workers int) {
 	cfg := mutscore.Config{Options: engine.Options{Workers: workers}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := cfg.Kills(c, ms, seq); err != nil {
+		scorer, err := cfg.NewScorer(c, ms)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := scorer.Kills(seq); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -24,9 +24,9 @@
 // the new cycles), AppendTest applies independent power-on tests against
 // the same shrinking frontier (the ATPG drop-sim discipline), and
 // tpg.Session compiles a mutant population once and runs arbitrarily
-// many generation campaigns over its subsets, driving the incremental
-// fault simulator round by round (AttachFaultSim). See the "Sessions and
-// incremental simulation" section of README.md.
+// many generation campaigns over its subsets. Each finished campaign
+// sequence is fault-simulated once, by core.Flow.FaultSim. See the
+// "Sessions and incremental simulation" section of README.md.
 //
 // Sessions own their scratch: a warm round reuses buffers grown on the
 // session (internal/engine's Grow/GrowZero/Pool primitives), so

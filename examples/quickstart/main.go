@@ -43,38 +43,43 @@ func main() {
 
 	// 4. Generate validation data killing the sampled mutants. A Session
 	// compiles the targets once and can run any number of campaigns (per
-	// -run seeds, modes, subsets); with a fault simulator attached it
-	// also tracks the growing sequence's stuck-at coverage round by
-	// round, incrementally. tpg.MutationTests is the one-shot shorthand
-	// for exactly this.
+	// -run seeds, modes, subsets). tpg.MutationTests is the one-shot
+	// shorthand for exactly this.
 	session, err := tpg.NewSession(circuit, sample, &tpg.Options{Seed: 42})
 	if err != nil {
 		log.Fatal(err)
 	}
-	// The explicit config pins the parallel-fault engine to 512 lanes
-	// per pass (LaneWords: 8); the zero value picks a width
-	// automatically. Workers, Progress and Ctx (cancellation) ride on
-	// the same embedded engine.Options surface.
-	fsim, err := faultsim.Config{Options: engine.Options{LaneWords: 8}}.New(nl, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	session.AttachFaultSim(fsim)
 	tg, err := session.Generate(nil, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("validation data: %d cycles, kills %d/%d sampled mutants\n",
 		len(tg.Seq), tg.KilledCount(), len(sample))
+
+	// The same data doubles as a structural stuck-at test set: fault
+	// simulate it once. The explicit config pins the parallel-fault
+	// engine to 512 lanes per pass (LaneWords: 8); the zero value picks
+	// a width automatically. Workers, Progress and Ctx (cancellation)
+	// ride on the same embedded engine.Options surface. The coverage
+	// curve has one point per cycle, so the coverage after each accepted
+	// segment is the curve at that segment's end.
+	fsim, err := faultsim.Config{Options: engine.Options{LaneWords: 8}}.New(nl, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	mutRes, err := fsim.Run(tpg.ToPatterns(circuit, tg.Seq))
+	if err != nil {
+		log.Fatal(err)
+	}
+	curve := mutRes.Curve()
 	fmt.Printf("fault coverage grew over %d accepted segments: %.1f%% -> %.1f%%\n",
 		len(tg.Segments),
-		100*tg.RoundCoverage[0], 100*tg.RoundCoverage[len(tg.RoundCoverage)-1])
+		100*curve[tg.Segments[0]-1], 100*curve[tg.Segments[len(tg.Segments)-1]-1])
 
 	// 5. Mutation score over the FULL population (validation quality). A
 	// Scorer compiles the population once and owns the scoring scratch,
 	// so both measurements here (and any further sequences you score)
-	// reuse the same machines; mutscore.Kills is the one-shot shorthand
-	// that builds a throwaway Scorer per call.
+	// reuse the same machines.
 	scorer, err := mutscore.Config{}.NewScorer(circuit, mutants)
 	if err != nil {
 		log.Fatal(err)
@@ -91,18 +96,15 @@ func main() {
 	fmt.Printf("mutation score on all mutants: %.2f%%\n",
 		100*mutscore.Score(killed, equiv))
 
-	// 6. The same data doubles as a structural stuck-at test set — the
-	// session already fault-simulated it incrementally while generating,
-	// so the cumulative result comes for free.
-	mutRes := tg.FaultSim
+	// 6. Stuck-at coverage of the validation data, from the fault
+	// simulation in step 4.
 	fmt.Printf("stuck-at coverage of validation data: %.1f%% of %d collapsed faults\n",
 		100*mutRes.Coverage(), len(mutRes.Faults))
 
 	// 7. Compare against a raw pseudo-random test set (the paper's
 	// baseline) via the NLFCE metric. Run restarts the same simulator
 	// session — the armed fault machines are recycled, not rebuilt — and
-	// returns a caller-owned result (tg.FaultSim above is already a
-	// detached clone, so the restart can't disturb it).
+	// returns a caller-owned result, so the restart can't disturb mutRes.
 	randRes, err := fsim.Run(tpg.ToPatterns(circuit, tpg.RawRandomSequence(circuit, 2048, 7)))
 	if err != nil {
 		log.Fatal(err)

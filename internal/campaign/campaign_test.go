@@ -78,6 +78,9 @@ func TestSpecValidation(t *testing.T) {
 		{Kind: FaultSim, Circuit: "b01", Horizon: 8, FaultLo: 5, FaultHi: 2},
 		{Kind: ATPG, Circuit: "c17", Operator: "CR"},
 		{Kind: MutationTG, Circuit: "b01", Operator: "nosuchop"},
+		{Kind: FaultSim, Circuit: "c17", Horizon: maxHorizon + 1},
+		{Kind: ATPG, Circuit: "b01", Frames: maxFrames + 1},
+		{Kind: ATPG, Circuit: "c17", Frames: maxFrames + 1}, // capped even where frames are ignored
 	}
 	for i, sp := range bad {
 		if _, err := JobKey(sp); err == nil {
@@ -624,7 +627,8 @@ func TestServerPeerFanout(t *testing.T) {
 
 // TestServerPeerBadReplies runs a 3-shard job whose middle shard goes to
 // a peer that answers with a bad reply: bytes that are not a report, the
-// report of another shard, or the right report in non-canonical form.
+// report of another shard, the right report in non-canonical form, or
+// the right report padded past the client's reply cap.
 // Each reply must be refused and the shard run locally, so the merged
 // report equals a single-machine run and the front's cache holds the
 // shard's canonical report.
@@ -651,6 +655,7 @@ func TestServerPeerBadReplies(t *testing.T) {
 		{"not json", []byte("not json\n")},
 		{"other shard", first},
 		{"non-canonical", append([]byte(" "), middle...)},
+		{"oversized", append(bytes.Clone(middle), bytes.Repeat([]byte(" "), maxReportBytes+1-len(middle))...)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -690,6 +695,32 @@ func TestServerPeerBadReplies(t *testing.T) {
 				t.Errorf("cache holds %q under the peer's shard key, want its canonical report", b)
 			}
 		})
+	}
+}
+
+// TestClientReplySizeCapped: a server whose report reply is one byte
+// past maxReportBytes makes Execute and Result fail instead of reading
+// it whole, while a reply of exactly the cap is still read.
+func TestClientReplySizeCapped(t *testing.T) {
+	for _, tc := range []struct {
+		size    int
+		wantErr bool
+	}{{maxReportBytes, false}, {maxReportBytes + 1, true}} {
+		hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "application/json")
+			w.Write(bytes.Repeat([]byte(" "), tc.size))
+		}))
+		c := &Client{Base: hs.URL}
+		ctx := context.Background()
+		b, _, err := c.Execute(ctx, Spec{Kind: FaultSim, Circuit: "c17", Seed: 1, Horizon: 16})
+		if (err != nil) != tc.wantErr {
+			t.Errorf("Execute of a %d-byte reply: %d bytes, error %v", tc.size, len(b), err)
+		}
+		b, err = c.Result(ctx, "j1")
+		if (err != nil) != tc.wantErr {
+			t.Errorf("Result of a %d-byte reply: %d bytes, error %v", tc.size, len(b), err)
+		}
+		hs.Close()
 	}
 }
 
@@ -765,6 +796,46 @@ func TestSubmitMalformedBenchRejected(t *testing.T) {
 	c := &Client{Base: hs.URL}
 	if _, err := c.Stats(context.Background()); err != nil {
 		t.Fatalf("server stopped serving after malformed submits: %v", err)
+	}
+}
+
+// TestSubmitOverCapSpecRejected posts specs one past the horizon and
+// frame caps to both spec endpoints: each must come back 400 Bad Request
+// naming the limit, with nothing run.
+func TestSubmitOverCapSpecRejected(t *testing.T) {
+	srv, err := NewServer(ServerConfig{Parallel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	hs := httptest.NewServer(srv)
+	defer hs.Close()
+	for _, sp := range []Spec{
+		{Kind: FaultSim, Circuit: "c17", Seed: 1, Horizon: maxHorizon + 1},
+		{Kind: ATPG, Circuit: "c17", Seed: 1, Frames: maxFrames + 1},
+	} {
+		body, err := json.Marshal(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range []string{"/v1/jobs", "/v1/execute"} {
+			resp, err := http.Post(hs.URL+path, "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+			msg := new(bytes.Buffer)
+			msg.ReadFrom(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s %s: status %s, want 400 Bad Request", path, body, resp.Status)
+			}
+			if !strings.Contains(msg.String(), "limit") {
+				t.Errorf("%s %s: error body %q does not name the limit", path, body, msg)
+			}
+		}
+	}
+	if st := srv.cache.Stats(); st.Misses != 0 {
+		t.Errorf("cache %+v after rejected specs, want no lookups", st)
 	}
 }
 

@@ -44,6 +44,30 @@ func (c *Client) do(ctx context.Context, method, path string, body any) (*http.R
 	return c.http().Do(req)
 }
 
+// maxReportBytes bounds the report bytes a client reads from a server.
+// A report's only variable-length field is FaultSim's FirstDetected, one
+// entry per collapsed fault. Named circuits have under 2000 faults. An
+// inline netlist spends at least one byte of .bench text per fault (a
+// line defining a gate with k inputs takes 2k+5 bytes or more and adds
+// at most 2k+2 faults), so a spec within maxSpecBytes (1 MiB) names at
+// most 1<<20 faults. Each entry encodes in at most 6 bytes, as detection
+// indices stay below maxHorizon (1<<16): at most 6 MiB, plus well under
+// 1 KB of fixed fields. 16 MiB leaves more than twice that.
+const maxReportBytes = 16 << 20
+
+// readReport reads a 200 response's report bytes, refusing a body past
+// maxReportBytes.
+func readReport(resp *http.Response) ([]byte, error) {
+	b, err := io.ReadAll(io.LimitReader(resp.Body, maxReportBytes+1))
+	if err != nil {
+		return nil, err
+	}
+	if len(b) > maxReportBytes {
+		return nil, fmt.Errorf("campaign: server reply exceeds %d bytes", maxReportBytes)
+	}
+	return b, nil
+}
+
 // fail drains an error response into an error value.
 func fail(resp *http.Response) error {
 	b, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
@@ -92,7 +116,7 @@ func (c *Client) Result(ctx context.Context, id string) ([]byte, error) {
 	if resp.StatusCode != http.StatusOK {
 		return nil, fail(resp)
 	}
-	return io.ReadAll(resp.Body)
+	return readReport(resp)
 }
 
 // Cancel asks the server to cancel a job.
@@ -144,8 +168,11 @@ func (c *Client) Execute(ctx context.Context, sp Spec) (report []byte, cached bo
 	if resp.StatusCode != http.StatusOK {
 		return nil, false, fail(resp)
 	}
-	b, err := io.ReadAll(resp.Body)
-	return b, resp.Header.Get("X-Repro-Cache") == "hit", err
+	b, err := readReport(resp)
+	if err != nil {
+		return nil, false, err
+	}
+	return b, resp.Header.Get("X-Repro-Cache") == "hit", nil
 }
 
 // Stats fetches the server's cache and job counters.

@@ -124,6 +124,12 @@ func prepare(sp Spec) (*prepared, error) {
 	if sp.Window < 0 || sp.Horizon < 0 || sp.MaxLen < 0 || sp.Frames < 0 || sp.MaxBacktracks < 0 {
 		return nil, fmt.Errorf("campaign: negative job parameter")
 	}
+	if sp.Horizon > maxHorizon {
+		return nil, fmt.Errorf("campaign: horizon %d exceeds the limit of %d cycles", sp.Horizon, maxHorizon)
+	}
+	if sp.Frames > maxFrames {
+		return nil, fmt.Errorf("campaign: %d time frames exceed the limit of %d", sp.Frames, maxFrames)
+	}
 	pr := &prepared{spec: sp}
 	var err error
 	if sp.Circuit != "" {
@@ -241,6 +247,17 @@ func (sp Spec) shardRange(nFaults int) (lo, hi int) {
 // on a worker pool, or on remote peers. Changing this constant changes
 // job semantics; bump the key schema version with it.
 const atpgChunk = 256
+
+// A job's memory grows with two spec fields, so both are capped. A
+// FaultSim job builds all Horizon stimulus patterns up front in every
+// shard, about 134 bytes per cycle on c17; maxHorizon is 32x the 2048
+// cycles the flows and the benchmark use. An ATPG job unrolls Frames
+// copies of a sequential netlist, about 140 KB per frame for a 4-fault
+// b01 shard; maxFrames is 8x the default depth of 8.
+const (
+	maxHorizon = 1 << 16
+	maxFrames  = 64
+)
 
 // Shards decomposes a job into the independent shard specs whose merge
 // (MergeShards) is the job's result. MutationTG and ATPG use their

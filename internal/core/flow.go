@@ -109,27 +109,14 @@ type Flow struct {
 }
 
 // tgSession returns the cached test-generation session over the full
-// mutant population — the whole population is compiled exactly once, and
-// every generation campaign (operator probes, strategy samples, the
-// full-population ceiling) runs as a subset selection on it. For
-// sequential circuits the flow's fault simulator is attached, so a
-// campaign's gate-level coverage is maintained incrementally as segments
-// are accepted instead of re-simulating the finished sequence
-// afterwards.
+// mutant population — the population is compiled into it once, and every
+// generation campaign (operator probes, strategy samples, the
+// full-population ceiling) runs as a subset selection on it.
 func (f *Flow) tgSession() (*tpg.Session, error) {
 	if f.tg == nil {
 		s, err := tpg.NewSession(f.Circuit, f.Mutants, &tpg.Options{Options: f.cfg.Options})
 		if err != nil {
 			return nil, err
-		}
-		// Incremental per-segment fault simulation pays only where the
-		// simulator applies stimuli cycle by cycle anyway (sequential
-		// parallel-fault mode). Combinational pattern-parallel mode packs
-		// LaneWords×64 patterns per pass, which 1-cycle segment appends
-		// would forfeit — those circuits keep the one-shot post-campaign
-		// run (see campaignFaultSim).
-		if f.Netlist.IsSequential() {
-			s.AttachFaultSim(f.fsim)
 		}
 		f.tg = s
 		f.mutIdx = make(map[*mutation.Mutant]int, len(f.Mutants))
@@ -258,7 +245,7 @@ func (f *Flow) ProfileOperators() ([]OperatorProfile, error) {
 					return nil, fmt.Errorf("core: TG for %s: %w", op, err)
 				}
 			}
-			fres, err := f.campaignFaultSim(tg)
+			fres, err := f.FaultSim(tg.Seq)
 			if err != nil {
 				return nil, err
 			}
@@ -304,9 +291,9 @@ func meanEfficiency(effs []metrics.Efficiency) metrics.Efficiency {
 }
 
 // DeriveWeights converts operator profiles into sampling weights: weight ∝
-// max(NLFCE, 0), floored at floor × max so no operator class disappears
-// entirely, so no class loses all representation. With no positive NLFCE anywhere the
-// weights degenerate to uniform.
+// max(NLFCE, 0), floored at floor × max so no operator class loses all
+// representation. With no positive NLFCE anywhere the weights degenerate
+// to uniform.
 func DeriveWeights(profiles []OperatorProfile, floor float64) sampling.Weights {
 	w := make(sampling.Weights, len(profiles))
 	maxW := 0.0
@@ -338,16 +325,6 @@ func DeriveWeights(profiles []OperatorProfile, floor float64) sampling.Weights {
 		}
 	}
 	return w
-}
-
-// campaignFaultSim returns a campaign's gate-level coverage result: the
-// incrementally maintained one when the session carries a fault
-// simulator, or a one-shot run of the final sequence otherwise.
-func (f *Flow) campaignFaultSim(tg *tpg.Result) (*faultsim.Result, error) {
-	if tg.FaultSim != nil {
-		return tg.FaultSim, nil
-	}
-	return f.FaultSim(tg.Seq)
 }
 
 // generate runs mutation-driven TG in the given mode, offsetting the
@@ -494,7 +471,7 @@ func (f *Flow) evalStrategy(name string, draw func(rep int64) []*mutation.Mutant
 		if err != nil {
 			return nil, err
 		}
-		fres, err := f.campaignFaultSim(tg)
+		fres, err := f.FaultSim(tg.Seq)
 		if err != nil {
 			return nil, err
 		}
@@ -574,16 +551,11 @@ func (f *Flow) SequentialATPGTopoff(frames int) (*SeqTopoffResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	pre, err := f.campaignFaultSim(full)
+	pre, err := f.FaultSim(full.Seq)
 	if err != nil {
 		return nil, err
 	}
-	var remaining []faultsim.Fault
-	for i, d := range pre.FirstDetected {
-		if d < 0 {
-			remaining = append(remaining, f.Faults[i])
-		}
-	}
+	remaining := pre.Undetected()
 	topOpts := &atpg.SeqOptions{Frames: frames, FillSeed: f.cfg.Seed + 41, Options: f.cfg.Options}
 	topoff, err := model.GenerateSequential(remaining, topOpts)
 	if err != nil {
@@ -619,16 +591,11 @@ func (f *Flow) ATPGTopoff() (*TopoffResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	pre, err := f.campaignFaultSim(full)
+	pre, err := f.FaultSim(full.Seq)
 	if err != nil {
 		return nil, err
 	}
-	var remaining []faultsim.Fault
-	for i, d := range pre.FirstDetected {
-		if d < 0 {
-			remaining = append(remaining, f.Faults[i])
-		}
-	}
+	remaining := pre.Undetected()
 	topoff, err := model.Generate(remaining, &atpg.Options{FillSeed: f.cfg.Seed + 31, Options: f.cfg.Options})
 	if err != nil {
 		return nil, err

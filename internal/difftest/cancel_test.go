@@ -109,7 +109,11 @@ func TestMutScoreCancellation(t *testing.T) {
 			cancel()
 			opts := ec.options()
 			opts.Ctx = ctx
-			if _, err := (mutscore.Config{Options: opts}).Kills(c, ms, seq); !errors.Is(err, context.Canceled) {
+			s, err := mutscore.Config{Options: opts}.NewScorer(c, ms)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Kills(seq); !errors.Is(err, context.Canceled) {
 				t.Fatalf("pre-cancelled Kills returned %v", err)
 			}
 
@@ -123,8 +127,11 @@ func TestMutScoreCancellation(t *testing.T) {
 					cancel2()
 				}
 			}
-			_, err := (mutscore.Config{Options: opts}).EstimateEquivalence(c, ms, nil,
-				&mutscore.EquivalenceOptions{Budget: 2048, Seed: 3})
+			s, err = mutscore.Config{Options: opts}.NewScorer(c, ms)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = s.EstimateEquivalence(nil, &mutscore.EquivalenceOptions{Budget: 2048, Seed: 3})
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("mid-campaign EstimateEquivalence returned %v", err)
 			}

@@ -136,8 +136,11 @@ func TestFirstKillProfiles(t *testing.T) {
 			var ref []int
 			var refCfg engineConfig
 			for _, ec := range engineConfigs {
-				cycles, err := mutscore.Config{Options: ec.options()}.
-					FirstKillCycles(c, ms, seq)
+				s, err := mutscore.Config{Options: ec.options()}.NewScorer(c, ms)
+				if err != nil {
+					t.Fatalf("%s: %v", ec, err)
+				}
+				cycles, err := s.FirstKillCycles(seq)
 				if err != nil {
 					t.Fatalf("%s: %v", ec, err)
 				}

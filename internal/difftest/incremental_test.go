@@ -151,8 +151,7 @@ func TestIncrementalAppendParity(t *testing.T) {
 // TestSessionGenerateAcrossEngines pins the second acceptance surface:
 // tpg.Session (and so MutationTests, which is built on it) produces the
 // same sequence, kill flags and rounds at every Workers/LaneWords
-// setting, with the attached incremental fault simulator agreeing with a
-// one-shot simulation of the final sequence.
+// setting.
 func TestSessionGenerateAcrossEngines(t *testing.T) {
 	c := fuzzCircuit(t, 2) // sequential shape
 	ms := mutation.Generate(c)
@@ -162,32 +161,22 @@ func TestSessionGenerateAcrossEngines(t *testing.T) {
 	if len(ms) > 24 {
 		ms = ms[:24] // enough targets to accept several segments cheaply
 	}
-	nl, err := synth.Synthesize(c)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var refSeq []int // per-cycle hash stand-in: sequence lengths + kills
 	var refKilled []bool
-	var refCov float64
 	for _, ec := range engineConfigs {
 		opts := &tpg.Options{Seed: 23, MaxLen: 96}
 		opts.Options = ec.options()
-		fs, err := faultsim.Config{Options: ec.options()}.New(nl, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
 		s, err := tpg.NewSession(c, ms, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.AttachFaultSim(fs)
 		res, err := s.Generate(nil, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", ec, err)
 		}
 		lens := []int{len(res.Seq), res.Rounds, len(res.Segments)}
 		if refSeq == nil {
-			refSeq, refKilled, refCov = lens, res.Killed, res.FaultSim.Coverage()
+			refSeq, refKilled = lens, res.Killed
 			continue
 		}
 		for i := range lens {
@@ -199,9 +188,6 @@ func TestSessionGenerateAcrossEngines(t *testing.T) {
 			if res.Killed[i] != refKilled[i] {
 				t.Errorf("%s: kill flag %d = %v, reference %v", ec, i, res.Killed[i], refKilled[i])
 			}
-		}
-		if cov := res.FaultSim.Coverage(); cov != refCov {
-			t.Errorf("%s: incremental coverage %v, reference %v", ec, cov, refCov)
 		}
 	}
 }

@@ -17,9 +17,8 @@
 //     alone, and puts it back before the pool call returns, so no two
 //     live users ever share one. The -race suites exercise this.
 //
-// One-shot conveniences (Run, MutationTests, package-level Kills) stay
-// caller-owned end to end: they clone whatever the underlying session
-// would have recycled.
+// One-shot conveniences (Run, RunOn, MutationTests) stay caller-owned end
+// to end: they clone whatever the underlying session would have recycled.
 package engine
 
 import "sync"

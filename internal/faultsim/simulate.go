@@ -421,8 +421,8 @@ func (s *Simulator) RunOn(tests []Pattern, include []int) (*Result, error) {
 //
 // The returned Result is a session-owned view: the next call on this
 // Simulator overwrites it. Read it before the next call, or Clone it to
-// retain it — the round-by-round callers (incremental generation, ATPG
-// top-off) read coverage and move on, which is why a warm Append
+// retain it — the round-by-round callers (ATPG drop-sim, windowed
+// campaign jobs) read it and move on, which is why a warm Append
 // allocates nothing.
 //
 //repro:session-owned

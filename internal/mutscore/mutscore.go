@@ -218,55 +218,6 @@ func (s *Scorer) EstimateEquivalence(extra []sim.Sequence, opts *EquivalenceOpti
 	return equivalent, nil
 }
 
-// --- one-shot conveniences ---------------------------------------------------
-
-// FirstKillCycles scores the population against one sequence, compiling
-// per call. Build a Scorer instead when scoring the same population
-// repeatedly.
-func (cfg Config) FirstKillCycles(c *hdl.Circuit, mutants []*mutation.Mutant, seq sim.Sequence) ([]int, error) {
-	s, err := cfg.NewScorer(c, mutants)
-	if err != nil {
-		return nil, err
-	}
-	return s.FirstKillCycles(seq)
-}
-
-// Kills classifies each mutant as killed (true) or live under the sequence.
-func (cfg Config) Kills(c *hdl.Circuit, mutants []*mutation.Mutant, seq sim.Sequence) ([]bool, error) {
-	s, err := cfg.NewScorer(c, mutants)
-	if err != nil {
-		return nil, err
-	}
-	return s.Kills(seq)
-}
-
-// EstimateEquivalence runs the equivalence campaign with a freshly built
-// scorer.
-func (cfg Config) EstimateEquivalence(c *hdl.Circuit, mutants []*mutation.Mutant, extra []sim.Sequence, opts *EquivalenceOptions) ([]bool, error) {
-	s, err := cfg.NewScorer(c, mutants)
-	if err != nil {
-		return nil, err
-	}
-	return s.EstimateEquivalence(extra, opts)
-}
-
-// FirstKillCycles runs every mutant against the sequence with the default
-// configuration (compiled engine, all cores).
-func FirstKillCycles(c *hdl.Circuit, mutants []*mutation.Mutant, seq sim.Sequence) ([]int, error) {
-	return Config{}.FirstKillCycles(c, mutants, seq)
-}
-
-// Kills classifies each mutant as killed (true) or live under the
-// sequence with the default configuration.
-func Kills(c *hdl.Circuit, mutants []*mutation.Mutant, seq sim.Sequence) ([]bool, error) {
-	return Config{}.Kills(c, mutants, seq)
-}
-
-// EstimateEquivalence runs the campaign with the default configuration.
-func EstimateEquivalence(c *hdl.Circuit, mutants []*mutation.Mutant, extra []sim.Sequence, opts *EquivalenceOptions) ([]bool, error) {
-	return Config{}.EstimateEquivalence(c, mutants, extra, opts)
-}
-
 // --- serial reference -------------------------------------------------------
 
 // firstKillSerial is the original engine: one AST-walking interpreter run

@@ -4,20 +4,33 @@ import (
 	"testing"
 
 	"repro/internal/circuits"
+	"repro/internal/hdl"
 	"repro/internal/mutation"
 	"repro/internal/sim"
 	"repro/internal/tpg"
 )
 
+// newScorer builds a scorer for the population under cfg, failing the
+// test on error. Each call compiles afresh, so calls share no machine
+// state.
+func newScorer(t *testing.T, cfg Config, c *hdl.Circuit, ms []*mutation.Mutant) *Scorer {
+	t.Helper()
+	s, err := cfg.NewScorer(c, ms)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestKillsMatchFirstKillCycles(t *testing.T) {
 	c := circuits.MustLoad("b06")
 	ms := mutation.Generate(c)
 	seq := tpg.RandomSequence(c, 100, 1)
-	cycles, err := FirstKillCycles(c, ms, seq)
+	cycles, err := newScorer(t, Config{}, c, ms).FirstKillCycles(seq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	killed, err := Kills(c, ms, seq)
+	killed, err := newScorer(t, Config{}, c, ms).Kills(seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,11 +49,11 @@ func TestKillsDeterministicAcrossRuns(t *testing.T) {
 	c := circuits.MustLoad("b01")
 	ms := mutation.Generate(c, mutation.VR, mutation.CR)
 	seq := tpg.RandomSequence(c, 200, 2)
-	a, err := Kills(c, ms, seq)
+	a, err := newScorer(t, Config{}, c, ms).Kills(seq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Kills(c, ms, seq)
+	b, err := newScorer(t, Config{}, c, ms).Kills(seq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,11 +67,11 @@ func TestKillsDeterministicAcrossRuns(t *testing.T) {
 func TestLongerSequencesKillMore(t *testing.T) {
 	c := circuits.MustLoad("b03")
 	ms := mutation.Generate(c, mutation.LOR)
-	short, err := Kills(c, ms, tpg.RandomSequence(c, 10, 3))
+	short, err := newScorer(t, Config{}, c, ms).Kills(tpg.RandomSequence(c, 10, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	long, err := Kills(c, ms, tpg.RandomSequence(c, 500, 3))
+	long, err := newScorer(t, Config{}, c, ms).Kills(tpg.RandomSequence(c, 500, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +121,7 @@ func TestScorePanicsOnLengthMismatch(t *testing.T) {
 func TestEstimateEquivalence(t *testing.T) {
 	c := circuits.MustLoad("b02")
 	ms := mutation.Generate(c)
-	equiv, err := EstimateEquivalence(c, ms, nil, &EquivalenceOptions{Budget: 1024, Seed: 4})
+	equiv, err := newScorer(t, Config{}, c, ms).EstimateEquivalence(nil, &EquivalenceOptions{Budget: 1024, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +136,7 @@ func TestEstimateEquivalence(t *testing.T) {
 	}
 	// Every mutant killed by the campaign is by definition not equivalent;
 	// re-running with a superset budget must never flag MORE mutants.
-	equiv2, err := EstimateEquivalence(c, ms, nil, &EquivalenceOptions{Budget: 2048, Seed: 4})
+	equiv2, err := newScorer(t, Config{}, c, ms).EstimateEquivalence(nil, &EquivalenceOptions{Budget: 2048, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +153,7 @@ func TestEstimateEquivalenceUsesExtraSequences(t *testing.T) {
 	ms := mutation.Generate(c, mutation.CR)
 	// A tiny random budget leaves many mutants "equivalent"; adding a
 	// targeted extra sequence can only clear flags, never add them.
-	small, err := EstimateEquivalence(c, ms, nil, &EquivalenceOptions{Budget: 4, Seed: 9})
+	small, err := newScorer(t, Config{}, c, ms).EstimateEquivalence(nil, &EquivalenceOptions{Budget: 4, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +161,7 @@ func TestEstimateEquivalenceUsesExtraSequences(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	withSeq, err := EstimateEquivalence(c, ms, []sim.Sequence{res.Seq}, &EquivalenceOptions{Budget: 4, Seed: 9})
+	withSeq, err := newScorer(t, Config{}, c, ms).EstimateEquivalence([]sim.Sequence{res.Seq}, &EquivalenceOptions{Budget: 4, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,15 +47,15 @@ func TestEngineParity(t *testing.T) {
 			var refEquiv []bool
 			for _, cfg := range parityConfigs {
 				label := fmt.Sprintf("workers=%d/lanewords=%d", cfg.Workers, cfg.LaneWords)
-				cycles, err := cfg.FirstKillCycles(c, ms, seq)
+				cycles, err := newScorer(t, cfg, c, ms).FirstKillCycles(seq)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				kills, err := cfg.Kills(c, ms, seq)
+				kills, err := newScorer(t, cfg, c, ms).Kills(seq)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				equiv, err := cfg.EstimateEquivalence(c, ms, nil, &EquivalenceOptions{Budget: 256, Seed: 9})
+				equiv, err := newScorer(t, cfg, c, ms).EstimateEquivalence(nil, &EquivalenceOptions{Budget: 256, Seed: 9})
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -94,11 +94,11 @@ func TestEstimateEquivalenceParityWithExtras(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := &EquivalenceOptions{Budget: 64, Seed: 17}
-	serial, err := cfgOf(1, 0).EstimateEquivalence(c, ms, []sim.Sequence{res.Seq}, opts)
+	serial, err := newScorer(t, cfgOf(1, 0), c, ms).EstimateEquivalence([]sim.Sequence{res.Seq}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pooled, err := cfgOf(0, 0).EstimateEquivalence(c, ms, []sim.Sequence{res.Seq}, opts)
+	pooled, err := newScorer(t, cfgOf(0, 0), c, ms).EstimateEquivalence([]sim.Sequence{res.Seq}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/bitvec"
 	"repro/internal/engine"
-	"repro/internal/faultsim"
 	"repro/internal/hdl"
 	"repro/internal/mutation"
 	"repro/internal/sim"
@@ -23,13 +22,6 @@ import (
 // different samples, seeds and disciplines) and what the one-shot
 // MutationTests API forced them to recompile every time.
 //
-// A Session can also drive an incremental fault simulator
-// (AttachFaultSim): every accepted segment is appended to the simulator
-// as it is accepted, so the growing sequence's gate-level coverage is
-// maintained round by round against the live-fault frontier instead of
-// re-simulating the accepted prefix after (or worse, during) every
-// round.
-//
 // A Session is not safe for concurrent use; run one campaign at a time.
 type Session struct {
 	c       *hdl.Circuit
@@ -41,27 +33,24 @@ type Session struct {
 	machines []*sim.Machine // one per population mutant
 	maxOuts  int            // widest output vector across orig and mutants
 
-	fsim *faultsim.Simulator
-
 	sc sessScratch
 }
 
 // sessScratch is the session's reusable campaign scratch, following the
 // buffer-ownership discipline of internal/engine: the session owns these
 // buffers, recycles them across candidate rounds and campaigns, and
-// copies anything that escapes into a Result (accepted segment vectors,
-// the final fault-sim snapshot), so callers still own everything a
-// Generate returns. Without the recycling, every candidate round
-// allocated fresh segments, step outputs and register snapshots — the
-// dominant allocation source of a campaign by two orders of magnitude.
+// copies anything that escapes into a Result (accepted segment vectors),
+// so callers still own everything a Generate returns. Without the
+// recycling, every candidate round allocated fresh segments, step
+// outputs and register snapshots — the dominant allocation source of a
+// campaign by two orders of magnitude.
 type sessScratch struct {
-	segs     []sim.Sequence     // candidate segments, one buffer per candidate slot
-	origOuts []sim.Vector       // original's outputs over the candidate being scored
-	snapOrig []bitvec.BV        // original's register snapshot (candidate probe)
-	snapMut  []bitvec.BV        // a mutant's register snapshot (candidate probe)
-	want     sim.Vector         // original's step output (stepAll)
-	got      sim.Vector         // a mutant's step output (stepAll, segKills)
-	pats     []faultsim.Pattern // bit-blasted segment for the attached fault sim
+	segs     []sim.Sequence // candidate segments, one buffer per candidate slot
+	origOuts []sim.Vector   // original's outputs over the candidate being scored
+	snapOrig []bitvec.BV    // original's register snapshot (candidate probe)
+	snapMut  []bitvec.BV    // a mutant's register snapshot (candidate probe)
+	want     sim.Vector     // original's step output (stepAll)
+	got      sim.Vector     // a mutant's step output (stepAll, segKills)
 }
 
 // NewSession compiles the circuit and the whole mutant population under
@@ -106,14 +95,6 @@ func NewSession(c *hdl.Circuit, mutants []*mutation.Mutant, opts *Options) (*Ses
 
 // Targets returns the mutant population compiled into the session.
 func (s *Session) Targets() []*mutation.Mutant { return s.mutants }
-
-// AttachFaultSim connects an incremental gate-level fault simulator
-// (built over the synthesized netlist of the session's circuit, so
-// ToPatterns output matches its PI order). Every subsequent Generate
-// resets the simulator, appends the reset cycle and then every accepted
-// segment as it is accepted, and reports the cumulative coverage in
-// Result.FaultSim / Result.RoundCoverage. Passing nil detaches.
-func (s *Session) AttachFaultSim(fs *faultsim.Simulator) { s.fsim = fs }
 
 // liveMutant tracks one target mutant's machine during generation.
 type liveMutant struct {
@@ -199,16 +180,10 @@ func (r *genRun) generate(targets []int) (*Result, error) {
 	for _, lm := range r.all {
 		lm.sim.Reset()
 	}
-	if s.fsim != nil {
-		s.fsim.Reset()
-	}
 	if err := r.stepAll(resetVec); err != nil {
 		return nil, err
 	}
 	r.res.Seq = append(r.res.Seq, resetVec)
-	if err := r.faultAppend(sim.Sequence{resetVec}, false); err != nil {
-		return nil, err
-	}
 
 	// Every target gets a dedicated search for a killing segment from
 	// the current stream state, whether or not an earlier segment killed
@@ -262,18 +237,7 @@ func (r *genRun) generate(targets []int) (*Result, error) {
 		}
 		r.o.Report(ti+1, len(targets))
 	}
-	return r.finish(), nil
-}
-
-// finish detaches the result from session-owned state: the cumulative
-// fault-sim profile is a view the next Append would overwrite, so the
-// caller gets a clone, fetched once here rather than retained round by
-// round. Everything else in the result is already fresh.
-func (r *genRun) finish() *Result {
-	if r.s.fsim != nil {
-		r.res.FaultSim = r.s.fsim.Current().Clone()
-	}
-	return r.res
+	return r.res, nil
 }
 
 func (r *genRun) cancelled() error {
@@ -402,11 +366,9 @@ func (r *genRun) newSegment(ci int) sim.Sequence {
 }
 
 // appendSegment commits an accepted segment: the original and every
-// target machine advance through it, the sequence grows (by copies — the
-// candidate buffer is round scratch, the result is caller-owned), and —
-// when a fault simulator is attached — the segment is appended
-// incrementally and the round's cumulative coverage recorded. Bounded
-// by one accepted segment (//repro:step).
+// target machine advance through it and the sequence grows (by copies —
+// the candidate buffer is round scratch, the result is caller-owned).
+// Bounded by one accepted segment (//repro:step).
 //
 //repro:step
 func (r *genRun) appendSegment(seg sim.Sequence) error {
@@ -417,28 +379,5 @@ func (r *genRun) appendSegment(seg sim.Sequence) error {
 		r.res.Seq = append(r.res.Seq, append(sim.Vector(nil), v...))
 	}
 	r.res.Segments = append(r.res.Segments, len(r.res.Seq))
-	return r.faultAppend(seg, true)
-}
-
-// faultAppend extends the attached fault simulator (if any) with the
-// given cycles; boundary marks an accepted-segment boundary whose
-// cumulative coverage is recorded in RoundCoverage. The bit-blasted
-// patterns are session scratch (the simulator does not retain them) and
-// the returned Result is the simulator's session-owned view: coverage
-// is read off it immediately and the view is dropped — finish() fetches
-// and clones the final profile into the campaign result.
-func (r *genRun) faultAppend(seg sim.Sequence, boundary bool) error {
-	if r.s.fsim == nil {
-		return nil
-	}
-	sc := &r.s.sc
-	sc.pats = toPatternsInto(r.s.c, seg, sc.pats)
-	fres, err := r.s.fsim.Append(sc.pats)
-	if err != nil {
-		return fmt.Errorf("tpg: fault sim: %w", err)
-	}
-	if boundary {
-		r.res.RoundCoverage = append(r.res.RoundCoverage, fres.Coverage())
-	}
 	return nil
 }

@@ -6,9 +6,7 @@ import (
 
 	"repro/internal/circuits"
 	"repro/internal/engine"
-	"repro/internal/faultsim"
 	"repro/internal/mutation"
-	"repro/internal/synth"
 )
 
 // sameResult asserts two generation results are bit-identical: the
@@ -121,69 +119,6 @@ func TestSessionGenerateRejectsBadTarget(t *testing.T) {
 	}
 	if _, err := s.Generate([]int{1, 0, 1}, nil); err == nil {
 		t.Error("duplicate target index accepted (would alias one machine)")
-	}
-}
-
-// TestSessionIncrementalFaultSim pins the round-based integration: the
-// cumulative result the attached incremental simulator reports must be
-// bit-identical to one-shot fault-simulating the final sequence, and
-// every recorded round coverage must equal a one-shot run of that
-// prefix. This is exactly the prefix re-simulation the session API
-// eliminates.
-func TestSessionIncrementalFaultSim(t *testing.T) {
-	c := circuits.MustLoad("b01")
-	ms := mutation.Generate(c, mutation.CR, mutation.ROR)
-	nl, err := synth.Synthesize(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, err := faultsim.New(nl, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := &Options{Seed: 5, MaxLen: 120}
-	s, err := NewSession(c, ms, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.AttachFaultSim(fs)
-	res, err := s.Generate(nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FaultSim == nil {
-		t.Fatal("no fault-sim result on an attached session")
-	}
-	if len(res.RoundCoverage) != len(res.Segments) {
-		t.Fatalf("%d round coverages for %d segments", len(res.RoundCoverage), len(res.Segments))
-	}
-	if res.FaultSim.Patterns != len(res.Seq) {
-		t.Fatalf("fault sim covered %d cycles for a %d-cycle sequence", res.FaultSim.Patterns, len(res.Seq))
-	}
-
-	// One-shot reference: a fresh simulator over the final sequence.
-	oneshot, err := faultsim.New(nl, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := oneshot.Run(ToPatterns(c, res.Seq))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range full.FirstDetected {
-		if res.FaultSim.FirstDetected[i] != full.FirstDetected[i] {
-			t.Errorf("fault %d: incremental first-detect %d, one-shot %d",
-				i, res.FaultSim.FirstDetected[i], full.FirstDetected[i])
-		}
-	}
-	for k, end := range res.Segments {
-		prefix, err := oneshot.Run(ToPatterns(c, res.Seq[:end]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := res.RoundCoverage[k], prefix.Coverage(); got != want {
-			t.Errorf("round %d (cycle %d): incremental coverage %v, prefix re-sim %v", k, end, got, want)
-		}
 	}
 }
 

@@ -70,25 +70,14 @@ func randomSequence(c *hdl.Circuit, n int, seed int64, rawReset bool) sim.Sequen
 // first), one pattern per cycle. The patterns are freshly allocated and
 // caller-owned.
 func ToPatterns(c *hdl.Circuit, seq sim.Sequence) []faultsim.Pattern {
-	return toPatternsInto(c, seq, nil)
-}
-
-// toPatternsInto is ToPatterns into a reusable buffer (rows recycled when
-// capacity suffices) — the incremental fault-sim hookup bit-blasts every
-// accepted segment, and the simulator does not retain the patterns, so
-// the session reuses one buffer across rounds.
-func toPatternsInto(c *hdl.Circuit, seq sim.Sequence, out []faultsim.Pattern) []faultsim.Pattern {
 	ins := c.Inputs()
 	nBits := 0
 	for _, p := range ins {
 		nBits += p.Width
 	}
-	out = engine.Grow(out, len(seq))
+	out := make([]faultsim.Pattern, len(seq))
 	for cyc, v := range seq {
-		p := out[cyc][:0]
-		if cap(p) < nBits {
-			p = make(faultsim.Pattern, 0, nBits)
-		}
+		p := make(faultsim.Pattern, 0, nBits)
 		for i, port := range ins {
 			for b := 0; b < port.Width; b++ {
 				p = append(p, uint8(v[i].Bit(b)))
@@ -167,15 +156,6 @@ type Result struct {
 	// Segments lists the sequence length after each accepted segment —
 	// the round boundaries of the campaign.
 	Segments []int
-	// FaultSim is the cumulative gate-level result of the attached
-	// incremental fault simulator (nil unless the generating Session had
-	// one, see Session.AttachFaultSim): identical to one-shot
-	// fault-simulating Seq, but maintained round by round. It is a
-	// caller-owned clone, detached from the simulator session.
-	FaultSim *faultsim.Result
-	// RoundCoverage is the fault coverage after each accepted segment,
-	// parallel to Segments (nil without an attached fault simulator).
-	RoundCoverage []float64
 }
 
 // KilledCount returns the number of killed target mutants.
