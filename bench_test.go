@@ -25,6 +25,7 @@ import (
 	"repro/internal/mutation"
 	"repro/internal/mutscore"
 	"repro/internal/netlist"
+	"repro/internal/randcirc"
 	"repro/internal/sampling"
 	"repro/internal/sim"
 	"repro/internal/synth"
@@ -554,6 +555,53 @@ func BenchmarkFaultSimSeqLongHorizon(b *testing.B) { benchmarkFaultSimSeqLongHor
 // BenchmarkFaultSimSeqLongHorizonStatic pins the initial plan for the
 // whole campaign — dead lanes keep getting evaluated.
 func BenchmarkFaultSimSeqLongHorizonStatic(b *testing.B) { benchmarkFaultSimSeqLongHorizon(b, true) }
+
+// seqLargeDesign is the sequential design of the repository benchmark's
+// large-netlist workload (bench/workloads.go, largeDesigns[0]): 6797
+// gates, 198 flip-flops and 26883 collapsed faults, with most faults
+// undetected by random stimulus.
+var seqLargeDesign = randcirc.Config{Seed: 3, Inputs: 12, Outputs: 12, Regs: 16, Wires: 32, MaxWidth: 16, MaxDepth: 6, ExtraStmts: 32}
+
+// BenchmarkFaultSimSeqLarge times sequential fault simulation of the
+// large design at the production setting: 256 raw-random cycles in
+// 64-cycle Appends, from a Reset each iteration. Its batches inject a
+// few percent of the design's gates and disturb a few percent per
+// cycle, so they run the event-driven Machine.Step; the reported
+// metrics are the share of batch-cycles that stepped and the
+// instructions each step evaluated (faultsim.PathStats).
+func BenchmarkFaultSimSeqLarge(b *testing.B) {
+	c, err := randcirc.Generate(seqLargeDesign)
+	if err != nil {
+		b.Fatal(err)
+	}
+	nl, err := synth.Synthesize(c)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fs, err := faultsim.New(nl, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pats := tpg.ToPatterns(c, tpg.RawRandomSequence(c, 256, 1))
+	const window = 64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fs.Reset()
+		for lo := 0; lo < len(pats); lo += window {
+			if _, err := fs.Append(pats[lo : lo+window]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(len(pats)*len(fs.Faults())*b.N)/b.Elapsed().Seconds(), "faultcycles/s")
+	st := fs.PathStats()
+	if cycles := st.FullCycles + st.EventCycles; cycles > 0 {
+		b.ReportMetric(100*float64(st.EventCycles)/float64(cycles), "%stepped")
+	}
+	if st.EventCycles > 0 {
+		b.ReportMetric(float64(st.EventEvals)/float64(st.EventCycles), "evals/step")
+	}
+}
 
 // BenchmarkPODEM is combinational ATPG on c432. MaxBacktracks is capped
 // well below the 4096 default: c432's redundant faults burn the whole

@@ -4,8 +4,60 @@ import (
 	"testing"
 
 	"repro/internal/circuits"
+	"repro/internal/netlist"
 	"repro/internal/synth"
 )
+
+// allocCase is one session the allocation pins warm up: a circuit, the
+// faults RunOn narrows it to (nil: all of them) and whether its batches
+// take the event step.
+type allocCase struct {
+	name    string
+	nl      *netlist.Netlist
+	include []int
+	steps   bool
+}
+
+// allocCases are b01 and b03, whose batches run the full pass, and the
+// event-step design's fault subset, whose single batch runs
+// Machine.Step.
+func allocCases(t *testing.T) []allocCase {
+	t.Helper()
+	var out []allocCase
+	for _, name := range []string{"b01", "b03"} {
+		nl, err := synth.Synthesize(circuits.MustLoad(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, allocCase{name: name, nl: nl})
+	}
+	nl := eventNetlist(t)
+	return append(out, allocCase{name: "event", nl: nl, include: eventSubset(nl), steps: true})
+}
+
+// warmSession builds the case's session, narrowed to its faults and
+// with nothing applied yet.
+func (c allocCase) warmSession(t *testing.T) *Simulator {
+	t.Helper()
+	s, err := New(c.nl, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.include != nil {
+		if _, err := s.RunOn(nil, c.include); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
+// checkSteps fails an event case whose warm rounds did not step.
+func (c allocCase) checkSteps(t *testing.T, s *Simulator, before PathStats) {
+	t.Helper()
+	if c.steps && s.PathStats().EventCycles == before.EventCycles {
+		t.Fatalf("the warm rounds took no event step (%+v)", s.PathStats())
+	}
+}
 
 // TestAppendSteadyStateAllocs pins the allocation diet: once a
 // sequential session is warm (scratch grown, batches armed, the result
@@ -13,23 +65,18 @@ import (
 // recycles every buffer the window needs, and single-batch windows take
 // the serial inline path with no pool fan-out. The only tolerated blip
 // is the one free-list append when the batch happens to retire mid-run.
+// The event-step case covers the good net rows and the Step scratch.
 func TestAppendSteadyStateAllocs(t *testing.T) {
-	for _, name := range []string{"b01", "b03"} {
-		t.Run(name, func(t *testing.T) {
-			nl, err := synth.Synthesize(circuits.MustLoad(name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			s, err := New(nl, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tests := randPatterns(len(nl.PIs), 8, 11)
+	for _, c := range allocCases(t) {
+		t.Run(c.name, func(t *testing.T) {
+			s := c.warmSession(t)
+			tests := randPatterns(len(c.nl.PIs), 8, 11)
 			for i := 0; i < 4; i++ {
 				if _, err := s.Append(tests); err != nil {
 					t.Fatal(err)
 				}
 			}
+			before := s.PathStats()
 			allocs := testing.AllocsPerRun(20, func() {
 				if _, err := s.Append(tests); err != nil {
 					t.Fatal(err)
@@ -38,6 +85,7 @@ func TestAppendSteadyStateAllocs(t *testing.T) {
 			if allocs > 0.5 {
 				t.Errorf("warm Append allocates %.1f objects per round, want ~0", allocs)
 			}
+			c.checkSteps(t, s, before)
 		})
 	}
 }
@@ -46,22 +94,16 @@ func TestAppendSteadyStateAllocs(t *testing.T) {
 // discipline: rewinding every machine to power-on costs no allocations
 // either.
 func TestAppendTestSteadyStateAllocs(t *testing.T) {
-	for _, name := range []string{"b01", "b03"} {
-		t.Run(name, func(t *testing.T) {
-			nl, err := synth.Synthesize(circuits.MustLoad(name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			s, err := New(nl, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			test := randPatterns(len(nl.PIs), 6, 23)
+	for _, c := range allocCases(t) {
+		t.Run(c.name, func(t *testing.T) {
+			s := c.warmSession(t)
+			test := randPatterns(len(c.nl.PIs), 6, 23)
 			for i := 0; i < 4; i++ {
 				if _, err := s.AppendTest(test); err != nil {
 					t.Fatal(err)
 				}
 			}
+			before := s.PathStats()
 			allocs := testing.AllocsPerRun(20, func() {
 				if _, err := s.AppendTest(test); err != nil {
 					t.Fatal(err)
@@ -70,6 +112,7 @@ func TestAppendTestSteadyStateAllocs(t *testing.T) {
 			if allocs > 0.5 {
 				t.Errorf("warm AppendTest allocates %.1f objects per round, want ~0", allocs)
 			}
+			c.checkSteps(t, s, before)
 		})
 	}
 }

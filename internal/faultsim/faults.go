@@ -6,7 +6,9 @@
 // disturbs, with fault dropping between batches), and parallel-fault
 // whole-sequence simulation for sequential circuits (64 faults per pass,
 // one fault machine per lane of the compiled netlist engine, with
-// per-lane fault dropping at first detection). Both paths run the
+// per-lane fault dropping at first detection; a batch whose live faults
+// disturb few gates per cycle evaluates only those, against one
+// fault-free machine shared by every batch). Both paths run the
 // compiled netlist.Program on a worker pool sized by Config.Workers;
 // Workers == 1 selects the serial single-fault Evaluator path kept as the
 // differential reference. The produced first-detection profile is what

@@ -105,7 +105,11 @@ func (r *Result) Undetected() []Fault {
 // touches only the gates it disturbs; 64-pattern batches drop detected
 // faults soonest and keep each disturbed gate one word wide, the fastest
 // width in the engine-ablation benchmarks). Results are identical for
-// every setting (see parity_test.go and internal/difftest).
+// every setting (see parity_test.go and internal/difftest). No knob
+// chooses how a sequential batch is evaluated: each one runs full
+// machine passes, or event-driven steps that evaluate only the gates
+// its live faults disturb, as its injected-gate count and then its
+// measured activity make cheaper (see stepCost and PathStats).
 type Config struct {
 	engine.Options
 	// StaticPlan pins the initial parallel-fault batch plan for the
@@ -149,6 +153,7 @@ type Simulator struct {
 	refSeq   []Pattern                 // accumulated stimulus (reference sequential replay)
 	testMode bool                      // session is in AppendTest (reset-per-test) discipline
 	err      error                     // sticky failure from a cancelled/failed Append
+	paths    PathStats                 // sequential work per path since the last reset
 
 	// Session-owned scratch, recycled across windows so a warm Append
 	// allocates nothing (see the engine package's ownership contract).
@@ -157,7 +162,9 @@ type Simulator struct {
 	res     Result              // the view snapshot() refreshes per window
 	incAll  []int               // Reset's full-fault-list include buffer
 	goodPOs [][]uint64          // good-trace PO rows for the current window
+	goodNet [][]uint64          // good-trace net rows, one bit per net, when a batch steps
 	errs    []error             // per-batch error slots for the current window
+	tally   []PathStats         // per-batch path counts for the current window
 	chunks  []seqChunk          // plan scratch (planSeqChunks + re-plan cost probe)
 	surv    [][]uint64          // re-plan scratch: packed FF state per surviving lane
 	w1      widthState[lane.W1] // per-width state, reached through widthOf
@@ -185,6 +192,9 @@ type widthState[W lane.Word] struct {
 	comb []*netlist.Machine[W]
 	// pis is the combinational window: the packed PI vector batches.
 	pis [][]W
+	// steps holds one Machine.Step scratch per worker. A step leaves
+	// its scratch empty, so the worker's batches share it in turn.
+	steps []*netlist.EventScratch[W]
 }
 
 // widthOf returns the session's state at width W.
@@ -306,6 +316,22 @@ func (s *Simulator) Applied() int { return s.applied }
 // The slice is owned by the caller.
 func (s *Simulator) Frontier() []int { return append([]int(nil), s.live...) }
 
+// PathStats counts the compiled sequential engine's work since the last
+// reset, by the path each batch took: batch-cycles run as a full
+// Machine.Eval+Clock pass, batch-cycles run as an event-driven
+// Machine.Step, and the instructions those steps evaluated (a full pass
+// evaluates all of them). Combinational sessions and the Workers: 1
+// reference count nothing.
+type PathStats struct {
+	FullCycles  int
+	EventCycles int
+	EventEvals  int
+}
+
+// PathStats returns the session's path counts. They are observability
+// only: no Result, Checkpoint or report carries them.
+func (s *Simulator) PathStats() PathStats { return s.paths }
+
 // Reset restarts the session at power-on reset with the full fault list
 // live and zero patterns applied. It also clears any sticky error left
 // by a cancelled Append.
@@ -325,6 +351,7 @@ func (s *Simulator) resetTo(include []int) {
 	s.applied = 0
 	s.err = nil
 	s.testMode = false
+	s.paths = PathStats{}
 	s.detected = engine.Grow(s.detected, len(s.faults))
 	for i := range s.detected {
 		s.detected[i] = -1
@@ -811,6 +838,38 @@ func passCost(words int) int {
 	return 10
 }
 
+// stepCost is R, the cost of one instruction evaluated by Machine.Step
+// relative to one gate of a full Machine.Eval+Clock pass at the batch's
+// width. A fresh batch steps while its injected instructions × R stay
+// below the program's instruction count (Step evaluates every injected
+// instruction every cycle), and a stepping batch takes the full pass
+// from the next window on once a window averaged more than
+// instructions/R evaluations per cycle. Measured on a 2-core host, with
+// every lane live, a cycle's step time over its evaluations against a
+// full pass's time over its gates:
+//
+//   - W=8, every full batch of the 6.8k-gate benchmark design: 45–76 ns
+//     against 13–19 ns a gate, R = 3.5–4.1; R8 = 4. The paper circuits'
+//     batches inject at least 1/2.3 of their instructions and keep the
+//     full pass.
+//   - W=4: 38–55 ns against 11–13 ns on the same design, R = 3.3–5.2,
+//     and 3.7 on b04. b04's re-planned W=4 batches inject 72–79 of its
+//     317 instructions and step slower than their full pass, so R4 = 8.
+//   - W=1: R = 5.5–7.6 on the same design and 10–11 on b04, whose
+//     values fit in L1 (4–5 ns a gate). b04's ragged campaign tails
+//     inject 8–9 of its instructions, so R1 = 64 keeps them on the full
+//     pass; the benchmark design's W=1 tails (at most 64 injected of
+//     6494, about 16 evaluations per cycle) still step.
+func stepCost(words int) int {
+	switch words {
+	case 4:
+		return 8
+	case 8:
+		return 4
+	}
+	return 64
+}
+
 // tailWidth picks the cheapest lane width ≤ maxWords for an n-fault tail:
 // the width minimizing batch count × per-pass cost, preferring narrower
 // machines on ties. A 55-fault tail runs on a one-word machine instead of
@@ -891,13 +950,20 @@ func (s *Simulator) planBatches(include []int) []seqBatch {
 // lane), the active-lane mask, and the armed fault machine whose
 // flip-flop state continues exactly where the last Append stopped.
 type seqBatch interface {
-	run(s *Simulator, goodPOs [][]uint64, base int, ctx context.Context) error
+	// run advances the batch over the window on the given pool worker,
+	// adding its batch-cycles to st.
+	run(s *Simulator, worker, base int, ctx context.Context, st *PathStats) error
 	width() int
 	retired() bool
 	// arm draws and injects the batch machine if the batch is unarmed and
-	// not retired. Serial session code only — it touches the machine free
-	// lists, which run() (on a pool worker) must not.
+	// not retired, and picks the path it starts on. Serial session code
+	// only — it touches the machine free lists, which run() (on a pool
+	// worker) must not.
 	arm(s *Simulator)
+	// stepping reports whether the batch's next window takes the event
+	// step; if so it first sizes its width's per-worker Step scratch to
+	// the pool. Serial session code only.
+	stepping(s *Simulator, workers int) bool
 	// resetState rewinds the armed machine to power-on reset, keeping the
 	// injected faults and drop masks (the AppendTest discipline).
 	resetState()
@@ -938,10 +1004,12 @@ type seqBatch interface {
 // batch on every Append, which dominates small sequential circuits under
 // fine-grained (segment-sized) appends.
 type seqBatchW[W lane.Word] struct {
-	faults []int
-	active W
-	m      *netlist.Machine[W] // armed before the first run; nil once retired
-	done   bool                // every lane dropped; the batch is retired
+	faults   []int
+	active   W
+	injected W                   // lanes whose faults a stepping machine still carries
+	m        *netlist.Machine[W] // armed before the first run; nil once retired
+	done     bool                // every lane dropped; the batch is retired
+	event    bool                // the next window runs Machine.Step, not Eval+Clock
 }
 
 func (c *seqBatchW[W]) width() int       { var w W; return len(w) }
@@ -983,6 +1051,21 @@ func (c *seqBatchW[W]) arm(s *Simulator) {
 		m.InjectFault(s.faults[fi].Site, lane.Bit[W](ln))
 	}
 	c.m = m
+	c.injected = c.active
+	// Every injected instruction is evaluated every cycle, so a batch
+	// whose injections alone cost more than a full pass starts on it.
+	c.event = m.Injected()*stepCost(len(c.active)) < s.prog.Instructions()
+}
+
+func (c *seqBatchW[W]) stepping(s *Simulator, workers int) bool {
+	if !c.event {
+		return false
+	}
+	ws := widthOf[W](s)
+	for len(ws.steps) < workers {
+		ws.steps = append(ws.steps, netlist.NewEventScratch[W](s.prog))
+	}
+	return true
 }
 
 func (c *seqBatchW[W]) resetState() {
@@ -1020,9 +1103,12 @@ func (c *seqBatchW[W]) dropLane(s *Simulator, fault int) bool {
 // worker). The machine continues from its own state, so a chunked run
 // replays nothing; arm() has already injected it. Detection indices are
 // base plus the local cycle.
-func (c *seqBatchW[W]) run(s *Simulator, goodPOs [][]uint64, base int, ctx context.Context) error {
+func (c *seqBatchW[W]) run(s *Simulator, worker, base int, ctx context.Context, st *PathStats) error {
 	if c.done {
 		return nil // retired via dropLane; prune removes it next
+	}
+	if c.event {
+		return c.runSteps(s, widthOf[W](s).steps[worker], base, ctx, st)
 	}
 	m := c.m
 	// The drop masks live in registers/stack for the window (the batch
@@ -1031,6 +1117,7 @@ func (c *seqBatchW[W]) run(s *Simulator, goodPOs [][]uint64, base int, ctx conte
 	active := c.active
 	faults := c.faults
 	detected := s.detected
+	goodPOs := s.goodPOs
 	pi := widthOf[W](s).stim
 	for cyc := range pi {
 		if ctx != nil && cyc&31 == 31 && ctx.Err() != nil {
@@ -1062,11 +1149,66 @@ func (c *seqBatchW[W]) run(s *Simulator, goodPOs [][]uint64, base int, ctx conte
 		if !anyActive {
 			c.active = active
 			c.done = true
+			st.FullCycles += cyc + 1
 			return nil
 		}
 		m.Clock()
 	}
 	c.active = active
+	st.FullCycles += len(pi)
+	return nil
+}
+
+// runSteps is run's event-driven loop: each cycle is one Machine.Step
+// against the window's good net rows in place of Eval+Clock, with the
+// same per-lane dropping (a step's difference lanes are already
+// confined to the live ones). The lanes dropped since the last window
+// (detected or retired) first give up their injections, so Step stops
+// scheduling their sites. A batch whose window averaged more than
+// Instructions()/stepCost evaluations per cycle costs more than the
+// full pass and takes it from the next window on; it stays there, since
+// a full pass measures no activity (a re-plan's fresh batches choose
+// again).
+func (c *seqBatchW[W]) runSteps(s *Simulator, sc *netlist.EventScratch[W], base int, ctx context.Context, st *PathStats) error {
+	m := c.m
+	if dead := lane.AndNot(c.injected, c.active); !lane.None(dead) {
+		m.ClearFaultLanes(dead)
+		c.injected = c.active
+	}
+	active := c.active
+	faults := c.faults
+	detected := s.detected
+	good := s.goodNet
+	evals := 0
+	for cyc := range good {
+		if ctx != nil && cyc&31 == 31 && ctx.Err() != nil {
+			c.active = active
+			return ctx.Err()
+		}
+		d, n := m.Step(good[cyc], active, sc)
+		evals += n
+		anyActive := false
+		for k := 0; k < len(active); k++ {
+			for x := d[k]; x != 0; x &= x - 1 {
+				detected[faults[k*64+bits.TrailingZeros64(x)]] = base + cyc
+			}
+			active[k] &^= d[k]
+			if active[k] != 0 {
+				anyActive = true
+			}
+		}
+		if !anyActive {
+			c.active = active
+			c.done = true
+			st.EventCycles += cyc + 1
+			st.EventEvals += evals
+			return nil
+		}
+	}
+	c.active = active
+	st.EventCycles += len(good)
+	st.EventEvals += evals
+	c.event = evals*stepCost(len(active)) <= len(good)*s.prog.Instructions()
 	return nil
 }
 
@@ -1077,10 +1219,12 @@ func (c *seqBatchW[W]) run(s *Simulator, goodPOs [][]uint64, base int, ctx conte
 // Appends skip it entirely. Batches are independent, so they fan out over
 // the worker pool. The good trace continues on the session's persistent
 // single-word machine (every lane of a broadcast run is identical) and is
-// shared by batches of every width. With fromReset (the AppendTest
-// discipline) every machine — the good one and each live batch's —
-// restarts from power-on before the window; arming costs are still paid
-// only once per session.
+// shared by batches of every width. Each batch runs the window either as
+// full Eval+Clock passes or as event-driven Machine.Step cycles against
+// the good machine's net values, which are then recorded too (stepCost
+// explains the choice). With fromReset (the AppendTest discipline) every
+// machine — the good one and each live batch's — restarts from power-on
+// before the window; arming costs are still paid only once per session.
 func (s *Simulator) appendSequential(tests []Pattern, fromReset bool) error {
 	ctx := s.cfg.Ctx
 	if fromReset {
@@ -1089,33 +1233,21 @@ func (s *Simulator) appendSequential(tests []Pattern, fromReset bool) error {
 			b.resetState()
 		}
 	}
-	pi1 := broadcast[lane.W1](s, tests)
-	goodPOs := engine.Grow(s.goodPOs, len(tests))
-	s.goodPOs = goodPOs
-	for cyc, words := range pi1 {
-		if ctx != nil && cyc&31 == 31 && ctx.Err() != nil {
-			return ctx.Err()
-		}
-		out := s.goodM.Eval(words)
-		row := engine.Grow(goodPOs[cyc], len(out))
-		for po := range out {
-			row[po] = out[po][0]
-		}
-		goodPOs[cyc] = row
-		s.goodM.Clock()
-	}
-
-	// Arm unarmed batches (first window after a plan) and materialize the
-	// broadcast stimuli per width actually scheduled — both serially,
-	// before the fan-out, because arming touches the machine free lists.
-	// A stale wider stimulus is simply not read once its last batch
-	// retires.
-	need4, need8 := false, false
+	// Arm unarmed batches (first window after a plan), size the Step
+	// scratch of the widths that step and materialize the broadcast
+	// stimuli per width actually scheduled — all serially, before the
+	// fan-out, because arming touches the machine free lists. A stale
+	// wider stimulus is simply not read once its last batch retires.
+	workers := par.Workers(s.cfg.Workers, len(s.batches))
+	need4, need8, stepping := false, false, false
 	for _, b := range s.batches {
 		if b.retired() {
 			continue
 		}
 		b.arm(s)
+		if b.stepping(s, workers) {
+			stepping = true
+		}
 		switch b.width() {
 		case 4:
 			need4 = true
@@ -1130,9 +1262,35 @@ func (s *Simulator) appendSequential(tests []Pattern, fromReset bool) error {
 		broadcast[lane.W8](s, tests)
 	}
 
+	// The good trace: PO rows for the full pass and, when some batch
+	// steps, every net's value as one bit per cycle.
+	pi1 := broadcast[lane.W1](s, tests)
+	goodPOs := engine.Grow(s.goodPOs, len(tests))
+	s.goodPOs = goodPOs
+	goodNet := s.goodNet[:0]
+	if stepping {
+		goodNet = engine.Grow(s.goodNet, len(tests))
+		s.goodNet = goodNet
+	}
+	for cyc, words := range pi1 {
+		if ctx != nil && cyc&31 == 31 && ctx.Err() != nil {
+			return ctx.Err()
+		}
+		out := s.goodM.Eval(words)
+		row := engine.Grow(goodPOs[cyc], len(out))
+		for po := range out {
+			row[po] = out[po][0]
+		}
+		goodPOs[cyc] = row
+		if stepping {
+			goodNet[cyc] = s.goodM.LaneValuesInto(0, goodNet[cyc])
+		}
+		s.goodM.Clock()
+	}
+
 	base := s.applied
 	total := len(s.batches)
-	if par.Workers(s.cfg.Workers, total) <= 1 {
+	if workers <= 1 {
 		// Serial fast path: the common steady state of an incremental
 		// campaign is one or two live batches, where the pool fan-out
 		// (closures, coordination) is the only allocation left — a warm
@@ -1141,7 +1299,7 @@ func (s *Simulator) appendSequential(tests []Pattern, fromReset bool) error {
 			if ctx != nil && ctx.Err() != nil {
 				return ctx.Err()
 			}
-			if err := b.run(s, goodPOs, base, ctx); err != nil {
+			if err := b.run(s, 0, base, ctx, &s.paths); err != nil {
 				return err
 			}
 			s.cfg.Report(bi+1, total)
@@ -1150,9 +1308,16 @@ func (s *Simulator) appendSequential(tests []Pattern, fromReset bool) error {
 	}
 	errs := engine.GrowZero(s.errs, len(s.batches))
 	s.errs = errs
-	err := par.IndexedCtx(ctx, len(s.batches), s.cfg.Workers, func(_, bi int) {
-		errs[bi] = s.batches[bi].run(s, goodPOs, base, ctx)
+	tally := engine.GrowZero(s.tally, len(s.batches))
+	s.tally = tally
+	err := par.IndexedCtx(ctx, len(s.batches), s.cfg.Workers, func(w, bi int) {
+		errs[bi] = s.batches[bi].run(s, w, base, ctx, &tally[bi])
 	}, func(done int) { s.cfg.Report(done, total) })
+	for _, t := range tally {
+		s.paths.FullCycles += t.FullCycles
+		s.paths.EventCycles += t.EventCycles
+		s.paths.EventEvals += t.EventEvals
+	}
 	if err != nil {
 		return err
 	}

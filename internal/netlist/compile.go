@@ -20,7 +20,11 @@
 // injected gate, which re-evaluates through a generic masked path that
 // reproduces Evaluator.EvalWith bit-for-bit in every lane before any of
 // its readers run; a fault-free pass is one run with nothing to patch,
-// so it pays no per-gate injection check.
+// so it pays no per-gate injection check. Step (propagate.go) runs the
+// same program and injections event-driven against a good machine's
+// values, evaluating only the instructions the batch's live faults
+// disturb; flip-flop state is absolute on both paths, so a machine can
+// switch between them at any cycle.
 //
 // Semantics are pinned against the Evaluator differentially: every lane of
 // a Machine pass — at every width — must equal the corresponding
@@ -197,6 +201,10 @@ func opFor(t GateType, fanins int) (gop, error) {
 // Netlist returns the compiled circuit.
 func (p *Program) Netlist() *Netlist { return p.nl }
 
+// Instructions returns the length of the instruction stream: the number
+// of combinational gates, which one Eval evaluates.
+func (p *Program) Instructions() int { return len(p.code) }
+
 // injRec is the injection plan for one compiled gate: per-pin overrides
 // (fanout-branch faults as seen by this gate) and an output mask (stem
 // faults). All masks are per-lane, so one record carries many faults.
@@ -341,6 +349,33 @@ func (m *Machine[W]) LaneStateInto(ln int, dst []uint64) []uint64 {
 	return dst
 }
 
+// LaneValuesInto extracts one lane's net values from the last Eval as
+// packed bits — bit id%64 of word id/64 is gate id — growing dst as
+// needed and returning it. On a fault-free machine driven with
+// broadcast inputs every lane is the same, and this row is the good
+// machine Step reads.
+func (m *Machine[W]) LaneValuesInto(ln int, dst []uint64) []uint64 {
+	var zero W
+	if ln < 0 || ln >= len(zero)*64 {
+		panic(fmt.Sprintf("netlist: lane %d out of range [0,%d)", ln, len(zero)*64))
+	}
+	w, b := ln>>6, uint(ln&63)
+	if n := (len(m.vals) + 63) / 64; cap(dst) < n {
+		dst = make([]uint64, n)
+	} else {
+		dst = dst[:n]
+	}
+	for i := range dst {
+		vals := m.vals[i*64 : min(i*64+64, len(m.vals))]
+		var x uint64
+		for j := range vals {
+			x |= (vals[j][w] >> b & 1) << uint(j)
+		}
+		dst[i] = x
+	}
+	return dst
+}
+
 // SetLaneState implants packed flip-flop bits (LaneStateInto's layout)
 // into one lane, leaving every other lane's state untouched.
 func (m *Machine[W]) SetLaneState(ln int, src []uint64) {
@@ -396,6 +431,10 @@ func (r *injRec[W]) markDirty(laneMask W) {
 		}
 	}
 }
+
+// Injected returns the number of instructions the current fault batch
+// injects: the ones Step evaluates every cycle whatever the state.
+func (m *Machine[W]) Injected() int { return len(m.touched) }
 
 // ClearFaultLanes removes the injected faults confined to the lanes in
 // laneMask, leaving every other lane's batch armed: records whose masks

@@ -59,7 +59,10 @@ const (
 // FuzzReadBench feeds arbitrary text to ReadBench, which must never
 // panic. Every netlist it accepts must compile, and one W=1 pass with up
 // to 64 of its fault sites injected one per lane, in reverse order, must
-// match a single-fault Evaluator pass in every lane.
+// match a single-fault Evaluator pass in every lane. On a sequential
+// netlist two cycles of Step on the same injections must also match
+// Eval+Clock, in the lanes where an output differs from the good
+// machine and in the latched flip-flop state.
 func FuzzReadBench(f *testing.F) {
 	for _, src := range []string{benchC17, benchTwoFFs, benchGateThenDFF, benchGateTwice} {
 		f.Add(src)
@@ -97,5 +100,47 @@ func FuzzReadBench(f *testing.F) {
 				}
 			}
 		}
+		if nl.IsSequential() {
+			stepMatchesOnce(t, prog, sites, pis)
+		}
 	})
+}
+
+// stepMatchesOnce runs two cycles of broadcast inputs (each PI word's
+// low bit, then its high bit) through a fault-free machine, an injected
+// machine under Eval+Clock and an identically injected one under Step,
+// and fails on the first lane where the step disagrees.
+func stepMatchesOnce(t *testing.T, prog *Program, sites []FaultSite, pis []uint64) {
+	t.Helper()
+	good, full, step := NewMachine[lane.W1](prog), NewMachine[lane.W1](prog), NewMachine[lane.W1](prog)
+	for ln := len(sites) - 1; ln >= 0; ln-- {
+		full.InjectFault(sites[ln], lane.Bit[lane.W1](ln))
+		step.InjectFault(sites[ln], lane.Bit[lane.W1](ln))
+	}
+	sc := NewEventScratch[lane.W1](prog)
+	live := lane.W1{^uint64(0)}
+	in := make([]lane.W1, len(pis))
+	for cyc, shift := range []uint{0, 63} {
+		for i, w := range pis {
+			in[i] = lane.W1{-(w >> shift & 1)}
+		}
+		goodOut := good.Eval(in)
+		row := good.LaneValuesInto(0, nil)
+		var want uint64
+		for po, v := range full.Eval(in) {
+			want |= v[0] ^ goodOut[po][0]
+		}
+		got, _ := step.Step(row, live, sc)
+		if got[0] != want {
+			t.Fatalf("cycle %d: step PO lanes %x, Eval+Clock %x", cyc, got[0], want)
+		}
+		good.Clock()
+		full.Clock()
+		fs, ss := full.State(), step.State()
+		for i := range fs {
+			if fs[i] != ss[i] {
+				t.Fatalf("cycle %d: FF %d state %x after Step, %x after Clock", cyc, i, ss[i][0], fs[i][0])
+			}
+		}
+	}
 }
