@@ -46,14 +46,18 @@ race:
 # must never panic, and every netlist it accepts must compile and
 # simulate like the Evaluator (sequential ones under Step too). 10 s
 # each on the campaign service's inputs: job-spec JSON through JobKey
-# and Shards, and report JSON through DecodeReport; and 10 s on
-# checkpoint gob through faultsim.Restore. -fuzzminimizetime keeps a
-# slow minimization from eating a target's whole budget.
+# and Shards, and report JSON through DecodeReport; 10 s on checkpoint
+# gob through faultsim.Restore; and 10 s on MHDL source: ParseOnly must
+# never panic, and an accepted source must format to text that parses,
+# formats to itself and passes Check(Relaxed) when the source did.
+# -fuzzminimizetime keeps a slow minimization from eating a target's
+# whole budget.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadBench$$' -fuzztime 20s ./internal/netlist
 	$(GO) test -run '^$$' -fuzz '^FuzzSpecKey$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/campaign
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeReport$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/campaign
 	$(GO) test -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/faultsim
+	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/hdl
 
 # The repository benchmark (bench/) is a Go module of its own, so the
 # root build, vet and test never compile it; this keeps it building and

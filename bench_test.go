@@ -262,6 +262,10 @@ func BenchmarkWeightSources(b *testing.B) {
 			uniform[p.Op] = 1
 		}
 
+		full, err := tpg.NewSession(flow.Circuit, flow.Mutants, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		var out string
 		for _, src := range []struct {
 			label string
@@ -272,7 +276,7 @@ func BenchmarkWeightSources(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			scorer, err := mutscore.Config{}.NewScorer(flow.Circuit, flow.Mutants)
+			scorer, err := mutscore.Config{}.NewScorer(full)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -301,10 +305,14 @@ func BenchmarkWeightSources(b *testing.B) {
 func BenchmarkEquivalenceBudget(b *testing.B) {
 	c := circuits.MustLoad("b01")
 	ms := mutation.Generate(c)
+	ts, err := tpg.NewSession(c, ms, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, budget := range []int{128, 512, 2048} {
 		b.Run(fmt.Sprintf("budget=%d", budget), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				scorer, err := mutscore.Config{}.NewScorer(c, ms)
+				scorer, err := mutscore.Config{}.NewScorer(ts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -681,9 +689,13 @@ func BenchmarkMutationScore(b *testing.B) {
 	c := circuits.MustLoad("b01")
 	ms := mutation.Generate(c)
 	seq := tpg.RandomSequence(c, 256, 1)
+	ts, err := tpg.NewSession(c, ms, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		scorer, err := mutscore.Config{}.NewScorer(c, ms)
+		scorer, err := mutscore.Config{}.NewScorer(ts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -695,18 +707,21 @@ func BenchmarkMutationScore(b *testing.B) {
 }
 
 // benchmarkMutationScoreEngine times one-shot scoring at a fixed worker
-// setting: a fresh Scorer per iteration, so compile is included for the
-// pooled engine. Flows amortize that compile over many calls on one
-// Scorer, so this is the pooled engine's worst case, not its steady
-// state.
+// setting: a fresh Scorer per iteration on one session compiled before
+// the timer, so both engines time scoring alone (the pooled engine's
+// includes arming its machines, which a flow's later calls reuse).
 func benchmarkMutationScoreEngine(b *testing.B, workers int) {
 	c := circuits.MustLoad("b03")
 	ms := mutation.Generate(c)
 	seq := tpg.RandomSequence(c, 256, 1)
+	ts, err := tpg.NewSession(c, ms, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
 	cfg := mutscore.Config{Options: engine.Options{Workers: workers}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		scorer, err := cfg.NewScorer(c, ms)
+		scorer, err := cfg.NewScorer(ts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -77,10 +77,16 @@ func main() {
 		100*curve[tg.Segments[0]-1], 100*curve[tg.Segments[len(tg.Segments)-1]-1])
 
 	// 5. Mutation score over the FULL population (validation quality). A
-	// Scorer compiles the population once and owns the scoring scratch,
-	// so both measurements here (and any further sequences you score)
-	// reuse the same machines.
-	scorer, err := mutscore.Config{}.NewScorer(circuit, mutants)
+	// Scorer scores a session's population with the programs the session
+	// compiled and owns the scoring scratch, so both measurements here
+	// (and any further sequences you score) reuse the same machines. This
+	// session only compiles; core.Flow generates and scores on one
+	// full-population session, so it compiles the population once.
+	full, err := tpg.NewSession(circuit, mutants, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	scorer, err := mutscore.Config{}.NewScorer(full)
 	if err != nil {
 		log.Fatal(err)
 	}

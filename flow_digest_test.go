@@ -72,9 +72,13 @@ func TestEquivalenceDigest(t *testing.T) {
 	c := circuits.MustLoad("b01")
 	ms := mutation.Generate(c)
 	extra := tpg.RawRandomSequence(c, 256, 77)
+	ts, err := tpg.NewSession(c, ms, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, w := range digestWorkers {
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
-			s, err := mutscore.Config{Options: engine.Options{Workers: w}}.NewScorer(c, ms)
+			s, err := mutscore.Config{Options: engine.Options{Workers: w}}.NewScorer(ts)
 			if err != nil {
 				t.Fatal(err)
 			}

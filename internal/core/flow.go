@@ -127,11 +127,16 @@ func (f *Flow) tgSession() (*tpg.Session, error) {
 	return f.tg, nil
 }
 
-// fullScorer returns the cached scorer over the full mutant population,
-// so repeated strategy evaluations don't recompile it.
+// fullScorer returns the cached scorer over the full mutant population.
+// It scores the programs the TG session compiled, so a flow compiles its
+// population once.
 func (f *Flow) fullScorer() (*mutscore.Scorer, error) {
 	if f.scorer == nil {
-		s, err := mutscore.Config{Options: f.cfg.Options}.NewScorer(f.Circuit, f.Mutants)
+		tg, err := f.tgSession()
+		if err != nil {
+			return nil, err
+		}
+		s, err := mutscore.Config{Options: f.cfg.Options}.NewScorer(tg)
 		if err != nil {
 			return nil, err
 		}

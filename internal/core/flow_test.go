@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -178,6 +179,39 @@ func TestEquivalentFlagsConsistent(t *testing.T) {
 	eq2, _ := f.Equivalent()
 	if &eq2[0] != &eq[0] {
 		t.Error("equivalence flags not cached")
+	}
+}
+
+// TestScorerScoresSessionPrograms pins that a flow compiles its mutant
+// population once: the scorer runs the very programs its TG session
+// compiled, the original's and every mutant's. The scorer keeps them in
+// unexported fields, which the test reads by reflection.
+func TestScorerScoresSessionPrograms(t *testing.T) {
+	f := newTestFlow(t, "b01")
+	scorer, err := f.fullScorer()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tg, err := f.tgSession()
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig, progs := tg.Programs()
+	v := reflect.ValueOf(scorer).Elem()
+	good, scored := v.FieldByName("good"), v.FieldByName("progs")
+	if !good.IsValid() || !scored.IsValid() {
+		t.Fatal("mutscore.Scorer has no good/progs fields to compare")
+	}
+	if good.Pointer() != reflect.ValueOf(orig).Pointer() {
+		t.Error("the scorer's original program is not the session's")
+	}
+	if scored.Len() != len(progs) {
+		t.Fatalf("scorer holds %d mutant programs, the session %d", scored.Len(), len(progs))
+	}
+	for i, p := range progs {
+		if scored.Index(i).Pointer() != reflect.ValueOf(p).Pointer() {
+			t.Errorf("mutant %d (%s): the scorer's program is not the session's", i, f.Mutants[i].Desc)
+		}
 	}
 }
 

@@ -101,6 +101,10 @@ func TestMutScoreCancellation(t *testing.T) {
 		t.Skip("population empty for this circuit")
 	}
 	seq := tpg.RandomSequence(c, 1024, 7)
+	ts, err := tpg.NewSession(c, ms, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, ec := range cancelConfigs {
 		t.Run(ec.String(), func(t *testing.T) {
 			baseline := runtime.NumGoroutine()
@@ -109,7 +113,7 @@ func TestMutScoreCancellation(t *testing.T) {
 			cancel()
 			opts := ec.options()
 			opts.Ctx = ctx
-			s, err := mutscore.Config{Options: opts}.NewScorer(c, ms)
+			s, err := mutscore.Config{Options: opts}.NewScorer(ts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,7 +131,7 @@ func TestMutScoreCancellation(t *testing.T) {
 					cancel2()
 				}
 			}
-			s, err = mutscore.Config{Options: opts}.NewScorer(c, ms)
+			s, err = mutscore.Config{Options: opts}.NewScorer(ts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -133,10 +133,14 @@ func TestFirstKillProfiles(t *testing.T) {
 				t.Skip("population empty for this circuit")
 			}
 			seq := tpg.RandomSequence(c, 80, seed+900)
+			ts, err := tpg.NewSession(c, ms, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 			var ref []int
 			var refCfg engineConfig
 			for _, ec := range engineConfigs {
-				s, err := mutscore.Config{Options: ec.options()}.NewScorer(c, ms)
+				s, err := mutscore.Config{Options: ec.options()}.NewScorer(ts)
 				if err != nil {
 					t.Fatalf("%s: %v", ec, err)
 				}

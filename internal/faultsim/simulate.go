@@ -148,7 +148,6 @@ type Simulator struct {
 	detected []int                     // cumulative first-detection profile over faults
 	live     []int                     // frontier: included faults not yet detected
 	batches  []seqBatch                // live parallel-fault batches (compiled sequential)
-	batchFor map[int]seqBatch          // fault index -> planned batch (Retire lane lookup)
 	goodM    *netlist.Machine[lane.W1] // persistent good machine (compiled sequential)
 	refSeq   []Pattern                 // accumulated stimulus (reference sequential replay)
 	testMode bool                      // session is in AppendTest (reset-per-test) discipline
@@ -547,9 +546,10 @@ func (s *Simulator) appendWindow(tests []Pattern, fromReset bool) (*Result, erro
 // the fault's lane in its parallel-fault batch; a batch whose last lane
 // retires is released like a fully dropped one. Retiring a fault that is
 // not on the frontier (already detected, excluded or retired) is a
-// no-op. Removal costs one linear pass over the frontier — callers
-// retire at most once per fault, and each retirement follows work
-// (a PODEM search, say) that dwarfs it.
+// no-op. Removal costs one linear pass over the frontier and one over
+// the lanes of the live batches up to the fault's own — callers retire
+// at most once per fault, and each retirement follows work (a PODEM
+// search, say) that dwarfs it.
 func (s *Simulator) Retire(fi int) error {
 	if fi < 0 || fi >= len(s.faults) {
 		return fmt.Errorf("faultsim: fault index %d out of range [0,%d)", fi, len(s.faults))
@@ -565,8 +565,10 @@ func (s *Simulator) Retire(fi int) error {
 	if !found {
 		return nil
 	}
-	if b, ok := s.batchFor[fi]; ok {
-		b.dropLane(s, fi)
+	for _, b := range s.batches {
+		if !b.retired() && b.dropLane(s, fi) {
+			break
+		}
 	}
 	return nil
 }
@@ -590,11 +592,6 @@ func (s *Simulator) prune() {
 			if !b.retired() {
 				batchOut = append(batchOut, b)
 				continue
-			}
-			// Unindex before recycling: the shell returns to the width
-			// pool and must not stay reachable through the lane map.
-			for _, fi := range b.faultList() {
-				delete(s.batchFor, fi)
 			}
 			b.recycle(s)
 		}
@@ -913,20 +910,12 @@ func (s *Simulator) planSeqChunks(n int) []seqChunk {
 	return out
 }
 
-// planBatches instantiates the chunk plan as stateful session batches and
-// indexes each fault's batch (fault-to-lane positions never change while
-// a plan is live, so Retire can go straight to the owning batch; a
-// re-plan rebuilds the index wholesale). Batch shells come from the
-// per-width shell pools, so a plan over recycled shells allocates
-// nothing.
+// planBatches instantiates the chunk plan as stateful session batches.
+// Batch shells come from the per-width shell pools, so a plan over
+// recycled shells allocates nothing.
 func (s *Simulator) planBatches(include []int) []seqBatch {
 	chunks := s.planSeqChunks(len(include))
 	out := s.batches[:0]
-	if s.batchFor == nil {
-		s.batchFor = make(map[int]seqBatch, len(include))
-	} else {
-		clear(s.batchFor)
-	}
 	for _, c := range chunks {
 		var b seqBatch
 		switch c.words {
@@ -938,9 +927,6 @@ func (s *Simulator) planBatches(include []int) []seqBatch {
 			b = newBatch[lane.W1](s, include[c.lo:c.hi])
 		}
 		out = append(out, b)
-		for _, fi := range b.faultList() {
-			s.batchFor[fi] = b
-		}
 	}
 	return out
 }
@@ -974,15 +960,12 @@ type seqBatch interface {
 	// release returns the batch machine, if any, to the session free list.
 	// Serial session code only.
 	release(s *Simulator)
-	// faultList exposes the batch's lane-ordered fault indices (prune
-	// uses it to unindex retired batches).
-	faultList() []int
 	// armed reports whether the batch machine is drawn and injected (a
 	// retired or not-yet-run batch reports false).
 	armed() bool
 	// recycle releases the batch machine and returns the batch shell to
 	// the session's per-width shell pool; the batch must already be out
-	// of the schedule and the lane index. Serial session code only.
+	// of the schedule. Serial session code only.
 	recycle(s *Simulator)
 	// extractLive packs each still-live lane's flip-flop state into
 	// s.surv starting at row idx (lane order == frontier order) and
@@ -1012,10 +995,9 @@ type seqBatchW[W lane.Word] struct {
 	event    bool                // the next window runs Machine.Step, not Eval+Clock
 }
 
-func (c *seqBatchW[W]) width() int       { var w W; return len(w) }
-func (c *seqBatchW[W]) retired() bool    { return c.done }
-func (c *seqBatchW[W]) faultList() []int { return c.faults }
-func (c *seqBatchW[W]) armed() bool      { return c.m != nil }
+func (c *seqBatchW[W]) width() int    { var w W; return len(w) }
+func (c *seqBatchW[W]) retired() bool { return c.done }
+func (c *seqBatchW[W]) armed() bool   { return c.m != nil }
 
 func (c *seqBatchW[W]) recycle(s *Simulator) {
 	c.release(s)

@@ -2,12 +2,12 @@
 // killed/live classification, the mutation score MS = K / (M - E), and the
 // budgeted-campaign estimate of the equivalent-mutant count E.
 //
-// Mutant simulation is embarrassingly parallel. The default engine
-// compiles every circuit once (sim.Compile) and scores lane batches of
-// LaneWords×64 mutants in lockstep on a worker pool, with early-kill
-// dropping against a shared good-circuit trace; Config.Workers sizes the
-// pool, Config.LaneWords the batches, and a Scorer carries the
-// compilation across calls so campaigns don't recompile. Workers == 1
+// Mutant simulation is embarrassingly parallel. The default engine runs
+// the programs a tpg.Session compiled for the population and scores lane
+// batches of LaneWords×64 mutants in lockstep on a worker pool, with
+// early-kill dropping against a shared good-circuit trace; Config.Workers
+// sizes the pool, Config.LaneWords the batches, and a flow compiles its
+// population once, for test generation and scoring alike. Workers == 1
 // selects the serial AST interpreter, the reference the compiled engine
 // is differentially tested against — both produce identical results (see
 // parity_test.go).
@@ -35,21 +35,22 @@ type Config struct {
 	engine.Options
 }
 
-// Scorer scores one mutant population against arbitrary sequences.
-// Every method funnels into firstKill, the one place that picks the
-// engine. The compiled engine's programs are built once at construction,
-// and the execution state — one machine per mutant, the good machine and
-// its trace buffer — is built on first use and recycled across calls, so
-// callers that score repeatedly (strategy evaluation, equivalence
-// campaigns) allocate per campaign, not per sequence. A Scorer is safe
-// for sequential reuse only (its scratch is unsynchronized); methods are
+// Scorer scores one session's mutant population against arbitrary
+// sequences. Every method funnels into firstKill, the one place that
+// picks the engine. The compiled engine runs the session's programs on
+// execution state of its own — one machine per mutant, the good machine
+// and its trace buffer — built on first use and recycled across calls,
+// so callers that score repeatedly (strategy evaluation, equivalence
+// campaigns) allocate per campaign, not per sequence, and the session's
+// campaigns never see the scorer's machine state. A Scorer is safe for
+// sequential reuse only (its scratch is unsynchronized); methods are
 // deterministic for every worker count.
 type Scorer struct {
 	cfg     Config
 	c       *hdl.Circuit
 	mutants []*mutation.Mutant
-	good    *sim.Program   // nil on the serial reference
-	progs   []*sim.Program // nil on the serial reference
+	good    *sim.Program   // the session's; unused on the serial reference
+	progs   []*sim.Program // the session's; unused on the serial reference
 
 	// Session-owned scratch (see internal/engine: the session owns its
 	// scratch; results handed to callers stay freshly allocated).
@@ -59,31 +60,16 @@ type Scorer struct {
 	subM     []*sim.Machine // subset-call machine selection scratch
 }
 
-// NewScorer builds a scorer for the population. Under the serial
-// reference (Workers == 1) no compilation happens and every call runs the
-// interpreter.
-func (cfg Config) NewScorer(c *hdl.Circuit, mutants []*mutation.Mutant) (*Scorer, error) {
+// NewScorer builds a scorer for the session's population (ts.Targets()).
+// It compiles nothing: the compiled engine runs the session's programs.
+// Under the serial reference (Workers == 1) every call runs the
+// interpreter on the session's circuit and targets instead.
+func (cfg Config) NewScorer(ts *tpg.Session) (*Scorer, error) {
 	if _, err := cfg.Lanes(); err != nil {
 		return nil, fmt.Errorf("mutscore: %w", err)
 	}
-	s := &Scorer{cfg: cfg, c: c, mutants: mutants}
-	if cfg.Serial() {
-		return s, nil
-	}
-	good, err := sim.Compile(c)
-	if err != nil {
-		return nil, err
-	}
-	cs := make([]*hdl.Circuit, len(mutants))
-	for i, m := range mutants {
-		cs[i] = m.Circuit
-	}
-	progs, err := sim.CompileBatch(cs, cfg.Workers)
-	if err != nil {
-		return nil, s.wrapBatchErr(err, nil)
-	}
-	s.good, s.progs = good, progs
-	return s, nil
+	good, progs := ts.Programs()
+	return &Scorer{cfg: cfg, c: good.Circuit(), mutants: ts.Targets(), good: good, progs: progs}, nil
 }
 
 // wrapBatchErr attaches the failing mutant's identity to a pool error.

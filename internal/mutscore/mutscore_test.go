@@ -10,12 +10,15 @@ import (
 	"repro/internal/tpg"
 )
 
-// newScorer builds a scorer for the population under cfg, failing the
-// test on error. Each call compiles afresh, so calls share no machine
-// state.
+// newScorer builds a scorer under cfg on a fresh session over the
+// population, failing the test on error.
 func newScorer(t *testing.T, cfg Config, c *hdl.Circuit, ms []*mutation.Mutant) *Scorer {
 	t.Helper()
-	s, err := cfg.NewScorer(c, ms)
+	ts, err := tpg.NewSession(c, ms, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := cfg.NewScorer(ts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,7 +31,9 @@ func cfgOf(workers, laneWords int) Config {
 // Workers: 1 (legacy serial interpreter) and every parallel compiled
 // configuration produce identical FirstKillCycles, Kills and
 // EstimateEquivalence results, on a combinational and a sequential
-// benchmark.
+// benchmark. A scorer on a session whose own machines already ran
+// generation campaigns must score the same too: it shares the session's
+// programs, not their machine state.
 func TestEngineParity(t *testing.T) {
 	for _, name := range []string{"c17", "b01", "b06"} {
 		t.Run(name, func(t *testing.T) {
@@ -41,6 +43,23 @@ func TestEngineParity(t *testing.T) {
 				t.Fatal("no mutants")
 			}
 			seq := tpg.RandomSequence(c, 150, 21)
+			equivOpts := &EquivalenceOptions{Budget: 256, Seed: 9}
+			used, err := tpg.NewSession(c, ms, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for seed := int64(1); seed <= 2; seed++ {
+				if _, err := used.Generate(nil, &tpg.Options{Seed: seed}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			onUsed := func(cfg Config) *Scorer {
+				s, err := cfg.NewScorer(used)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
 
 			var refCycles []int
 			var refKills []bool
@@ -55,13 +74,20 @@ func TestEngineParity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				equiv, err := newScorer(t, cfg, c, ms).EstimateEquivalence(nil, &EquivalenceOptions{Budget: 256, Seed: 9})
+				equiv, err := newScorer(t, cfg, c, ms).EstimateEquivalence(nil, equivOpts)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
+				usedCycles, err := onUsed(cfg).FirstKillCycles(seq)
+				if err != nil {
+					t.Fatalf("%s on a used session: %v", label, err)
+				}
+				usedEquiv, err := onUsed(cfg).EstimateEquivalence(nil, equivOpts)
+				if err != nil {
+					t.Fatalf("%s on a used session: %v", label, err)
+				}
 				if refCycles == nil {
 					refCycles, refKills, refEquiv = cycles, kills, equiv
-					continue
 				}
 				for i := range ms {
 					if cycles[i] != refCycles[i] {
@@ -73,6 +99,14 @@ func TestEngineParity(t *testing.T) {
 					}
 					if equiv[i] != refEquiv[i] {
 						t.Errorf("%s: mutant %d equivalence flag %v, serial %v", label, i, equiv[i], refEquiv[i])
+					}
+					if usedCycles[i] != refCycles[i] {
+						t.Errorf("%s on a used session: mutant %d (%s) first-kill %d, serial %d",
+							label, i, ms[i].Desc, usedCycles[i], refCycles[i])
+					}
+					if usedEquiv[i] != refEquiv[i] {
+						t.Errorf("%s on a used session: mutant %d equivalence flag %v, serial %v",
+							label, i, usedEquiv[i], refEquiv[i])
 					}
 				}
 				if t.Failed() {

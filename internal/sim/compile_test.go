@@ -185,7 +185,7 @@ func TestFirstKillBatchDeterministic(t *testing.T) {
 	var ref []int
 	for _, workers := range []int{1, 2, 7, 0} {
 		for _, laneWords := range []int{0, 1, 4, 8} {
-			got, err := sim.FirstKillBatch(progs, seq, goodOuts, engine.Options{Workers: workers, LaneWords: laneWords})
+			got, err := sim.FirstKillBatchMachines(machinesOf(progs), seq, goodOuts, engine.Options{Workers: workers, LaneWords: laneWords})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -201,7 +201,7 @@ func TestFirstKillBatchDeterministic(t *testing.T) {
 			}
 		}
 	}
-	if _, err := sim.FirstKillBatch(progs, seq, goodOuts, engine.Options{LaneWords: 3}); err == nil {
+	if _, err := sim.FirstKillBatchMachines(machinesOf(progs), seq, goodOuts, engine.Options{LaneWords: 3}); err == nil {
 		t.Error("unsupported lane width accepted")
 	}
 }

@@ -57,32 +57,19 @@ func CompileBatch(cs []*hdl.Circuit, workers int) ([]*Program, error) {
 	return progs, nil
 }
 
-// FirstKillBatch runs every program against the sequence and returns, per
-// program, the first cycle whose outputs differ from goodOuts (the
-// reference circuit's trace over the same sequence), or -1 if the
-// sequence never distinguishes it. The engine options size the pool
-// (Workers) and the lane batches (LaneWords×64 programs per pool job, 0
-// selecting lane.DefaultWords); each batch is stepped in lockstep with
-// early per-mutant dropping and early batch exit, the progress hook
-// fires per completed batch, and a cancelled Ctx aborts between batches
-// (and between cycles inside a batch) with the context's error. A
-// program that fails mid-sequence reports its error and drops; the rest
-// of its batch keeps scoring.
-//
-// FirstKillBatch instantiates one Machine per program per call. Callers
-// that score the same programs repeatedly (equivalence campaigns) hold
-// the machines themselves and use FirstKillBatchMachines.
-func FirstKillBatch(progs []*Program, seq Sequence, goodOuts []Vector, opts engine.Options) ([]int, error) {
-	machines := make([]*Machine, len(progs))
-	for i, p := range progs {
-		machines[i] = p.NewMachine()
-	}
-	return FirstKillBatchMachines(machines, seq, goodOuts, opts)
-}
-
-// FirstKillBatchMachines is FirstKillBatch over caller-owned machines
-// (one per program, reused across calls — each is Reset to power-on
-// before it scores). Within a call every machine belongs to exactly one
+// FirstKillBatchMachines runs every machine against the sequence and
+// returns, per machine, the first cycle whose outputs differ from
+// goodOuts (the reference circuit's trace over the same sequence), or -1
+// if the sequence never distinguishes it. The machines are caller-owned,
+// one per program and reused across calls: each is Reset to power-on
+// before it scores. The engine options size the pool (Workers) and the
+// lane batches (LaneWords×64 machines per pool job, 0 selecting
+// lane.DefaultWords); each batch is stepped in lockstep with early
+// per-mutant dropping and early batch exit, the progress hook fires per
+// completed batch, and a cancelled Ctx aborts between batches (and
+// between cycles inside a batch) with the context's error. A machine
+// that fails mid-sequence reports its error and drops; the rest of its
+// batch keeps scoring. Within a call every machine belongs to exactly one
 // lane batch, so concurrent pool jobs never share one; the machines are
 // free for the caller to reuse as soon as the call returns. The result
 // slice is freshly allocated and caller-owned.

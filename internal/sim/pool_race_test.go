@@ -17,7 +17,7 @@ import (
 // every scoring must still reproduce the serial reference profile.
 func TestFirstKillBatchConcurrentPool(t *testing.T) {
 	fx := newScoringFixture(t)
-	ref, err := sim.FirstKillBatch(fx.progs, fx.seq, fx.goodOuts, engine.Options{Workers: 1, LaneWords: 1})
+	ref, err := sim.FirstKillBatchMachines(machinesOf(fx.progs), fx.seq, fx.goodOuts, engine.Options{Workers: 1, LaneWords: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestFirstKillBatchConcurrentPool(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, err := sim.FirstKillBatch(progs, fx.seq, fx.goodOuts, engine.Options{Workers: 3, LaneWords: 1})
+			got, err := sim.FirstKillBatchMachines(machinesOf(progs), fx.seq, fx.goodOuts, engine.Options{Workers: 3, LaneWords: 1})
 			if err != nil {
 				t.Error(err)
 				return

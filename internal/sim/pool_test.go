@@ -47,6 +47,16 @@ func newScoringFixture(t *testing.T) *scoringFixture {
 	return &scoringFixture{progs: progs, seq: seq, goodOuts: goodOuts}
 }
 
+// machinesOf arms one fresh machine per program (a program listed twice
+// gets two machines, as FirstKillBatchMachines requires).
+func machinesOf(progs []*sim.Program) []*sim.Machine {
+	ms := make([]*sim.Machine, len(progs))
+	for i, p := range progs {
+		ms[i] = p.NewMachine()
+	}
+	return ms
+}
+
 // TestFirstKillBatchRaggedTails pins lane batching on mutant counts of
 // 0, 1, 63, 64, 65 and W×64±1 (duplicating programs past the population
 // size — the same program may ride in many lanes): every count at every
@@ -56,7 +66,7 @@ func TestFirstKillBatchRaggedTails(t *testing.T) {
 	fx := newScoringFixture(t)
 
 	// Reference profile per distinct program.
-	ref, err := sim.FirstKillBatch(fx.progs, fx.seq, fx.goodOuts, engine.Options{Workers: 1, LaneWords: 1})
+	ref, err := sim.FirstKillBatchMachines(machinesOf(fx.progs), fx.seq, fx.goodOuts, engine.Options{Workers: 1, LaneWords: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +78,7 @@ func TestFirstKillBatchRaggedTails(t *testing.T) {
 				for i := range progs {
 					progs[i] = fx.progs[i%len(fx.progs)]
 				}
-				got, err := sim.FirstKillBatch(progs, fx.seq, fx.goodOuts, engine.Options{Workers: 2, LaneWords: W})
+				got, err := sim.FirstKillBatchMachines(machinesOf(progs), fx.seq, fx.goodOuts, engine.Options{Workers: 2, LaneWords: W})
 				if err != nil {
 					t.Fatal(err)
 				}

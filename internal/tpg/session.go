@@ -96,6 +96,19 @@ func NewSession(c *hdl.Circuit, mutants []*mutation.Mutant, opts *Options) (*Ses
 // Targets returns the mutant population compiled into the session.
 func (s *Session) Targets() []*mutation.Mutant { return s.mutants }
 
+// Programs returns the session's compiled original and one compiled
+// program per Targets() mutant, in Targets order, so other engines can
+// run the population without compiling it again. Programs are immutable:
+// a caller builds its own machines from them and never steps the
+// session's.
+func (s *Session) Programs() (*sim.Program, []*sim.Program) {
+	progs := make([]*sim.Program, len(s.machines))
+	for i, m := range s.machines {
+		progs[i] = m.Program()
+	}
+	return s.orig.Program(), progs
+}
+
 // liveMutant tracks one target mutant's machine during generation.
 type liveMutant struct {
 	idx int // position in the run's target selection (Killed index)
