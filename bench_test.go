@@ -95,6 +95,16 @@ func BenchmarkTable2B03(b *testing.B)  { benchmarkTable2(b, "b03") }
 func BenchmarkTable2C432(b *testing.B) { benchmarkTable2(b, "c432") }
 func BenchmarkTable2C499(b *testing.B) { benchmarkTable2(b, "c499") }
 
+// BenchmarkTable2B03OneCore is Table2B03 on one core: GOMAXPROCS is
+// pinned to 1, so Workers: 0 resolves to one worker and the flow runs
+// every section inline, as at Workers: 1 but on the compiled engines.
+// Its ratio over Table2B03, read within one run, is what the flow's
+// concurrent sections buy on the host's cores.
+func BenchmarkTable2B03OneCore(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	benchmarkTable2(b, "b03")
+}
+
 // --- E3: ATPG top-off (the paper's §1 motivation) -----------------------------
 
 func benchmarkTopoff(b *testing.B, name string, cfg core.Config) {

@@ -21,8 +21,10 @@
 //	-equiv N       equivalence campaign budget (default 1024)
 //	-frac F        sampling fraction (default 0.10)
 //	-repeats N     repetitions averaged per measurement (default 5)
-//	-workers N     mutant-scoring and fault-simulation pool size
-//	               (0 = all cores, 1 = serial reference engines)
+//	-workers N     worker count for mutant scoring, fault simulation and
+//	               the flow's concurrent sections (operator-profile jobs,
+//	               scoring beside test generation); 0 = all cores,
+//	               1 = serial reference engines, every section inline
 //	-lanewords N   compiled-engine lane width in 64-bit words
 //	               (0 = default, 1/4/8 = 64/256/512 lanes per pass)
 package main
@@ -116,7 +118,7 @@ func experimentFlags(fs *flag.FlagSet) func() core.Config {
 	equiv := fs.Int("equiv", 1024, "equivalence campaign budget")
 	frac := fs.Float64("frac", 0.10, "mutant sampling fraction")
 	repeats := fs.Int("repeats", 0, "repetitions averaged per measurement (default 5)")
-	workers := fs.Int("workers", 0, "mutant-scoring and fault-simulation pool size (0 = all cores, 1 = serial reference)")
+	workers := fs.Int("workers", 0, "worker count for mutant scoring, fault simulation, operator-profile jobs and scoring beside test generation (0 = all cores, 1 = serial reference, inline)")
 	laneWords := fs.Int("lanewords", 0, "compiled-engine lane width in 64-bit words (0 = default, 1/4/8)")
 	return func() core.Config {
 		return core.Config{

@@ -18,25 +18,40 @@ import (
 
 // The digests below pin the exact output of the paper flow and of the
 // engines under it. Every engine setting must print the same bytes, so
-// each digest is checked at Workers 0 (compiled pools) and Workers 1
-// (serial references). A change that alters any of them changes what the
-// repository reports and must say so.
+// each digest is checked at Workers 0 (compiled pools, as many workers as
+// cores), Workers 1 (serial references) and Workers 2 (compiled pools on
+// two workers, so the flow's concurrent sections run on one-core hosts
+// too). A change that alters any of them changes what the repository
+// reports and must say so.
 
 func digest(v any) string {
 	return fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprint(v))))
 }
 
-var digestWorkers = []int{0, 1}
+var digestWorkers = []int{0, 1, 2}
 
 // TestFlowTablesDigest pins the Table 1 and Table 2 text of a short
 // flow: operator profiling (PerMutantSkip with the PerMutant fallback),
 // weighted and random sampling, TG, equivalence and mutation scoring.
+//
+// c432 is the exception to "every setting prints the same bytes": its
+// random-strategy MS% reads 97.35 on the compiled engines and 96.97 on
+// the serial reference. A compiled machine's Reset restores registers
+// only, so an output a mutant leaves unassigned keeps its value from the
+// machine's previous campaign, while the reference interprets every
+// sequence on fresh simulators (the power-on reset item in ROADMAP.md).
+// Its compiled digest so depends on the order in which each machine runs
+// its campaigns, which the flow's concurrent sections must keep serial.
 func TestFlowTablesDigest(t *testing.T) {
 	want := map[string]string{
-		"b01": "c8337c704e516f37f1456f6780b5552033774fcf6b090e911ad7df7d66367079",
-		"c17": "2807a900f93866845d7dd82b54ac861ec9cbec6b25abca3487dadde6190fd82b",
+		"b01":  "c8337c704e516f37f1456f6780b5552033774fcf6b090e911ad7df7d66367079",
+		"c17":  "2807a900f93866845d7dd82b54ac861ec9cbec6b25abca3487dadde6190fd82b",
+		"c432": "a23edba4482f4ca1d6a8aea4bd90d374a3671e36193db7233d4b993f52ac1171",
 	}
-	for _, name := range []string{"b01", "c17"} {
+	wantSerial := map[string]string{
+		"c432": "250b0d3c9408f169f876c640120414ee277223ea055bdfa81017c4d705a15145",
+	}
+	for _, name := range []string{"b01", "c17", "c432"} {
 		for _, w := range digestWorkers {
 			t.Run(fmt.Sprintf("%s/workers=%d", name, w), func(t *testing.T) {
 				cfg := core.Config{Seed: 1, Repeats: 1, RandHorizon: 256, EquivBudget: 128,
@@ -55,8 +70,12 @@ func TestFlowTablesDigest(t *testing.T) {
 				}
 				text := core.FormatTable1([]core.Table1Row{{Circuit: name, Profiles: profiles}}) +
 					core.FormatTable2([]*core.SamplingComparison{cmp})
-				if got := digest(text); got != want[name] {
-					t.Errorf("tables digest %s, want %s\n%s", got, want[name], text)
+				wantDigest := want[name]
+				if d, ok := wantSerial[name]; ok && w == 1 {
+					wantDigest = d
+				}
+				if got := digest(text); got != wantDigest {
+					t.Errorf("tables digest %s, want %s\n%s", got, wantDigest, text)
 				}
 			})
 		}

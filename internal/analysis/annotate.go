@@ -246,8 +246,9 @@ func scanDirectives(fset *token.FileSet, files []*ast.File, info *types.Info) sc
 // EnginePackages lists the package paths bound to the engine-scope
 // contracts (determinism of every compiled path, cooperative Ctx
 // polling) without needing a //repro:deterministic pragma: the compiled
-// engines themselves plus the shared option surface. Shard results of a
-// distributed campaign merge by construction only while these stay
+// engines themselves, the shared option surface, and the paper flow
+// that runs them side by side and merges their results. Shard results
+// of a distributed campaign merge by construction only while these stay
 // order-deterministic.
 var EnginePackages = map[string]bool{
 	"repro/internal/netlist":  true,
@@ -258,6 +259,7 @@ var EnginePackages = map[string]bool{
 	"repro/internal/atpg":     true,
 	"repro/internal/engine":   true,
 	"repro/internal/campaign": true,
+	"repro/internal/core":     true,
 }
 
 // engineScoped reports whether the pass's package is bound to the

@@ -24,6 +24,7 @@ import (
 	"repro/internal/mutation"
 	"repro/internal/mutscore"
 	"repro/internal/netlist"
+	"repro/internal/par"
 	"repro/internal/sampling"
 	"repro/internal/sim"
 	"repro/internal/synth"
@@ -50,9 +51,26 @@ type Config struct {
 	// Options is the shared engine surface forwarded to every substrate
 	// — mutant scoring, fault simulation and test generation. See
 	// engine.Options for the Workers/LaneWords semantics (Workers:1 +
-	// LaneWords:1 is the bit-identical legacy reference configuration),
-	// the progress hook and cancellation. Results are identical for
-	// every setting.
+	// LaneWords:1 is the bit-identical legacy reference configuration)
+	// and cancellation. Results are identical for every setting.
+	//
+	// Workers also sizes the flow's own concurrency. ProfileOperators
+	// runs the operator classes as jobs on that many workers, each with
+	// a tpg.Session fork and a fault simulator of its own; Equivalent
+	// runs the equivalence campaign beside FullTG; and CompareSampling
+	// scores and fault-simulates each strategy sequence beside the next
+	// one's generation. Every compiled machine still runs its campaigns
+	// in the serial order (see tpg.Session.Fork), which is what keeps
+	// the output identical. When Workers resolves to one worker (always
+	// at Workers: 1) every section runs inline on the calling goroutine.
+	// Ctx reaches every call, every goroutine is joined before a method
+	// returns, and the error returned is the earliest in serial order.
+	//
+	// The Progress hook sees ordered reports only: ProfileOperators
+	// reports operator classes finished, and FullTG and the strategy
+	// campaigns report targets finished, as tpg.Session.Generate does.
+	// The per-class campaigns, mutant scoring and fault simulation report
+	// nothing.
 	engine.Options
 }
 
@@ -99,7 +117,7 @@ type Flow struct {
 
 	randSeq    sim.Sequence
 	randCurve  []float64
-	fsim       *faultsim.Simulator
+	fsim       *faultsim.Simulator // quiet: it runs beside TG campaigns
 	fullTG     *tpg.Result
 	equivalent []bool
 	profiles   []OperatorProfile
@@ -136,7 +154,7 @@ func (f *Flow) fullScorer() (*mutscore.Scorer, error) {
 		if err != nil {
 			return nil, err
 		}
-		s, err := mutscore.Config{Options: f.cfg.Options}.NewScorer(tg)
+		s, err := mutscore.Config{Options: f.quiet()}.NewScorer(tg)
 		if err != nil {
 			return nil, err
 		}
@@ -145,9 +163,86 @@ func (f *Flow) fullScorer() (*mutscore.Scorer, error) {
 	return f.scorer, nil
 }
 
+// quiet returns the flow's engine options without the progress hook,
+// for the engine calls that run beside another section: one hook carries
+// one ordered stream of reports.
+func (f *Flow) quiet() engine.Options {
+	o := f.cfg.Options
+	o.Progress = nil
+	return o
+}
+
+// concurrent reports whether Workers resolves to more than one worker,
+// so that the flow runs its sections' lanes on separate goroutines.
+func (f *Flow) concurrent() bool { return par.Workers(f.cfg.Workers, 2) > 1 }
+
+// beside runs a and b, on two goroutines when the flow is concurrent and
+// otherwise inline, a first. It joins both and returns a's error before
+// b's, the earlier one in serial order.
+func (f *Flow) beside(a, b func() error) error {
+	if !f.concurrent() {
+		if err := a(); err != nil {
+			return err
+		}
+		return b()
+	}
+	errB := make(chan error, 1)
+	go func() { errB <- b() }()
+	errA := a()
+	if err := <-errB; errA == nil {
+		return err
+	}
+	return errA
+}
+
+// pipeline runs gen(i) for i in [0, n), in order, and use(i) after each
+// gen(i), in order. When the flow is concurrent the uses run on a second
+// goroutine, beside the later gens; otherwise the calls interleave
+// inline, gen(0), use(0), gen(1), and so on. It joins both lanes and
+// returns the earliest error in that serial order: a use only ever
+// follows a gen that succeeded, so a use's error comes first.
+func (f *Flow) pipeline(n int, gen, use func(i int) error) error {
+	if !f.concurrent() {
+		for i := 0; i < n; i++ {
+			if err := gen(i); err != nil {
+				return err
+			}
+			if err := use(i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	ready := make(chan int, n) // room for every index: gen never waits on use
+	errUse := make(chan error, 1)
+	go func() {
+		var err error
+		for i := range ready {
+			if err == nil {
+				err = use(i)
+			}
+		}
+		errUse <- err
+	}()
+	var errGen error
+	for i := 0; i < n && errGen == nil; i++ {
+		if errGen = gen(i); errGen == nil {
+			ready <- i
+		}
+	}
+	close(ready)
+	if err := <-errUse; err != nil {
+		return err
+	}
+	return errGen
+}
+
 // NewFlow elaborates a circuit: synthesizes the netlist, enumerates the
 // mutant population and the collapsed fault list, and fault-simulates the
-// pseudo-random reference sequence.
+// pseudo-random reference sequence. The circuit must pass
+// hdl.Check(Strict), as every hdl.Parse result does: the flow's
+// concurrent sections rely on its outputs being assigned on every path
+// (see tpg.Session.Fork).
 func NewFlow(c *hdl.Circuit, cfg Config) (*Flow, error) {
 	cfg = cfg.withDefaults()
 	nl, err := synth.Synthesize(c)
@@ -161,7 +256,7 @@ func NewFlow(c *hdl.Circuit, cfg Config) (*Flow, error) {
 		cfg:     cfg,
 	}
 	f.Faults = faultsim.Faults(nl)
-	f.fsim, err = faultsim.Config{Options: cfg.Options}.New(nl, f.Faults)
+	f.fsim, err = faultsim.Config{Options: f.quiet()}.New(nl, f.Faults)
 	if err != nil {
 		return nil, err
 	}
@@ -213,9 +308,19 @@ const minProfileLen = 12
 // dedicated fallback for degenerate classes), fault simulate it, and
 // compare against the pseudo-random reference. Results are cached on the
 // Flow.
+//
+// Each class is one job: its repeats run in order on one worker, whose
+// session is a fork of the flow's (worker 0 runs the flow's own session
+// and fault simulator). The classes partition the population, so every
+// mutant machine sees its class's campaigns exactly as in a serial run.
+// The progress hook receives the number of classes finished.
 func (f *Flow) ProfileOperators() ([]OperatorProfile, error) {
 	if f.profiles != nil {
 		return f.profiles, nil
+	}
+	s, err := f.tgSession()
+	if err != nil {
+		return nil, err
 	}
 	classes := mutation.ByOperator(f.Mutants)
 	ops := make([]mutation.Operator, 0, len(classes))
@@ -224,47 +329,77 @@ func (f *Flow) ProfileOperators() ([]OperatorProfile, error) {
 	}
 	sort.Slice(ops, func(i, j int) bool { return ops[i] < ops[j] })
 
-	var out []OperatorProfile
-	for opIdx, op := range ops {
-		class := classes[op]
-		var effs []metrics.Efficiency
-		p := OperatorProfile{Op: op, Mutants: len(class)}
-		for rep := 0; rep < f.cfg.Repeats; rep++ {
-			probe := class
-			if len(probe) > profileCap {
-				probe = sampling.Random(class, profileCap,
-					f.cfg.Seed+int64(777+101*opIdx+rep))
-			}
-			p.Probed = len(probe)
-			tg, err := f.generate(probe, int64(1000+37*opIdx+rep), tpg.PerMutantSkip)
-			if err != nil {
-				return nil, fmt.Errorf("core: TG for %s: %w", op, err)
-			}
-			// Mutation-adequate selection can leave almost nothing when a
-			// class has no hard mutants (every target dies collaterally);
-			// an efficiency measured on a handful of vectors is noise, so
-			// fall back to the dedicated discipline for this probe.
-			if len(tg.Seq) < minProfileLen {
-				tg, err = f.generate(probe, int64(1000+37*opIdx+rep), tpg.PerMutant)
-				if err != nil {
-					return nil, fmt.Errorf("core: TG for %s: %w", op, err)
-				}
-			}
-			fres, err := f.FaultSim(tg.Seq)
-			if err != nil {
-				return nil, err
-			}
-			effs = append(effs, metrics.Compare(fres.Curve(), f.randCurve))
-			p.Killed += tg.KilledCount()
-			p.SeqLen += len(tg.Seq)
+	workers := par.Workers(f.cfg.Workers, len(ops))
+	sessions := []*tpg.Session{s}
+	sims := []*faultsim.Simulator{f.fsim}
+	for w := 1; w < workers; w++ {
+		fs, err := faultsim.Config{Options: f.quiet()}.New(f.Netlist, f.Faults)
+		if err != nil {
+			return nil, err
 		}
-		p.Killed /= f.cfg.Repeats
-		p.SeqLen /= f.cfg.Repeats
-		p.Eff = meanEfficiency(effs)
-		out = append(out, p)
+		sessions = append(sessions, s.Fork())
+		sims = append(sims, fs)
+	}
+	out := make([]OperatorProfile, len(ops))
+	errs := make([]error, len(ops))
+	ran := make([]bool, len(ops))
+	err = par.IndexedCtx(f.cfg.Ctx, len(ops), workers, func(w, i int) {
+		ran[i] = true
+		out[i], errs[i] = f.profileClass(sessions[w], sims[w], i, ops[i], classes[ops[i]])
+	}, func(done int) { f.cfg.Report(done, len(ops)) })
+	// Jobs start in class order, so a class that never ran was skipped
+	// on cancellation, where a serial run would have stopped.
+	for i := range ops {
+		if !ran[i] {
+			return nil, fmt.Errorf("core: %w", err)
+		}
+		if errs[i] != nil {
+			return nil, errs[i]
+		}
 	}
 	f.profiles = out
 	return out, nil
+}
+
+// profileClass measures operator class ops[opIdx] over the configured
+// repeats, generating on session s and fault-simulating on fs.
+func (f *Flow) profileClass(s *tpg.Session, fs *faultsim.Simulator, opIdx int, op mutation.Operator, class []*mutation.Mutant) (OperatorProfile, error) {
+	o := f.quiet()
+	var effs []metrics.Efficiency
+	p := OperatorProfile{Op: op, Mutants: len(class)}
+	for rep := 0; rep < f.cfg.Repeats; rep++ {
+		probe := class
+		if len(probe) > profileCap {
+			probe = sampling.Random(class, profileCap,
+				f.cfg.Seed+int64(777+101*opIdx+rep))
+		}
+		p.Probed = len(probe)
+		tg, err := f.generate(s, o, probe, int64(1000+37*opIdx+rep), tpg.PerMutantSkip)
+		if err != nil {
+			return p, fmt.Errorf("core: TG for %s: %w", op, err)
+		}
+		// Mutation-adequate selection can leave almost nothing when a
+		// class has no hard mutants (every target dies collaterally);
+		// an efficiency measured on a handful of vectors is noise, so
+		// fall back to the dedicated discipline for this probe.
+		if len(tg.Seq) < minProfileLen {
+			tg, err = f.generate(s, o, probe, int64(1000+37*opIdx+rep), tpg.PerMutant)
+			if err != nil {
+				return p, fmt.Errorf("core: TG for %s: %w", op, err)
+			}
+		}
+		fres, err := fs.Run(tpg.ToPatterns(f.Circuit, tg.Seq))
+		if err != nil {
+			return p, err
+		}
+		effs = append(effs, metrics.Compare(fres.Curve(), f.randCurve))
+		p.Killed += tg.KilledCount()
+		p.SeqLen += len(tg.Seq)
+	}
+	p.Killed /= f.cfg.Repeats
+	p.SeqLen /= f.cfg.Repeats
+	p.Eff = meanEfficiency(effs)
+	return p, nil
 }
 
 // meanEfficiency averages efficiency measurements across repeated runs.
@@ -332,14 +467,11 @@ func DeriveWeights(profiles []OperatorProfile, floor float64) sampling.Weights {
 	return w
 }
 
-// generate runs mutation-driven TG in the given mode, offsetting the
-// generator seed (Seed+1) so distinct calls explore distinct stimuli
+// generate runs mutation-driven TG on session s (the flow's or a fork)
+// in the given mode under the engine options o, offsetting the generator
+// seed (Seed+1) so distinct calls explore distinct stimuli
 // deterministically.
-func (f *Flow) generate(targets []*mutation.Mutant, seedOffset int64, mode tpg.Mode) (*tpg.Result, error) {
-	s, err := f.tgSession()
-	if err != nil {
-		return nil, err
-	}
+func (f *Flow) generate(s *tpg.Session, o engine.Options, targets []*mutation.Mutant, seedOffset int64, mode tpg.Mode) (*tpg.Result, error) {
 	idx := make([]int, len(targets))
 	for i, m := range targets {
 		mi, ok := f.mutIdx[m]
@@ -348,7 +480,7 @@ func (f *Flow) generate(targets []*mutation.Mutant, seedOffset int64, mode tpg.M
 		}
 		idx[i] = mi
 	}
-	return s.Generate(idx, &tpg.Options{Options: f.cfg.Options, Mode: mode, Seed: f.cfg.Seed + 1 + seedOffset})
+	return s.Generate(idx, &tpg.Options{Options: o, Mode: mode, Seed: f.cfg.Seed + 1 + seedOffset})
 }
 
 // FullTG generates (and caches) validation data targeting the entire
@@ -358,7 +490,11 @@ func (f *Flow) FullTG() (*tpg.Result, error) {
 	if f.fullTG != nil {
 		return f.fullTG, nil
 	}
-	tg, err := f.generate(f.Mutants, 2, tpg.PerMutant)
+	s, err := f.tgSession()
+	if err != nil {
+		return nil, err
+	}
+	tg, err := f.generate(s, f.cfg.Options, f.Mutants, 2, tpg.PerMutant)
 	if err != nil {
 		return nil, err
 	}
@@ -369,22 +505,30 @@ func (f *Flow) FullTG() (*tpg.Result, error) {
 // Equivalent returns the cached probable-equivalence flags for the mutant
 // population: a mutant is counted in E only if the random campaign, the
 // full-population TG sequence, and every strategy sequence evaluated so
-// far all fail to kill it.
+// far all fail to kill it. The random campaign runs beside FullTG; the
+// FullTG sequence then narrows its survivors.
 func (f *Flow) Equivalent() ([]bool, error) {
 	if f.equivalent != nil {
 		return f.equivalent, nil
-	}
-	full, err := f.FullTG()
-	if err != nil {
-		return nil, err
 	}
 	scorer, err := f.fullScorer()
 	if err != nil {
 		return nil, err
 	}
-	eq, err := scorer.EstimateEquivalence([]sim.Sequence{full.Seq},
-		&mutscore.EquivalenceOptions{Budget: f.cfg.EquivBudget, Seed: f.cfg.Seed + 2000})
+	var full *tpg.Result
+	var eq []bool
+	err = f.beside(func() (err error) {
+		full, err = f.FullTG()
+		return err
+	}, func() (err error) {
+		eq, err = scorer.EstimateEquivalence(nil,
+			&mutscore.EquivalenceOptions{Budget: f.cfg.EquivBudget, Seed: f.cfg.Seed + 2000})
+		return err
+	})
 	if err != nil {
+		return nil, err
+	}
+	if err := scorer.Narrow(eq, full.Seq); err != nil {
 		return nil, err
 	}
 	f.equivalent = eq
@@ -423,6 +567,13 @@ type SamplingComparison struct {
 // number of mutants with the test-oriented and the classical random
 // strategy, generate validation data from each sample, and measure both
 // the mutation score over all mutants and the structural-test NLFCE.
+// Every strategy is averaged over cfg.Repeats independent draw+TG runs;
+// the per-operator allocation reported is the first repetition's
+// (representative; draws differ only by seed).
+//
+// The campaigns run in order, test-oriented repeats first, and each
+// finished sequence is scored and fault-simulated beside the next
+// campaign.
 func (f *Flow) CompareSampling() (*SamplingComparison, error) {
 	profiles, err := f.ProfileOperators()
 	if err != nil {
@@ -430,32 +581,6 @@ func (f *Flow) CompareSampling() (*SamplingComparison, error) {
 	}
 	weights := DeriveWeights(profiles, weightFloor)
 	n := sampling.SampleSize(len(f.Mutants), f.cfg.SampleFrac)
-
-	testOriented, err := f.evalStrategy("test-oriented", func(rep int64) []*mutation.Mutant {
-		return sampling.Weighted(f.Mutants, n, weights, f.cfg.Seed+10+rep)
-	})
-	if err != nil {
-		return nil, err
-	}
-	random, err := f.evalStrategy("random", func(rep int64) []*mutation.Mutant {
-		return sampling.Random(f.Mutants, n, f.cfg.Seed+20+rep)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &SamplingComparison{
-		Circuit:      f.Circuit.Name,
-		TestOriented: *testOriented,
-		Random:       *random,
-		Weights:      weights,
-		Profiles:     profiles,
-	}, nil
-}
-
-// evalStrategy measures a sampling strategy averaged over cfg.Repeats
-// independent draw+TG runs. The per-operator allocation reported is the
-// first repetition's (representative; draws differ only by seed).
-func (f *Flow) evalStrategy(name string, draw func(rep int64) []*mutation.Mutant) (*StrategyResult, error) {
 	equivalent, err := f.Equivalent()
 	if err != nil {
 		return nil, err
@@ -464,37 +589,62 @@ func (f *Flow) evalStrategy(name string, draw func(rep int64) []*mutation.Mutant
 	if err != nil {
 		return nil, err
 	}
-	out := &StrategyResult{Strategy: name}
-	var effs []metrics.Efficiency
-	for rep := 0; rep < f.cfg.Repeats; rep++ {
-		sample := draw(int64(rep * 1009))
-		tg, err := f.generate(sample, int64(5000+991*rep), tpg.PerMutant)
-		if err != nil {
-			return nil, err
-		}
-		killed, err := scorer.Kills(tg.Seq)
-		if err != nil {
-			return nil, err
-		}
-		fres, err := f.FaultSim(tg.Seq)
-		if err != nil {
-			return nil, err
-		}
-		if rep == 0 {
-			out.SampleSize = len(sample)
-			out.Alloc = make(map[mutation.Operator]int)
-			for _, m := range sample {
-				out.Alloc[m.Op]++
-			}
-		}
-		out.SeqLen += len(tg.Seq)
-		out.MSPct += 100 * mutscore.Score(killed, equivalent)
-		effs = append(effs, metrics.Compare(fres.Curve(), f.randCurve))
+	s, err := f.tgSession()
+	if err != nil {
+		return nil, err
 	}
-	out.SeqLen /= f.cfg.Repeats
-	out.MSPct /= float64(f.cfg.Repeats)
-	out.Eff = meanEfficiency(effs)
-	return out, nil
+
+	reps := f.cfg.Repeats
+	out := [2]StrategyResult{{Strategy: "test-oriented"}, {Strategy: "random"}}
+	samples := make([][]*mutation.Mutant, len(out)*reps)
+	for rep := 0; rep < reps; rep++ {
+		seed := int64(rep * 1009)
+		samples[rep] = sampling.Weighted(f.Mutants, n, weights, f.cfg.Seed+10+seed)
+		samples[reps+rep] = sampling.Random(f.Mutants, n, f.cfg.Seed+20+seed)
+	}
+	tgs := make([]*tpg.Result, len(samples))
+	killed := make([][]bool, len(samples))
+	effs := make([]metrics.Efficiency, len(samples))
+	err = f.pipeline(len(samples), func(i int) (err error) {
+		tgs[i], err = f.generate(s, f.cfg.Options, samples[i], int64(5000+991*(i%reps)), tpg.PerMutant)
+		return err
+	}, func(i int) (err error) {
+		if killed[i], err = scorer.Kills(tgs[i].Seq); err != nil {
+			return err
+		}
+		fres, err := f.FaultSim(tgs[i].Seq)
+		if err != nil {
+			return err
+		}
+		effs[i] = metrics.Compare(fres.Curve(), f.randCurve)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	for k := range out {
+		r, first := &out[k], k*reps
+		r.SampleSize = len(samples[first])
+		r.Alloc = make(map[mutation.Operator]int)
+		for _, m := range samples[first] {
+			r.Alloc[m.Op]++
+		}
+		for i := first; i < first+reps; i++ {
+			r.SeqLen += len(tgs[i].Seq)
+			r.MSPct += 100 * mutscore.Score(killed[i], equivalent)
+		}
+		r.SeqLen /= reps
+		r.MSPct /= float64(reps)
+		r.Eff = meanEfficiency(effs[first : first+reps])
+	}
+	return &SamplingComparison{
+		Circuit:      f.Circuit.Name,
+		TestOriented: out[0],
+		Random:       out[1],
+		Weights:      weights,
+		Profiles:     profiles,
+	}, nil
 }
 
 // --- E3: ATPG top-off ---------------------------------------------------------

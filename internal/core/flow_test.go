@@ -2,10 +2,13 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/circuits"
+	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/mutation"
 	"repro/internal/sampling"
@@ -179,6 +182,38 @@ func TestEquivalentFlagsConsistent(t *testing.T) {
 	eq2, _ := f.Equivalent()
 	if &eq2[0] != &eq[0] {
 		t.Error("equivalence flags not cached")
+	}
+}
+
+// TestWorkersOneRunsInline pins that Workers: 1 runs every flow section
+// on the calling goroutine: no progress report sees a goroutine beyond
+// the ones running when the flow started. At Workers: 2 the reports
+// must see the profile workers and the scoring lane.
+func TestWorkersOneRunsInline(t *testing.T) {
+	for _, w := range []int{1, 2} {
+		var mu sync.Mutex
+		most := 0
+		cfg := Config{Seed: 1, Repeats: 1, RandHorizon: 128, EquivBudget: 64}
+		cfg.Workers = w
+		cfg.Progress = func(engine.Stats) {
+			mu.Lock()
+			most = max(most, runtime.NumGoroutine())
+			mu.Unlock()
+		}
+		f, err := NewFlow(circuits.MustLoad("b06"), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		baseline := runtime.NumGoroutine()
+		if _, err := f.CompareSampling(); err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case w == 1 && most > baseline:
+			t.Errorf("Workers: 1 ran %d goroutines, %d when the flow started", most, baseline)
+		case w > 1 && most <= baseline:
+			t.Errorf("Workers: %d never ran a section beside another: %d goroutines, %d at the start", w, most, baseline)
+		}
 	}
 }
 

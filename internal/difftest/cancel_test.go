@@ -1,8 +1,8 @@
 // Cancellation contract tests: a Ctx cancelled mid-campaign must surface
 // context.Canceled promptly from every engine — fault simulation, mutant
-// scoring and test generation — and must not leak pool goroutines (CI
-// runs this file under -race, which also shakes out unsynchronized
-// shutdown paths).
+// scoring and test generation — and from the paper flow that runs them
+// side by side, and must not leak pool goroutines (CI runs this file
+// under -race, which also shakes out unsynchronized shutdown paths).
 package difftest
 
 import (
@@ -10,10 +10,13 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/circuits"
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/faultsim"
 	"repro/internal/mutation"
@@ -180,4 +183,113 @@ func TestTPGCancellation(t *testing.T) {
 		t.Fatalf("mid-campaign Generate returned %v", err)
 	}
 	checkGoroutines(t, baseline)
+}
+
+// flowHook is a core.Flow progress hook that records every report and,
+// once armed, cancels the flow's Ctx on the first report it sees.
+type flowHook struct {
+	ctx    context.Context
+	cancel context.CancelFunc
+	armed  atomic.Bool
+	mu     sync.Mutex
+	seen   []engine.Stats
+}
+
+func (h *flowHook) report(s engine.Stats) {
+	h.mu.Lock()
+	h.seen = append(h.seen, s)
+	h.mu.Unlock()
+	if h.armed.Load() {
+		h.cancel()
+	}
+}
+
+func (h *flowHook) reports() []engine.Stats {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return append([]engine.Stats(nil), h.seen...)
+}
+
+// TestFlowCancellation extends the contract to core.Flow, whose sections
+// run concurrently: ProfileOperators' class jobs, Equivalent's campaign
+// beside FullTG, and CompareSampling's scoring lane beside its strategy
+// campaigns. A cancelled Ctx must surface context.Canceled from each,
+// with every goroutine joined, and a repeated call must fail again
+// rather than return profiles or equivalence flags cached from a
+// partial run.
+func TestFlowCancellation(t *testing.T) {
+	c := circuits.MustLoad("b06")
+	for _, ec := range cancelConfigs {
+		t.Run(ec.String(), func(t *testing.T) {
+			baseline := runtime.NumGoroutine()
+			newFlow := func() (*core.Flow, *flowHook) {
+				h := &flowHook{}
+				h.ctx, h.cancel = context.WithCancel(context.Background())
+				t.Cleanup(h.cancel)
+				opts := ec.options()
+				opts.Ctx, opts.Progress = h.ctx, h.report
+				f, err := core.NewFlow(c, core.Config{Seed: 1, Repeats: 1, RandHorizon: 128, EquivBudget: 64, Options: opts})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return f, h
+			}
+			profile := func(f *core.Flow) error { _, err := f.ProfileOperators(); return err }
+			equivalent := func(f *core.Flow) error { _, err := f.Equivalent(); return err }
+			compare := func(f *core.Flow) error { _, err := f.CompareSampling(); return err }
+			wantCanceled := func(label string, err error) {
+				t.Helper()
+				if !errors.Is(err, context.Canceled) {
+					t.Errorf("%s returned %v, want context.Canceled", label, err)
+				}
+			}
+
+			// Cancelled before the calls.
+			f, h := newFlow()
+			h.cancel()
+			wantCanceled("pre-cancelled ProfileOperators", profile(f))
+			wantCanceled("pre-cancelled Equivalent", equivalent(f))
+			wantCanceled("pre-cancelled CompareSampling", compare(f))
+
+			// Cancelled by ProfileOperators' first report.
+			f, h = newFlow()
+			h.armed.Store(true)
+			wantCanceled("ProfileOperators cancelled mid-run", profile(f))
+			wantCanceled("ProfileOperators after a cancelled run", profile(f))
+			wantCanceled("CompareSampling after a cancelled profile", compare(f))
+
+			// Cancelled by FullTG's first report, beside the equivalence
+			// campaign.
+			f, h = newFlow()
+			h.armed.Store(true)
+			wantCanceled("Equivalent cancelled mid-run", equivalent(f))
+			wantCanceled("Equivalent after a cancelled run", equivalent(f))
+
+			// ProfileOperators reports the classes finished, in order;
+			// then the first strategy campaign's first report cancels the
+			// campaigns and their scoring lane.
+			f, h = newFlow()
+			profiles, err := f.ProfileOperators()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := h.reports()
+			if len(got) != len(profiles) {
+				t.Errorf("ProfileOperators made %d reports for %d classes: %v", len(got), len(profiles), got)
+			}
+			for i, s := range got {
+				if s != (engine.Stats{Done: i + 1, Total: len(profiles)}) {
+					t.Errorf("ProfileOperators report %d is %+v, want Done %d of %d", i, s, i+1, len(profiles))
+				}
+			}
+			if err := equivalent(f); err != nil {
+				t.Fatal(err)
+			}
+			h.armed.Store(true)
+			wantCanceled("CompareSampling cancelled in a strategy campaign", compare(f))
+			wantCanceled("CompareSampling after a cancelled campaign", compare(f))
+
+			checkGoroutines(t, baseline)
+		})
+	}
 }

@@ -35,8 +35,11 @@ type Options struct {
 	// engine), n > 1 uses exactly n workers (compiled engine), and 1
 	// selects the serial reference engine kept for differential testing
 	// (the single-fault Evaluator path in faultsim, the AST-interpreter
-	// path in mutscore). Results are identical for every setting — the
-	// parity tests and internal/difftest pin this.
+	// path in mutscore). core.Flow sizes its own concurrent sections
+	// with it too: that many operator-profile jobs, and a scoring lane
+	// beside test generation when it resolves to more than one worker.
+	// Results are identical for every setting — the parity tests and
+	// internal/difftest pin this.
 	Workers int
 	// LaneWords selects the compiled engines' lane vector width in
 	// 64-bit words: 1, 4 or 8 force 64, 256 or 512 lanes (fault machines,

@@ -164,7 +164,9 @@ func (s *Scorer) firstKill(idx []int, seq sim.Sequence) ([]int, error) {
 // equivalent* every mutant that nothing killed. True equivalence is
 // undecidable in general; the paper's E term is approximated this way,
 // with the budget as the knob. Each campaign sequence scores only the
-// mutants every earlier one left alive.
+// mutants every earlier one left alive, exactly as Narrow does: the call
+// equals EstimateEquivalence(nil, opts) followed by one Narrow per extra
+// sequence, in order.
 func (s *Scorer) EstimateEquivalence(extra []sim.Sequence, opts *EquivalenceOptions) ([]bool, error) {
 	o := EquivalenceOptions{Budget: 2048}
 	if opts != nil {
@@ -174,34 +176,50 @@ func (s *Scorer) EstimateEquivalence(extra []sim.Sequence, opts *EquivalenceOpti
 		o.Seed = opts.Seed
 	}
 	equivalent := make([]bool, len(s.mutants))
-	live := make([]int, len(s.mutants))
-	for i := range live {
+	for i := range equivalent {
 		equivalent[i] = true
-		live[i] = i
 	}
 	campaign := append([]sim.Sequence{tpg.RandomSequence(s.c, o.Budget, o.Seed)}, extra...)
 	for _, seq := range campaign {
-		if len(seq) == 0 || len(live) == 0 {
-			continue
-		}
-		if err := s.cfg.Cancelled(); err != nil {
-			return nil, fmt.Errorf("mutscore: %w", err)
-		}
-		cycles, err := s.firstKill(live, seq)
-		if err != nil {
+		if err := s.Narrow(equivalent, seq); err != nil {
 			return nil, err
 		}
-		still := live[:0]
-		for i, cy := range cycles {
-			if cy >= 0 {
-				equivalent[live[i]] = false
-			} else {
-				still = append(still, live[i])
-			}
-		}
-		live = still
 	}
 	return equivalent, nil
+}
+
+// Narrow scores seq against the mutants still flagged in equivalent, in
+// ascending index order, and clears the flag of every one it kills. An
+// empty sequence or an empty flagged set scores nothing. It lets a
+// caller score a campaign sequence against EstimateEquivalence's
+// survivors once the sequence exists, with the same result as passing
+// it as an extra.
+func (s *Scorer) Narrow(equivalent []bool, seq sim.Sequence) error {
+	if len(equivalent) != len(s.mutants) {
+		return fmt.Errorf("mutscore: %d equivalence flags for %d mutants", len(equivalent), len(s.mutants))
+	}
+	var live []int
+	for i, eq := range equivalent {
+		if eq {
+			live = append(live, i)
+		}
+	}
+	if len(seq) == 0 || len(live) == 0 {
+		return nil
+	}
+	if err := s.cfg.Cancelled(); err != nil {
+		return fmt.Errorf("mutscore: %w", err)
+	}
+	cycles, err := s.firstKill(live, seq)
+	if err != nil {
+		return err
+	}
+	for i, cy := range cycles {
+		if cy >= 0 {
+			equivalent[live[i]] = false
+		}
+	}
+	return nil
 }
 
 // --- serial reference -------------------------------------------------------

@@ -22,7 +22,8 @@ import (
 // different samples, seeds and disciplines) and what the one-shot
 // MutationTests API forced them to recompile every time.
 //
-// A Session is not safe for concurrent use; run one campaign at a time.
+// A Session is not safe for concurrent use; run one campaign at a time
+// (Fork gives a second goroutine a session of its own).
 type Session struct {
 	c       *hdl.Circuit
 	mutants []*mutation.Mutant
@@ -91,6 +92,33 @@ func NewSession(c *hdl.Circuit, mutants []*mutation.Mutant, opts *Options) (*Ses
 		s.maxOuts = max(s.maxOuts, p.NumOutputs())
 	}
 	return s, nil
+}
+
+// Fork returns a session over the same population that shares s's
+// compiled programs and its mutant machines, but owns a fresh original
+// machine and its own campaign scratch. A campaign steps only the
+// original and its targets' machines, so s and its forks may run
+// campaigns at the same time over disjoint target selections.
+//
+// A mutant machine's history carries over between campaigns, on s and
+// its forks alike: Machine.Reset restores registers only, so an output
+// a mutant leaves unassigned on some path keeps its value from the
+// machine's previous campaign. Campaigns split across s and its forks
+// therefore reproduce a serial run on s when every machine runs its
+// campaigns in the serial order. The fork's fresh original behaves
+// exactly like s's when the circuit passed hdl.Check(Strict), which
+// assigns every output on every path: the original then carries
+// register state only, which Generate resets.
+func (s *Session) Fork() *Session {
+	return &Session{
+		c:        s.c,
+		mutants:  s.mutants,
+		opts:     s.opts,
+		segLen:   s.segLen,
+		orig:     s.orig.Program().NewMachine(),
+		machines: s.machines,
+		maxOuts:  s.maxOuts,
+	}
 }
 
 // Targets returns the mutant population compiled into the session.

@@ -119,9 +119,11 @@ const (
 
 // Options tunes the mutation-driven generator. It embeds the shared
 // engine surface (engine.Options): Workers sizes the mutant batch
-// compilation pool, Ctx cancels a running generation between candidate
-// rounds, and Progress reports completed targets. LaneWords has no
-// effect here — candidate scoring is per-machine, not lane-packed.
+// compilation pool (and core.Flow runs that many operator-profile jobs,
+// each on a Session.Fork), Ctx cancels a running generation between
+// candidate rounds, and Progress reports completed targets. LaneWords
+// has no effect here — candidate scoring is per-machine, not
+// lane-packed.
 type Options struct {
 	engine.Options
 
