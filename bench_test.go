@@ -326,8 +326,7 @@ func BenchmarkEquivalenceBudget(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				eq, err := scorer.EstimateEquivalence(nil,
-					&mutscore.EquivalenceOptions{Budget: budget, Seed: 3})
+				eq, err := scorer.EstimateEquivalence(&mutscore.EquivalenceOptions{Budget: budget, Seed: 3})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -664,13 +663,13 @@ func benchmarkSeqATPG(b *testing.B, workers, packPairs int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := &atpg.SeqOptions{Frames: 4, MaxBacktracks: 96, FillSeed: 3}
+	opts := &atpg.Options{MaxBacktracks: 96, FillSeed: 3}
 	opts.Workers = workers
 	opts.PackPairs = packPairs
 	targets := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := atpg.GenerateSequential(nl, nil, opts)
+		rep, err := atpg.GenerateSequential(nl, 4, nil, opts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -50,9 +50,10 @@
 // and atpg.Model compiles the (possibly unrolled) circuit once per depth
 // for any number of campaigns. Fault dropping between PODEM targets is
 // an incremental fault-sim session with batch-level retirement, driven
-// by one commit per mode that both target drivers share. Workers:1 runs
-// the serial reference driver — the three-valued interpreter, one target
-// at a time, with faultsim's single-fault reference engine as the
+// by the one commit closure of the generation loop that combinational
+// and sequential models share, whichever target driver runs. Workers:1
+// runs the serial reference driver — the three-valued interpreter, one
+// target at a time, with faultsim's single-fault reference engine as the
 // drop-sim — and every setting emits identical test sets
 // (internal/difftest's ATPG parity fuzz).
 //

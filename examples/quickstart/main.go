@@ -94,8 +94,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	equiv, err := scorer.EstimateEquivalence(nil,
-		&mutscore.EquivalenceOptions{Budget: 1024, Seed: 7})
+	equiv, err := scorer.EstimateEquivalence(&mutscore.EquivalenceOptions{Budget: 1024, Seed: 7})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/faultsim"
 	"repro/internal/mutation"
 	"repro/internal/mutscore"
-	"repro/internal/sim"
 	"repro/internal/synth"
 	"repro/internal/tpg"
 )
@@ -83,9 +82,9 @@ func TestFlowTablesDigest(t *testing.T) {
 }
 
 // TestEquivalenceDigest pins the probable-equivalence flags of b01 under
-// a random budget plus one extra sequence, the path that drops mutants
-// the budget already killed before scoring the extra. The extra toggles
-// reset at random, so it kills mutants the budget leaves alive.
+// a random budget narrowed by one extra sequence, which scores only the
+// mutants the budget left alive. The extra toggles reset at random, so it
+// kills mutants the budget leaves alive.
 func TestEquivalenceDigest(t *testing.T) {
 	const want = "486f714479fc95c1f45e81dc96c5097a4db8783b23463dfef46adea93ebdde74"
 	c := circuits.MustLoad("b01")
@@ -101,9 +100,11 @@ func TestEquivalenceDigest(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			eq, err := s.EstimateEquivalence([]sim.Sequence{extra},
-				&mutscore.EquivalenceOptions{Budget: 256, Seed: 2})
+			eq, err := s.EstimateEquivalence(&mutscore.EquivalenceOptions{Budget: 256, Seed: 2})
 			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Narrow(eq, extra); err != nil {
 				t.Fatal(err)
 			}
 			if got := digest(eq); got != want {
@@ -142,6 +143,54 @@ func TestFaultSimDigest(t *testing.T) {
 				}
 				if got := digest(res.FirstDetected); got != want[name] {
 					t.Errorf("first-detection digest %s, want %s", got, want[name])
+				}
+			})
+		}
+	}
+}
+
+// TestTopoffDigest pins the E3 and E4 top-off text: FormatTopoff on c17,
+// c432 and c880 and FormatSeqTopoff at 8 frames on b02 and b06, the
+// atpg-topoff workload's circuits plus c17. Serial PODEM takes seconds on
+// the larger circuits, so the serial reference (Workers 1) runs c17 and
+// b02 only. Top-off text never reads the random curve, so the short
+// horizon changes no byte.
+func TestTopoffDigest(t *testing.T) {
+	cases := []struct {
+		name    string
+		workers []int
+		want    string
+	}{
+		{"c17", digestWorkers, "488e3ebc7468ae19148726ad94e83838ff54be4cda149e867864edbcae5a9239"},
+		{"c432", []int{0, 2}, "e086925d9ffb07194e8427c72a9d2e206172a90818449eff8c3b03d05f7c6c97"},
+		{"c880", []int{0, 2}, "30b3c6e556fd1eaec0d3813da5d34e028a82e51eeaddc48b0ba16c36093d4918"},
+		{"b02", digestWorkers, "8afe897b40ae05f8f70d122a7676f27e9f37a229e4adfd71d45a1cc525f8ea88"},
+		{"b06", []int{0, 2}, "ae2472a435bcbff8d5ac799c595ec2afe100cae40cc611437438669a9c468682"},
+	}
+	for _, tc := range cases {
+		for _, w := range tc.workers {
+			t.Run(fmt.Sprintf("%s/workers=%d", tc.name, w), func(t *testing.T) {
+				cfg := core.Config{Seed: 1, RandHorizon: 256, Options: engine.Options{Workers: w}}
+				f, err := core.NewFlow(circuits.MustLoad(tc.name), cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var text string
+				if f.Netlist.IsSequential() {
+					r, err := f.SequentialATPGTopoff(8)
+					if err != nil {
+						t.Fatal(err)
+					}
+					text = core.FormatSeqTopoff([]*core.SeqTopoffResult{r})
+				} else {
+					r, err := f.ATPGTopoff()
+					if err != nil {
+						t.Fatal(err)
+					}
+					text = core.FormatTopoff([]*core.TopoffResult{r})
+				}
+				if got := digest(text); got != tc.want {
+					t.Errorf("top-off digest %s, want %s\n%s", got, tc.want, text)
 				}
 			})
 		}

@@ -85,7 +85,7 @@ func TestRunTestSetSinglePatternTests(t *testing.T) {
 func TestRunTestSetAlreadyDetected(t *testing.T) {
 	nl := buildToggle(t)
 	faults := faultsim.Faults(nl)
-	rep, err := GenerateSequential(nl, faults, &SeqOptions{Frames: 4})
+	rep, err := GenerateSequential(nl, 4, faults, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,13 +103,12 @@ func TestRunTestSetAlreadyDetected(t *testing.T) {
 	}
 }
 
-// TestGenerateSequentialNonPositiveFrames pins the withDefaults contract
-// end to end: Frames <= 0 means "unset" (default depth 8), and must not
-// trip the model's depth-mismatch guard.
+// TestGenerateSequentialNonPositiveFrames pins the depth default end to
+// end: frames <= 0 means "unset" (default depth 8).
 func TestGenerateSequentialNonPositiveFrames(t *testing.T) {
 	nl := buildToggle(t)
 	for _, frames := range []int{0, -1} {
-		rep, err := GenerateSequential(nl, nil, &SeqOptions{Frames: frames})
+		rep, err := GenerateSequential(nl, frames, nil, nil)
 		if err != nil {
 			t.Fatalf("Frames=%d: %v", frames, err)
 		}
@@ -122,8 +121,8 @@ func TestGenerateSequentialNonPositiveFrames(t *testing.T) {
 func TestGenerateSequentialZeroFaults(t *testing.T) {
 	nl := buildToggle(t)
 	for _, workers := range []int{0, 1} {
-		rep, err := GenerateSequential(nl, []faultsim.Fault{}, &SeqOptions{
-			Frames: 2, Options: engine.Options{Workers: workers},
+		rep, err := GenerateSequential(nl, 2, []faultsim.Fault{}, &Options{
+			Options: engine.Options{Workers: workers},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -143,11 +142,11 @@ func TestGenerateSequentialZeroFaults(t *testing.T) {
 // agree on exactly which.
 func TestGenerateSequentialDepthOne(t *testing.T) {
 	nl := buildShift2(t)
-	legacy, err := GenerateSequential(nl, nil, &SeqOptions{Frames: 1, Options: engine.Options{Workers: 1}})
+	legacy, err := GenerateSequential(nl, 1, nil, &Options{Options: engine.Options{Workers: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	compiled, err := GenerateSequential(nl, nil, &SeqOptions{Frames: 1})
+	compiled, err := GenerateSequential(nl, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +167,7 @@ func TestGenerateSequentialDepthOne(t *testing.T) {
 func TestGenerateSequentialAlreadyDetectedList(t *testing.T) {
 	nl := buildToggle(t)
 	all := faultsim.Faults(nl)
-	base, err := GenerateSequential(nl, all, &SeqOptions{Frames: 4})
+	base, err := GenerateSequential(nl, 4, all, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,8 +194,8 @@ func TestGenerateSequentialAlreadyDetectedList(t *testing.T) {
 		t.Skip("first test detects too few faults to be interesting")
 	}
 	for _, workers := range []int{0, 1} {
-		rep, err := GenerateSequential(nl, detected, &SeqOptions{
-			Frames: 4, Options: engine.Options{Workers: workers},
+		rep, err := GenerateSequential(nl, 4, detected, &Options{
+			Options: engine.Options{Workers: workers},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -227,8 +226,8 @@ func TestATPGCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	nl := buildToggle(t)
-	if _, err := GenerateSequential(nl, nil, &SeqOptions{
-		Frames: 2, Options: engine.Options{Ctx: ctx},
+	if _, err := GenerateSequential(nl, 2, nil, &Options{
+		Options: engine.Options{Ctx: ctx},
 	}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("sequential cancellation returned %v", err)
 	}

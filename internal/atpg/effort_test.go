@@ -70,7 +70,7 @@ func TestPODEMEffortPinned(t *testing.T) {
 		{
 			name: "b06",
 			run: func(workers int) (effortPin, error) {
-				r, err := GenerateSequential(b06, nil, &SeqOptions{Frames: 8, FillSeed: 1,
+				r, err := GenerateSequential(b06, 8, nil, &Options{FillSeed: 1,
 					Options: engine.Options{Workers: workers}})
 				if err != nil {
 					return effortPin{}, err

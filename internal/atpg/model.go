@@ -67,8 +67,8 @@ func NewModel(nl *netlist.Netlist) (*Model, error) {
 }
 
 // NewSequentialModel builds the ATPG model of a sequential netlist at the
-// given time-frame expansion depth (8 frames when frames <= 0, matching
-// SeqOptions).
+// given time-frame expansion depth: each test is a sequence of that many
+// cycles applied from power-on (8 frames when frames <= 0).
 func NewSequentialModel(nl *netlist.Netlist, frames int) (*Model, error) {
 	if !nl.IsSequential() {
 		return nil, fmt.Errorf("atpg: %s is combinational; use Generate (NewModel)", nl.Name)
@@ -120,7 +120,33 @@ func (m *Model) Generate(faults []faultsim.Fault, opts *Options) (*Report, error
 	if m.frames != 0 {
 		return nil, fmt.Errorf("atpg: %s is a sequential model; use GenerateSequential", m.nl.Name)
 	}
-	o := opts.withDefaults()
+	r, err := m.run(faults, opts)
+	if err != nil {
+		return nil, err
+	}
+	rep := &Report{Detected: r.Detected, Redundant: r.Untestable, Aborted: r.Aborted,
+		Backtracks: r.Backtracks, PodemCalls: r.PodemCalls, Total: r.Total}
+	for _, test := range r.Tests {
+		rep.Vectors = append(rep.Vectors, test[0])
+	}
+	return rep, nil
+}
+
+// run is the generation loop both kinds of model share: PODEM over every
+// live target with fault dropping, reported as a SeqReport (a
+// combinational model's tests are one pattern long).
+//
+// The drivers hand each target's outcome, in target-index order, to the
+// one commit closure. It counts the outcome, fills a detected target's
+// cube into a test and fault-simulates that test on the run's
+// incremental drop-sim session, marking every target the test detects
+// dead in alive; the drivers skip dead targets. A sequential target with
+// no fault site inside the frame horizon resolves as Untestable without
+// a search (packResult.noSearch). Workers == 1 selects the serial
+// reference driver; every other setting the pack scheduler at the
+// validated pack width, a single pair included.
+func (m *Model) run(faults []faultsim.Fault, opts *Options) (*SeqReport, error) {
+	o := opts.withDefaults(m.frames != 0)
 	if faults == nil {
 		faults = faultsim.Faults(m.nl)
 	}
@@ -129,25 +155,29 @@ func (m *Model) Generate(faults []faultsim.Fault, opts *Options) (*Report, error
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(o.FillSeed))
-	rep := &Report{Total: len(faults)}
+	rep := &SeqReport{Total: len(faults), Frames: m.frames}
 	alive := make([]bool, len(faults))
 	for i := range alive {
 		alive[i] = true
 	}
 	resolved := 0
 	sitesOf := func(t int) []netlist.FaultSite {
-		return []netlist.FaultSite{faults[t].Site}
+		if m.um == nil {
+			return []netlist.FaultSite{faults[t].Site}
+		}
+		return m.um.SitesInFrames(m.nl, faults[t].Site)
 	}
-	// commit is the one place a target's outcome enters the report and
-	// the drop-sim session; both drivers call it in target-index order.
 	commit := func(t int, r *packResult) error {
-		rep.PodemCalls++
-		rep.Backtracks += r.backtracks
-		if r.status != statusDetected {
-			if r.status == statusRedundant {
-				rep.Redundant++
-			} else {
+		if !r.noSearch {
+			rep.PodemCalls++
+			rep.Backtracks += r.backtracks
+		}
+		if r.noSearch || r.status != statusDetected {
+			// No test: the session stops simulating the target's fault.
+			if r.status == statusAborted {
 				rep.Aborted++
+			} else {
+				rep.Untestable++
 			}
 			alive[t] = false
 			resolved++
@@ -157,9 +187,12 @@ func (m *Model) Generate(faults []faultsim.Fault, opts *Options) (*Report, error
 			o.Report(resolved, len(faults))
 			return nil
 		}
-		pat := fillCube(r.cube, rng)
-		rep.Vectors = append(rep.Vectors, pat)
-		res, err := sess.Append([]faultsim.Pattern{pat})
+		test := m.fillTest(r.cube, rng)
+		rep.Tests = append(rep.Tests, test)
+		// One power-on test per target: the session keeps its fault
+		// batches armed across tests, so detected lanes drop at the batch
+		// level. On a combinational circuit AppendTest is Append.
+		res, err := sess.AppendTest(test)
 		if err != nil {
 			return err
 		}
@@ -178,37 +211,33 @@ func (m *Model) Generate(faults []faultsim.Fault, opts *Options) (*Report, error
 		o.Report(resolved, len(faults))
 		return nil
 	}
-	if err := m.drive(o.Options, o.PackPairs, o.MaxBacktracks, alive, sitesOf, commit); err != nil {
+	if o.Serial() {
+		err = m.serialRun(o.Options, o.MaxBacktracks, alive, sitesOf, commit)
+	} else {
+		var pairs int
+		if pairs, err = resolvePackPairs(o.PackPairs); err == nil {
+			err = m.packRun(o.Options, pairs, o.MaxBacktracks, alive, sitesOf, commit)
+		}
+	}
+	if err != nil {
 		return nil, err
 	}
 	return rep, nil
 }
 
-// --- drivers -----------------------------------------------------------------
-
-// drive runs PODEM over every live target and hands each outcome to
-// commit in target-index order. The commit owns the drop-sim handoff and
-// marks the targets a committed test drops dead in alive; the driver
-// skips dead targets. sitesOf returning an empty site list resolves the
-// target without a search (packResult.noSearch). Workers == 1 selects the
-// serial reference driver; every other setting the pack scheduler at the
-// validated pack width, a single pair included.
-func (m *Model) drive(
-	o engine.Options,
-	packPairs, maxBacktracks int,
-	alive []bool,
-	sitesOf func(t int) []netlist.FaultSite,
-	commit func(t int, r *packResult) error,
-) error {
-	if o.Serial() {
-		return m.serialRun(o, maxBacktracks, alive, sitesOf, commit)
+// fillTest fills a detected target's PI cube into its test, one pattern
+// per frame: the cube holds the circuit's PIs once per frame, frame-major
+// (once for a combinational model).
+func (m *Model) fillTest(cube []tri, rng *rand.Rand) []faultsim.Pattern {
+	width := len(m.nl.PIs)
+	test := make([]faultsim.Pattern, max(m.frames, 1))
+	for f := range test {
+		test[f] = fillCube(cube[f*width:(f+1)*width], rng)
 	}
-	pairs, err := resolvePackPairs(packPairs)
-	if err != nil {
-		return err
-	}
-	return m.packRun(o, pairs, maxBacktracks, alive, sitesOf, commit)
+	return test
 }
+
+// --- drivers -----------------------------------------------------------------
 
 // serialRun is the serial reference driver (Workers == 1): one
 // interpreter search per live target, committed as soon as it ends.
@@ -279,7 +308,7 @@ const packHorizonFactor = 4
 // its result is buffered and the pair immediately re-arms the next
 // pending target (work stealing — searches backtrack at very different
 // depths, so pairs turn over independently). Commits happen strictly in
-// target-index order (see drive); after each one the scheduler cancels
+// target-index order (see run); after each one the scheduler cancels
 // any in-flight search whose target died, and it skips dead targets at
 // both arm and commit time — exactly the targets the serial driver never
 // searches.

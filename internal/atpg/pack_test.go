@@ -44,14 +44,14 @@ func TestPackFewerTargetsThanPairs(t *testing.T) {
 	// Sequential counterpart on the toggle circuit.
 	seq := buildToggle(t)
 	sf := faultsim.Faults(seq)[:2]
-	sopts := func(pairs int) *SeqOptions {
-		return &SeqOptions{Frames: 3, FillSeed: 5, PackPairs: pairs}
+	sopts := func(pairs int) *Options {
+		return &Options{FillSeed: 5, PackPairs: pairs}
 	}
-	sref, err := GenerateSequential(seq, sf, sopts(1))
+	sref, err := GenerateSequential(seq, 3, sf, sopts(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	spacked, err := GenerateSequential(seq, sf, sopts(32))
+	spacked, err := GenerateSequential(seq, 3, sf, sopts(32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,11 +129,11 @@ func TestPackMidCancellation(t *testing.T) {
 	seq := buildToggle(t)
 	sctx, scancel := context.WithCancel(context.Background())
 	defer scancel()
-	sopts := &SeqOptions{Frames: 3, FillSeed: 5, PackPairs: 4, Options: engine.Options{
+	sopts := &Options{FillSeed: 5, PackPairs: 4, Options: engine.Options{
 		Ctx:      sctx,
 		Progress: func(engine.Stats) { scancel() },
 	}}
-	srep, err := GenerateSequential(seq, nil, sopts)
+	srep, err := GenerateSequential(seq, 3, nil, sopts)
 	if err == nil {
 		t.Fatalf("cancelled sequential pack completed: %+v", srep)
 	}
@@ -161,7 +161,7 @@ func TestPackPairsValidation(t *testing.T) {
 		if _, err := Generate(nl, nil, &Options{PackPairs: p}); err == nil {
 			t.Errorf("Generate accepted PackPairs %d", p)
 		}
-		if _, err := GenerateSequential(seq, nil, &SeqOptions{PackPairs: p}); err == nil {
+		if _, err := GenerateSequential(seq, 0, nil, &Options{PackPairs: p}); err == nil {
 			t.Errorf("GenerateSequential accepted PackPairs %d", p)
 		}
 		// The serial reference never reaches the pack scheduler, so the

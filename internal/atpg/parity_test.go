@@ -117,21 +117,21 @@ func TestGenerateSequentialParityBenchmarks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts := func(workers, pairs int) *SeqOptions {
-				return &SeqOptions{Frames: tc.frames, MaxBacktracks: tc.backtracks,
+			opts := func(workers, pairs int) *Options {
+				return &Options{MaxBacktracks: tc.backtracks,
 					FillSeed: 3, PackPairs: pairs, Options: engine.Options{Workers: workers}}
 			}
 			check := func(label string, r *SeqReport) {
 				checkAccounting(t, label, r.Detected, r.Untestable, r.Aborted, r.Total,
 					replayDetected(t, nl, r.Tests))
 			}
-			serial, err := GenerateSequential(nl, nil, opts(1, 0))
+			serial, err := GenerateSequential(nl, tc.frames, nil, opts(1, 0))
 			if err != nil {
 				t.Fatal(err)
 			}
 			check("serial", serial)
 			for _, pairs := range packWidths {
-				compiled, err := GenerateSequential(nl, nil, opts(0, pairs))
+				compiled, err := GenerateSequential(nl, tc.frames, nil, opts(0, pairs))
 				if err != nil {
 					t.Fatal(err)
 				}

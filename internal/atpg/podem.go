@@ -11,11 +11,13 @@
 // the pack scheduler, which evaluates the good and faulty planes of up
 // to Options.PackPairs concurrent searches in one pass of a compiled
 // dual-rail machine (netlist.TriExpand + netlist.Compile; search k on
-// lanes 2k and 2k+1). Either driver hands each target's outcome, in
-// target-index order, to the mode's single commit closure, which counts
-// it, fills the test and drops what the test detects through an
-// incremental faultsim.Simulator session — at Workers == 1 that session
-// is faultsim's single-fault reference engine.
+// lanes 2k and 2k+1). Combinational and sequential models share one
+// generation loop and one Options type: either driver hands each
+// target's outcome, in target-index order, to the loop's one commit
+// closure, which counts it, fills the test (one pattern, or one per
+// frame) and drops what the test detects through an incremental
+// faultsim.Simulator session — at Workers == 1 that session is
+// faultsim's single-fault reference engine.
 //
 // Serial and packed searches implicate into one value store, the
 // model's plane: per
@@ -58,10 +60,13 @@ const (
 
 func (t tri) String() string { return [...]string{"0", "1", "X"}[t] }
 
-// Options tunes the ATPG run.
+// Options tunes an ATPG run on either kind of Model.
 type Options struct {
 	// MaxBacktracks bounds the PODEM search per fault; a fault whose search
-	// exceeds it is classified aborted. Default 4096.
+	// exceeds it is classified aborted. The default depends on the model:
+	// 4096 for a combinational one, 1024 for a sequential one, where most
+	// of the budget is burned proving faults undetectable within the frame
+	// horizon and a deeper search rarely changes the verdict.
 	MaxBacktracks int
 	// FillSeed seeds the random fill of don't-care PI positions.
 	FillSeed int64
@@ -83,8 +88,13 @@ type Options struct {
 	engine.Options
 }
 
-func (o *Options) withDefaults() Options {
+// withDefaults fills the zero fields of o for a run on a combinational
+// or a sequential model.
+func (o *Options) withDefaults(sequential bool) Options {
 	out := Options{MaxBacktracks: 4096}
+	if sequential {
+		out.MaxBacktracks = 1024
+	}
 	if o != nil {
 		if o.MaxBacktracks > 0 {
 			out.MaxBacktracks = o.MaxBacktracks

@@ -112,7 +112,7 @@ func TestUnrollMatchesSequentialSim(t *testing.T) {
 
 func TestGenerateSequentialToggle(t *testing.T) {
 	nl := buildToggle(t)
-	rep, err := GenerateSequential(nl, nil, &SeqOptions{Frames: 4})
+	rep, err := GenerateSequential(nl, 4, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,11 +135,11 @@ func TestGenerateSequentialToggle(t *testing.T) {
 func TestGenerateSequentialShift2NeedsFrames(t *testing.T) {
 	nl := buildShift2(t)
 	// One frame cannot propagate input faults through two flops.
-	shallow, err := GenerateSequential(nl, nil, &SeqOptions{Frames: 1})
+	shallow, err := GenerateSequential(nl, 1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	deep, err := GenerateSequential(nl, nil, &SeqOptions{Frames: 4})
+	deep, err := GenerateSequential(nl, 4, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestGenerateSequentialShift2NeedsFrames(t *testing.T) {
 
 func TestGenerateSequentialRejectsCombinational(t *testing.T) {
 	nl := buildMux(t)
-	if _, err := GenerateSequential(nl, nil, nil); err == nil {
+	if _, err := GenerateSequential(nl, 0, nil, nil); err == nil {
 		t.Fatal("combinational netlist accepted")
 	}
 }

@@ -272,13 +272,13 @@ func executeATPG(pr *prepared, cfg *ExecConfig) (*Report, error) {
 	lo, hi := sp.shardRange(len(pr.faults))
 	sub := pr.faults[lo:hi]
 	rep := baseReport(pr)
+	opts := &atpg.Options{
+		MaxBacktracks: sp.MaxBacktracks,
+		FillSeed:      sp.Seed,
+		Options:       cfg.engineOpts(true),
+	}
 	if pr.nl.IsSequential() {
-		r, err := atpg.GenerateSequential(pr.nl, sub, &atpg.SeqOptions{
-			Frames:        sp.Frames,
-			MaxBacktracks: sp.MaxBacktracks,
-			FillSeed:      sp.Seed,
-			Options:       cfg.engineOpts(true),
-		})
+		r, err := atpg.GenerateSequential(pr.nl, sp.Frames, sub, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -292,11 +292,7 @@ func executeATPG(pr *prepared, cfg *ExecConfig) (*Report, error) {
 		rep.TestHash = hashTests("campaign/atpg/tests", r.Tests)
 		return rep, nil
 	}
-	r, err := atpg.Generate(pr.nl, sub, &atpg.Options{
-		MaxBacktracks: sp.MaxBacktracks,
-		FillSeed:      sp.Seed,
-		Options:       cfg.engineOpts(true),
-	})
+	r, err := atpg.Generate(pr.nl, sub, opts)
 	if err != nil {
 		return nil, err
 	}

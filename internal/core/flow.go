@@ -521,7 +521,7 @@ func (f *Flow) Equivalent() ([]bool, error) {
 		full, err = f.FullTG()
 		return err
 	}, func() (err error) {
-		eq, err = scorer.EstimateEquivalence(nil,
+		eq, err = scorer.EstimateEquivalence(
 			&mutscore.EquivalenceOptions{Budget: f.cfg.EquivBudget, Seed: f.cfg.Seed + 2000})
 		return err
 	})
@@ -681,15 +681,13 @@ type SeqTopoffResult struct {
 }
 
 // SequentialATPGTopoff runs the top-off experiment on sequential circuits
-// using time-frame-expansion ATPG with the given horizon (8 frames when
-// frames <= 0). The paper closes by calling for exactly this extension
-// ("further experiments must be conducted on more complex designs").
+// using time-frame-expansion ATPG with the given horizon (the atpg
+// package's default depth when frames <= 0). The paper closes by calling
+// for exactly this extension ("further experiments must be conducted on
+// more complex designs").
 func (f *Flow) SequentialATPGTopoff(frames int) (*SeqTopoffResult, error) {
 	if !f.Netlist.IsSequential() {
 		return nil, fmt.Errorf("core: %s is combinational; use ATPGTopoff", f.Circuit.Name)
-	}
-	if frames <= 0 {
-		frames = 8
 	}
 	// One model per (netlist, depth): baseline and top-off share the
 	// unrolled compilation.
@@ -697,30 +695,24 @@ func (f *Flow) SequentialATPGTopoff(frames int) (*SeqTopoffResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := &atpg.SeqOptions{Frames: frames, FillSeed: f.cfg.Seed + 40, Options: f.cfg.Options}
-	baseline, err := model.GenerateSequential(f.Faults, opts)
+	baseline, err := model.GenerateSequential(f.Faults, &atpg.Options{FillSeed: f.cfg.Seed + 40, Options: f.cfg.Options})
 	if err != nil {
 		return nil, err
 	}
-	full, err := f.FullTG()
-	if err != nil {
-		return nil, err
-	}
-	pre, err := f.FaultSim(full.Seq)
+	preLen, pre, err := f.preTest()
 	if err != nil {
 		return nil, err
 	}
 	remaining := pre.Undetected()
-	topOpts := &atpg.SeqOptions{Frames: frames, FillSeed: f.cfg.Seed + 41, Options: f.cfg.Options}
-	topoff, err := model.GenerateSequential(remaining, topOpts)
+	topoff, err := model.GenerateSequential(remaining, &atpg.Options{FillSeed: f.cfg.Seed + 41, Options: f.cfg.Options})
 	if err != nil {
 		return nil, err
 	}
 	return &SeqTopoffResult{
 		Circuit:         f.Circuit.Name,
-		Frames:          frames,
+		Frames:          model.Frames(),
 		Baseline:        baseline,
-		PreTestLen:      len(full.Seq),
+		PreTestLen:      preLen,
 		PreTestCoverage: pre.Coverage(),
 		Remaining:       len(remaining),
 		Topoff:          topoff,
@@ -742,11 +734,7 @@ func (f *Flow) ATPGTopoff() (*TopoffResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	full, err := f.FullTG()
-	if err != nil {
-		return nil, err
-	}
-	pre, err := f.FaultSim(full.Seq)
+	preLen, pre, err := f.preTest()
 	if err != nil {
 		return nil, err
 	}
@@ -758,9 +746,21 @@ func (f *Flow) ATPGTopoff() (*TopoffResult, error) {
 	return &TopoffResult{
 		Circuit:         f.Circuit.Name,
 		Baseline:        baseline,
-		PreTestLen:      len(full.Seq),
+		PreTestLen:      preLen,
 		PreTestCoverage: pre.Coverage(),
 		Remaining:       len(remaining),
 		Topoff:          topoff,
 	}, nil
+}
+
+// preTest applies the top-off experiments' free pre-test: it
+// fault-simulates the full TG sequence and returns the sequence's length
+// with the result.
+func (f *Flow) preTest() (int, *faultsim.Result, error) {
+	full, err := f.FullTG()
+	if err != nil {
+		return 0, nil, err
+	}
+	pre, err := f.FaultSim(full.Seq)
+	return len(full.Seq), pre, err
 }

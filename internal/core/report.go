@@ -87,12 +87,3 @@ func FormatSeqTopoff(results []*SeqTopoffResult) string {
 	}
 	return sb.String()
 }
-
-// FormatWeights renders a weight table for harness output.
-func FormatWeights(profiles []OperatorProfile, w map[string]float64) string {
-	var sb strings.Builder
-	for _, p := range profiles {
-		fmt.Fprintf(&sb, "  %-5s NLFCE %+9.1f  weight %.3f\n", p.Op, p.Eff.NLFCE, w[string(p.Op)])
-	}
-	return sb.String()
-}

@@ -117,8 +117,8 @@ func TestATPGSequentialParity(t *testing.T) {
 		}
 		faults := strideFaults(faultsim.Faults(nl), 5)
 		for _, frames := range []int{1, 3} {
-			ref, err := atpg.GenerateSequential(nl, faults, &atpg.SeqOptions{
-				Frames: frames, MaxBacktracks: fuzzBacktracks, FillSeed: seed,
+			ref, err := atpg.GenerateSequential(nl, frames, faults, &atpg.Options{
+				MaxBacktracks: fuzzBacktracks, FillSeed: seed,
 				Options: engine.Options{Workers: 1},
 			})
 			if err != nil {
@@ -126,8 +126,8 @@ func TestATPGSequentialParity(t *testing.T) {
 			}
 			for _, ec := range atpgConfigs {
 				label := fmt.Sprintf("seed=%d/frames=%d/%s", seed, frames, ec)
-				rep, err := atpg.GenerateSequential(nl, faults, &atpg.SeqOptions{
-					Frames: frames, MaxBacktracks: fuzzBacktracks, FillSeed: seed,
+				rep, err := atpg.GenerateSequential(nl, frames, faults, &atpg.Options{
+					MaxBacktracks: fuzzBacktracks, FillSeed: seed,
 					PackPairs: ec.packPairs, Options: ec.options(),
 				})
 				if err != nil {
@@ -196,14 +196,14 @@ func TestATPGModelReuseParity(t *testing.T) {
 	for i, workers := range []int{1, 0, 1, 0} {
 		// MaxBacktracks capped like the other fuzz legs: the random
 		// circuit's abort-heavy targets prove nothing about model reuse.
-		opts := &atpg.SeqOptions{Frames: frames, MaxBacktracks: fuzzBacktracks, FillSeed: 9,
+		opts := &atpg.Options{MaxBacktracks: fuzzBacktracks, FillSeed: 9,
 			Options: engine.Options{Workers: workers}}
 		label := fmt.Sprintf("run%d/workers=%d", i, workers)
 		first, err := model.GenerateSequential(all, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh, err := atpg.GenerateSequential(nl, all, opts)
+		fresh, err := atpg.GenerateSequential(nl, frames, all, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,14 +213,11 @@ func TestATPGModelReuseParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		freshSub, err := atpg.GenerateSequential(nl, sub, opts)
+		freshSub, err := atpg.GenerateSequential(nl, frames, sub, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		assertSameSeqReport(t, label+"/subset", again, freshSub)
-	}
-	if _, err := model.GenerateSequential(nil, &atpg.SeqOptions{Frames: frames + 1}); err == nil {
-		t.Fatal("depth-mismatched options accepted")
 	}
 	if _, err := model.Generate(nil, nil); err == nil {
 		t.Fatal("combinational Generate accepted on a sequential model")

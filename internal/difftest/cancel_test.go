@@ -138,7 +138,7 @@ func TestMutScoreCancellation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, err = s.EstimateEquivalence(nil, &mutscore.EquivalenceOptions{Budget: 2048, Seed: 3})
+			_, err = s.EstimateEquivalence(&mutscore.EquivalenceOptions{Budget: 2048, Seed: 3})
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("mid-campaign EstimateEquivalence returned %v", err)
 			}

@@ -32,7 +32,7 @@ import (
 type engineConfig struct {
 	workers   int
 	laneWords int
-	packPairs int // ATPG pack width (atpg.Options/SeqOptions.PackPairs)
+	packPairs int // ATPG pack width (atpg.Options.PackPairs)
 }
 
 var engineConfigs = []engineConfig{

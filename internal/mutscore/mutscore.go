@@ -160,14 +160,11 @@ func (s *Scorer) firstKill(idx []int, seq sim.Sequence) ([]int, error) {
 }
 
 // EstimateEquivalence runs a budgeted campaign — a long pseudo-random
-// sequence plus any caller-provided sequences — and flags as *probably
-// equivalent* every mutant that nothing killed. True equivalence is
-// undecidable in general; the paper's E term is approximated this way,
-// with the budget as the knob. Each campaign sequence scores only the
-// mutants every earlier one left alive, exactly as Narrow does: the call
-// equals EstimateEquivalence(nil, opts) followed by one Narrow per extra
-// sequence, in order.
-func (s *Scorer) EstimateEquivalence(extra []sim.Sequence, opts *EquivalenceOptions) ([]bool, error) {
+// sequence — and flags as *probably equivalent* every mutant that it did
+// not kill. True equivalence is undecidable in general; the paper's E term
+// is approximated this way, with the budget as the knob. Narrow scores
+// further sequences against the flags it returns.
+func (s *Scorer) EstimateEquivalence(opts *EquivalenceOptions) ([]bool, error) {
 	o := EquivalenceOptions{Budget: 2048}
 	if opts != nil {
 		if opts.Budget > 0 {
@@ -179,11 +176,8 @@ func (s *Scorer) EstimateEquivalence(extra []sim.Sequence, opts *EquivalenceOpti
 	for i := range equivalent {
 		equivalent[i] = true
 	}
-	campaign := append([]sim.Sequence{tpg.RandomSequence(s.c, o.Budget, o.Seed)}, extra...)
-	for _, seq := range campaign {
-		if err := s.Narrow(equivalent, seq); err != nil {
-			return nil, err
-		}
+	if err := s.Narrow(equivalent, tpg.RandomSequence(s.c, o.Budget, o.Seed)); err != nil {
+		return nil, err
 	}
 	return equivalent, nil
 }
@@ -191,9 +185,9 @@ func (s *Scorer) EstimateEquivalence(extra []sim.Sequence, opts *EquivalenceOpti
 // Narrow scores seq against the mutants still flagged in equivalent, in
 // ascending index order, and clears the flag of every one it kills. An
 // empty sequence or an empty flagged set scores nothing. It lets a
-// caller score a campaign sequence against EstimateEquivalence's
-// survivors once the sequence exists, with the same result as passing
-// it as an extra.
+// caller add a sequence to EstimateEquivalence's campaign once the
+// sequence exists: each added sequence scores only the mutants every
+// earlier one left alive.
 func (s *Scorer) Narrow(equivalent []bool, seq sim.Sequence) error {
 	if len(equivalent) != len(s.mutants) {
 		return fmt.Errorf("mutscore: %d equivalence flags for %d mutants", len(equivalent), len(s.mutants))

@@ -6,7 +6,6 @@ import (
 	"repro/internal/circuits"
 	"repro/internal/hdl"
 	"repro/internal/mutation"
-	"repro/internal/sim"
 	"repro/internal/tpg"
 )
 
@@ -124,7 +123,7 @@ func TestScorePanicsOnLengthMismatch(t *testing.T) {
 func TestEstimateEquivalence(t *testing.T) {
 	c := circuits.MustLoad("b02")
 	ms := mutation.Generate(c)
-	equiv, err := newScorer(t, Config{}, c, ms).EstimateEquivalence(nil, &EquivalenceOptions{Budget: 1024, Seed: 4})
+	equiv, err := newScorer(t, Config{}, c, ms).EstimateEquivalence(&EquivalenceOptions{Budget: 1024, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +138,7 @@ func TestEstimateEquivalence(t *testing.T) {
 	}
 	// Every mutant killed by the campaign is by definition not equivalent;
 	// re-running with a superset budget must never flag MORE mutants.
-	equiv2, err := newScorer(t, Config{}, c, ms).EstimateEquivalence(nil, &EquivalenceOptions{Budget: 2048, Seed: 4})
+	equiv2, err := newScorer(t, Config{}, c, ms).EstimateEquivalence(&EquivalenceOptions{Budget: 2048, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +155,7 @@ func TestEstimateEquivalenceUsesExtraSequences(t *testing.T) {
 	ms := mutation.Generate(c, mutation.CR)
 	// A tiny random budget leaves many mutants "equivalent"; adding a
 	// targeted extra sequence can only clear flags, never add them.
-	small, err := newScorer(t, Config{}, c, ms).EstimateEquivalence(nil, &EquivalenceOptions{Budget: 4, Seed: 9})
+	small, err := newScorer(t, Config{}, c, ms).EstimateEquivalence(&EquivalenceOptions{Budget: 4, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,8 +163,12 @@ func TestEstimateEquivalenceUsesExtraSequences(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	withSeq, err := newScorer(t, Config{}, c, ms).EstimateEquivalence([]sim.Sequence{res.Seq}, &EquivalenceOptions{Budget: 4, Seed: 9})
+	s := newScorer(t, Config{}, c, ms)
+	withSeq, err := s.EstimateEquivalence(&EquivalenceOptions{Budget: 4, Seed: 9})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Narrow(withSeq, res.Seq); err != nil {
 		t.Fatal(err)
 	}
 	countTrue := func(b []bool) int {

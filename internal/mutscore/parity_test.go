@@ -7,7 +7,6 @@ import (
 	"repro/internal/circuits"
 	"repro/internal/engine"
 	"repro/internal/mutation"
-	"repro/internal/sim"
 	"repro/internal/tpg"
 )
 
@@ -74,7 +73,7 @@ func TestEngineParity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
-				equiv, err := newScorer(t, cfg, c, ms).EstimateEquivalence(nil, equivOpts)
+				equiv, err := newScorer(t, cfg, c, ms).EstimateEquivalence(equivOpts)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -82,7 +81,7 @@ func TestEngineParity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s on a used session: %v", label, err)
 				}
-				usedEquiv, err := onUsed(cfg).EstimateEquivalence(nil, equivOpts)
+				usedEquiv, err := onUsed(cfg).EstimateEquivalence(equivOpts)
 				if err != nil {
 					t.Fatalf("%s on a used session: %v", label, err)
 				}
@@ -118,8 +117,9 @@ func TestEngineParity(t *testing.T) {
 }
 
 // TestEstimateEquivalenceParityWithExtras exercises the early-drop
-// campaign path (mutants killed by the random budget are skipped for the
-// extra sequences) on the compiled pool against the serial reference.
+// campaign path (an extra sequence Narrow scores against the random
+// budget's survivors only) on the compiled pool against the serial
+// reference.
 func TestEstimateEquivalenceParityWithExtras(t *testing.T) {
 	c := circuits.MustLoad("b01")
 	ms := mutation.Generate(c, mutation.CR, mutation.LOR)
@@ -127,15 +127,18 @@ func TestEstimateEquivalenceParityWithExtras(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := &EquivalenceOptions{Budget: 64, Seed: 17}
-	serial, err := newScorer(t, cfgOf(1, 0), c, ms).EstimateEquivalence([]sim.Sequence{res.Seq}, opts)
-	if err != nil {
-		t.Fatal(err)
+	estimate := func(cfg Config) []bool {
+		s := newScorer(t, cfg, c, ms)
+		eq, err := s.EstimateEquivalence(&EquivalenceOptions{Budget: 64, Seed: 17})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Narrow(eq, res.Seq); err != nil {
+			t.Fatal(err)
+		}
+		return eq
 	}
-	pooled, err := newScorer(t, cfgOf(0, 0), c, ms).EstimateEquivalence([]sim.Sequence{res.Seq}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial, pooled := estimate(cfgOf(1, 0)), estimate(cfgOf(0, 0))
 	for i := range serial {
 		if serial[i] != pooled[i] {
 			t.Errorf("mutant %d: serial %v, pooled %v", i, serial[i], pooled[i])

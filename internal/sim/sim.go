@@ -131,15 +131,6 @@ func (s *Simulator) NumInputs() int { return len(s.inSlots) }
 // NumOutputs returns the number of output ports.
 func (s *Simulator) NumOutputs() int { return len(s.outSlots) }
 
-// InputWidths returns the widths of the input ports in declaration order.
-func (s *Simulator) InputWidths() []int {
-	ws := make([]int, len(s.inSlots))
-	for i, id := range s.inSlots {
-		ws[i] = s.width[id]
-	}
-	return ws
-}
-
 // Reset restores power-on state: registers to their declared init values,
 // registered outputs to zero.
 func (s *Simulator) Reset() {

@@ -29,18 +29,20 @@ echo "running benchmarks -> ${txt}" >&2
 go test -run='^$' -bench=. -benchmem -benchtime="${BENCHTIME:-1x}" \
     -memprofile "$prof" "$@" . | tee "$txt" >&2
 
-# Convert `BenchmarkName  N  T ns/op  B B/op  A allocs/op  [M metric]`
-# lines into a JSON array. awk keeps this dependency-free.
+# Convert `BenchmarkName  N  T ns/op  [M metric]...  B B/op  A allocs/op`
+# lines into a JSON array, one key per custom metric (`faultcycles/s`,
+# `%stepped`, `evals/step`, ...). awk keeps this dependency-free.
 awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" '
 BEGIN { print "[" }
 /^Benchmark/ {
     name = $1; iters = $2
     ns = ""; bytes = ""; allocs = ""; extra = ""
-    for (i = 3; i < NF; i++) {
-        if ($(i+1) == "ns/op")     ns = $i
-        if ($(i+1) == "B/op")      bytes = $i
-        if ($(i+1) == "allocs/op") allocs = $i
-        if ($(i+1) ~ /\/s$/)       extra = "\"" $(i+1) "\": " $i ", "
+    for (i = 3; i < NF; i += 2) {
+        unit = $(i+1)
+        if (unit == "ns/op")          ns = $i
+        else if (unit == "B/op")      bytes = $i
+        else if (unit == "allocs/op") allocs = $i
+        else                          extra = extra "\"" unit "\": " $i ", "
     }
     if (ns == "") next
     if (n++) printf ",\n"

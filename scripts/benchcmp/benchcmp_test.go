@@ -58,6 +58,23 @@ func TestParseSummary(t *testing.T) {
 	if _, ok := b.Rates["bytes_per_op"]; ok {
 		t.Error("bytes_per_op misparsed as a rate")
 	}
+	// bench.sh records every custom metric of a row; only the …/s ones
+	// are rates.
+	seq, err := parseSummary([]byte(`[{"name": "BenchmarkFaultSimSeqLarge-2", "iterations": 1,
+		"ns_per_op": 390346824, "%stepped": 99.40, "evals/step": 393.0, "faultcycles/s": 17630786,
+		"bytes_per_op": 38416112, "allocs_per_op": 44949, "date": "2026-01-01T00:00:00Z"}]`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	large := seq["BenchmarkFaultSimSeqLarge"]
+	if len(large.Rates) != 1 || large.Rates["faultcycles/s"] != 17630786 {
+		t.Errorf("FaultSimSeqLarge rates = %v, want faultcycles/s only", large.Rates)
+	}
+	for _, k := range []string{"%stepped", "evals/step"} {
+		if _, ok := large.Rates[k]; ok {
+			t.Errorf("%s misparsed as a rate", k)
+		}
+	}
 }
 
 func TestParseSummaryRejectsGarbage(t *testing.T) {
