@@ -91,7 +91,9 @@ bench-compare:
 # Cross-process determinism: N fresh-process seq top-off runs per worker
 # setting, byte-compared (scripts/detsmoke.sh). Each run gets its own map
 # seed, which is the point — this catches iteration-order leaks that
-# same-process replays cannot. Override: make determinism-smoke RUNS=20.
+# same-process replays cannot. The two settings' reports must then match
+# each other: the concurrent top-off (-workers 0) prints the serial
+# reference's (-workers 1) bytes. Override: make determinism-smoke RUNS=20.
 determinism-smoke:
 	sh scripts/detsmoke.sh $(RUNS)
 

@@ -130,6 +130,15 @@ func BenchmarkTopoffC432(b *testing.B) { benchmarkTopoff(b, "c432", benchConfig(
 func BenchmarkTopoffC499(b *testing.B) { benchmarkTopoff(b, "c499", benchConfig()) }
 func BenchmarkTopoffC880(b *testing.B) { benchmarkTopoff(b, "c880", benchConfig()) }
 
+// BenchmarkTopoffC432OneCore is TopoffC432 on one core: GOMAXPROCS is
+// pinned to 1, so the flow runs the baseline ATPG inline before the
+// pre-test and top-off instead of beside them. Its ratio over
+// TopoffC432, read within one run, is what that overlap buys.
+func BenchmarkTopoffC432OneCore(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	benchmarkTopoff(b, "c432", benchConfig())
+}
+
 // --- E4: sequential ATPG top-off (extension) ----------------------------------
 
 func BenchmarkSeqTopoffB06(b *testing.B) {

@@ -8,7 +8,7 @@ import (
 // Lane assignment of the PODEM planes inside one compiled machine pass:
 // search k occupies lane pair k — the fault-free good plane on even lane
 // 2k, the fault-injected faulty plane on odd lane 2k+1 right above it —
-// the same lanes it reads in the model's plane, so one copy of each
+// the same lanes it reads in the run's plane, so one copy of each
 // gate's two rail words serves every search. The pack scheduler fills up
 // to packMaxPairs pairs of the same W=1 word, so one instruction-stream
 // pass evaluates up to 32 concurrent searches; PackPairs == 1 runs the
@@ -21,14 +21,14 @@ const (
 	packMaxPairs = 32
 )
 
-// twin is the pack scheduler's compiled dual-rail backend: the model
-// netlist's TriExpand twin (Kleene three-valued logic as two-valued
-// rails) compiled once into a flat program, evaluated by one persistent
-// W=1 machine, plus the twin PI scratch. Arming a pair translates each
+// twin is one packed run's compiled dual-rail backend: a W=1 machine
+// evaluating the model's twin program (the model netlist's TriExpand
+// twin, Kleene three-valued logic as two-valued rails, compiled once per
+// Model), plus the twin PI scratch. Arming a pair translates each
 // of its target's fault sites into a rail pair and injects it into that
 // pair's faulty lane only; an implication pass is then one gather per
 // active pair, a single Machine.Eval, and one load of every gate's rail
-// words into the model's plane, which each search reads on its own
+// words into the run's plane, which each search reads on its own
 // lanes exactly as it reads the interpreter's.
 type twin struct {
 	nl  *netlist.Netlist // model netlist (the twin's source)
@@ -40,20 +40,14 @@ type twin struct {
 	sent [packMaxPairs][]tri
 }
 
-func newTwin(nl *netlist.Netlist) (*twin, error) {
-	tn, tm, err := netlist.TriExpand(nl)
-	if err != nil {
-		return nil, err
-	}
-	prog, err := netlist.Compile(tn)
-	if err != nil {
-		return nil, err
-	}
+// newTwin builds a machine on the twin program prog of model netlist nl
+// (tm maps nl's gates to their rails), with no fault armed.
+func newTwin(nl *netlist.Netlist, tm *netlist.TriMap, prog *netlist.Program) *twin {
 	t := &twin{
 		nl:  nl,
 		tm:  tm,
 		m:   netlist.NewMachine[lane.W1](prog),
-		pis: make([]lane.W1, len(tn.PIs)),
+		pis: make([]lane.W1, len(prog.Netlist().PIs)),
 	}
 	// Zero rails are X on every lane, as every sent cube starts.
 	for k := range t.sent {
@@ -62,7 +56,7 @@ func newTwin(nl *netlist.Netlist) (*twin, error) {
 			t.sent[k][i] = xx
 		}
 	}
-	return t, nil
+	return t
 }
 
 // armPair injects a target's fault sites into pair k's faulty lane,

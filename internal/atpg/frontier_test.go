@@ -111,13 +111,9 @@ func TestFrontierPassMatchesScan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tw, err := m.compiled()
-			if err != nil {
-				t.Fatal(err)
-			}
+			pl, curs, tw := m.newRun(packMaxPairs)
 			rng := rand.New(rand.NewSource(1))
 			target := frontierTargets(m, rng)
-			curs := m.cursors(packMaxPairs)
 			checked, found, sensitive := 0, 0, 0
 			check := func(label string, c *cursor) {
 				if m.eng.detected(c) {
@@ -151,15 +147,15 @@ func TestFrontierPassMatchesScan(t *testing.T) {
 					live |= c.bit
 				}
 				tw.m.Eval(tw.pis)
-				tw.load(m.pl)
-				m.eng.frontier(m.pl, live)
+				tw.load(pl)
+				m.eng.frontier(pl, live)
 				for _, c := range curs {
 					check("twin", c)
 				}
 				// The interpreter fills only cursor 0's lanes; the pass
 				// must read them the same way.
 				m.eng.imply(curs[0])
-				m.eng.frontier(m.pl, curs[0].bit)
+				m.eng.frontier(pl, curs[0].bit)
 				check("interpreter", curs[0])
 			}
 			if checked == 0 || found == 0 {

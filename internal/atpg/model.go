@@ -12,21 +12,22 @@ import (
 // Model is the reusable ATPG evaluation model for one circuit: the PODEM
 // search structures (levelization, SCOAP) over the model netlist — the
 // circuit itself for combinational sources, its time-frame expansion for
-// sequential ones — and the plane every search implicates into, plus,
-// built on first use by the pack scheduler, the dual-rail twin program
-// it evaluates. Compiling is per (netlist, unroll depth), so callers that
-// run several campaigns against one circuit (the top-off experiments run
-// baseline and top-off back to back) build one Model and share
-// everything but the per-call state. A Model is not safe for concurrent
-// use.
+// sequential ones — and the dual-rail twin program the pack scheduler
+// evaluates. Compiling is per (netlist, unroll depth), and a Model holds
+// only what compiling builds: every run owns its plane, its cursors and
+// its W=1 twin machine (newRun). A Model is therefore safe for
+// concurrent runs, and callers that run several campaigns against one
+// circuit build one Model (the top-off experiments run baseline and
+// top-off beside each other on one).
 type Model struct {
 	nl     *netlist.Netlist // source circuit
 	um     *netlist.UnrollMap
 	frames int // 0 for combinational models
 	eng    *search
-	pl     *plane    // the searches' shared values, sized to the model netlist
-	comp   *twin     // lazily built: TriExpand + Compile of the model netlist
-	curs   []*cursor // search cursors, grown to the pack width on first use
+	// tm and prog are the model netlist's dual-rail twin: its TriExpand
+	// map and the compiled twin program every packed run evaluates.
+	tm   *netlist.TriMap
+	prog *netlist.Program
 }
 
 // dropSimConfig projects the ATPG engine options onto the drop-sim
@@ -59,11 +60,7 @@ func NewModel(nl *netlist.Netlist) (*Model, error) {
 	if nl.IsSequential() {
 		return nil, fmt.Errorf("atpg: sequential netlist %s not supported by the combinational model (use NewSequentialModel)", nl.Name)
 	}
-	eng, err := newSearch(nl)
-	if err != nil {
-		return nil, err
-	}
-	return &Model{nl: nl, eng: eng, pl: newPlane(len(nl.Gates))}, nil
+	return newModel(nl, nil, 0, nl)
 }
 
 // NewSequentialModel builds the ATPG model of a sequential netlist at the
@@ -80,37 +77,41 @@ func NewSequentialModel(nl *netlist.Netlist, frames int) (*Model, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := newSearch(unrolled)
+	return newModel(nl, um, frames, unrolled)
+}
+
+// newModel compiles the model of source circuit nl over the model
+// netlist mn: the search structures and the dual-rail twin program.
+func newModel(nl *netlist.Netlist, um *netlist.UnrollMap, frames int, mn *netlist.Netlist) (*Model, error) {
+	eng, err := newSearch(mn)
 	if err != nil {
 		return nil, err
 	}
-	return &Model{nl: nl, um: um, frames: frames, eng: eng, pl: newPlane(len(unrolled.Gates))}, nil
+	tn, tm, err := netlist.TriExpand(mn)
+	if err != nil {
+		return nil, err
+	}
+	prog, err := netlist.Compile(tn)
+	if err != nil {
+		return nil, err
+	}
+	return &Model{nl: nl, um: um, frames: frames, eng: eng, tm: tm, prog: prog}, nil
 }
 
 // Frames returns the model's unroll depth (0 for combinational models).
 func (m *Model) Frames() int { return m.frames }
 
-// compiled returns the dual-rail compiled backend, building it on first
-// use so serial-only runs never pay for the twin compilation.
-func (m *Model) compiled() (*twin, error) {
-	if m.comp == nil {
-		tw, err := newTwin(m.eng.nl)
-		if err != nil {
-			return nil, err
-		}
-		m.comp = tw
+// newRun builds one run's mutable state: a plane sized to the model
+// netlist, pairs cursors on its lane pairs 0..pairs-1, and a W=1 machine
+// on the twin program with its PI scratch. Runs write nothing else of
+// the model, so one Model serves concurrent runs.
+func (m *Model) newRun(pairs int) (*plane, []*cursor, *twin) {
+	pl := newPlane(len(m.eng.nl.Gates))
+	curs := make([]*cursor, pairs)
+	for k := range curs {
+		curs[k] = newCursor(pl, k)
 	}
-	return m.comp, nil
-}
-
-// cursors returns n search cursors, cursor k on the plane's lane pair k,
-// allocated on first use and reused across campaigns, serial or packed,
-// on the same model.
-func (m *Model) cursors(n int) []*cursor {
-	for len(m.curs) < n {
-		m.curs = append(m.curs, newCursor(m.pl, len(m.curs)))
-	}
-	return m.curs[:n]
+	return pl, curs, newTwin(m.eng.nl, m.tm, m.prog)
 }
 
 // Generate runs combinational PODEM with fault dropping over the model's
@@ -144,7 +145,8 @@ func (m *Model) Generate(faults []faultsim.Fault, opts *Options) (*Report, error
 // no fault site inside the frame horizon resolves as Untestable without
 // a search (packResult.noSearch). Workers == 1 selects the serial
 // reference driver; every other setting the pack scheduler at the
-// validated pack width, a single pair included.
+// validated pack width, a single pair included. Either driver runs on
+// search state newRun builds for this run alone.
 func (m *Model) run(faults []faultsim.Fault, opts *Options) (*SeqReport, error) {
 	o := opts.withDefaults(m.frames != 0)
 	if faults == nil {
@@ -212,11 +214,13 @@ func (m *Model) run(faults []faultsim.Fault, opts *Options) (*SeqReport, error) 
 		return nil
 	}
 	if o.Serial() {
-		err = m.serialRun(o.Options, o.MaxBacktracks, alive, sitesOf, commit)
+		_, curs, _ := m.newRun(1)
+		err = m.serialRun(o.Options, o.MaxBacktracks, curs[0], alive, sitesOf, commit)
 	} else {
 		var pairs int
 		if pairs, err = resolvePackPairs(o.PackPairs); err == nil {
-			err = m.packRun(o.Options, pairs, o.MaxBacktracks, alive, sitesOf, commit)
+			pl, curs, tw := m.newRun(pairs)
+			err = m.packRun(o.Options, o.MaxBacktracks, pl, curs, tw, alive, sitesOf, commit)
 		}
 	}
 	if err != nil {
@@ -240,15 +244,16 @@ func (m *Model) fillTest(cube []tri, rng *rand.Rand) []faultsim.Pattern {
 // --- drivers -----------------------------------------------------------------
 
 // serialRun is the serial reference driver (Workers == 1): one
-// interpreter search per live target, committed as soon as it ends.
+// interpreter search per live target on cursor c, committed as soon as
+// it ends.
 func (m *Model) serialRun(
 	o engine.Options,
 	maxBacktracks int,
+	c *cursor,
 	alive []bool,
 	sitesOf func(t int) []netlist.FaultSite,
 	commit func(t int, r *packResult) error,
 ) error {
-	c := m.cursors(1)[0]
 	var r packResult
 	for t := range alive {
 		if !alive[t] {
@@ -300,8 +305,9 @@ type packSlot struct {
 // wasted when an earlier target's committed test drops a speculated one.
 const packHorizonFactor = 4
 
-// packRun is the compiled driver: it runs up to pairs concurrent PODEM
-// searches over the targets in lockstep rounds. Every round broadcasts
+// packRun is the compiled driver: it runs one PODEM search per cursor,
+// cursor k on lane pair k of the plane and of the twin machine tw, over
+// the targets in lockstep rounds. Every round broadcasts
 // one dual-rail machine pass, loads its rail words into the plane once,
 // runs one D-frontier pass for every active pair, and advances each
 // search by one decision. When a pair's search terminates
@@ -314,26 +320,21 @@ const packHorizonFactor = 4
 // searches.
 func (m *Model) packRun(
 	o engine.Options,
-	pairs, maxBacktracks int,
+	maxBacktracks int,
+	pl *plane,
+	curs []*cursor,
+	tw *twin,
 	alive []bool,
 	sitesOf func(t int) []netlist.FaultSite,
 	commit func(t int, r *packResult) error,
 ) error {
-	tw, err := m.compiled()
-	if err != nil {
-		return err
-	}
-	// An earlier run that stopped early (cancelled, or a failed commit)
-	// may have left pairs armed.
-	tw.m.ClearFaults()
 	n := len(alive)
-	cursors := m.cursors(pairs)
-	slots := make([]packSlot, pairs)
+	slots := make([]packSlot, len(curs))
 	for k := range slots {
-		slots[k].cur = cursors[k]
+		slots[k].cur = curs[k]
 	}
 	results := make([]packResult, n)
-	horizon := pairs * packHorizonFactor
+	horizon := len(curs) * packHorizonFactor
 	next, commitAt, active := 0, 0, 0
 	for commitAt < n {
 		// Re-arm free pairs from the shared target queue, up to the
@@ -376,8 +377,8 @@ func (m *Model) packRun(
 				}
 			}
 			tw.m.Eval(tw.pis)
-			tw.load(m.pl)
-			m.eng.frontier(m.pl, live)
+			tw.load(pl)
+			m.eng.frontier(pl, live)
 			for k := range slots {
 				if !slots[k].active {
 					continue

@@ -19,10 +19,9 @@
 // faultsim.Simulator session — at Workers == 1 that session is
 // faultsim's single-fault reference engine.
 //
-// Serial and packed searches implicate into one value store, the
-// model's plane: per
-// gate a hi and a lo rail word, search k reading its good plane on lane
-// 2k and its faulty plane on lane 2k+1. The pack scheduler fills the
+// Serial and packed searches implicate into one value store, the run's
+// plane: per gate a hi and a lo rail word, search k reading its good
+// plane on lane 2k and its faulty plane on lane 2k+1. The pack scheduler fills the
 // words once per round from the machine (twin.load); the interpreter
 // writes its search's two lanes itself. One D-frontier pass per round
 // then walks the gates once in levelized order with word operations and
@@ -168,7 +167,7 @@ const (
 	statusAborted
 )
 
-// plane is the value store every search of a model reads its
+// plane is the value store every search of a run reads its
 // implications from: per gate a hi rail word (bit set: the gate is 1 on
 // that lane) and a lo rail word (bit set: the gate is 0), X being neither
 // — the dual-rail twin's own encoding, so the pack scheduler copies it
@@ -224,15 +223,15 @@ func railTri(h, l uint64) tri {
 }
 
 // cursor is the mutable state of one PODEM search: its lane pair in the
-// model's plane (which an implication pass fills — the interpreter
+// run's plane (which an implication pass fills — the interpreter
 // directly, the compiled twin through load), the armed target's sites,
 // the frontier gate the round's pass found for it, and the decision
 // scratch. The serial reference runs cursor 0; the pack scheduler runs
 // cursor k on lane pair k, all sharing the structural search core and
 // the plane, so concurrent searches backtrack independently. A cursor's
-// lanes are fixed when it is built, so serial and packed runs can take
-// turns on one model's cursors. The search takes every decision by reading
-// its two lanes, so both backends must fill them bit for bit alike.
+// lanes are fixed when it is built, and every run builds its own
+// (Model.newRun). The search takes every decision by reading its two
+// lanes, so both backends must fill them bit for bit alike.
 type cursor struct {
 	pl   *plane
 	lane uint   // good-plane lane 2k; the faulty plane is lane+1

@@ -57,20 +57,24 @@ type Config struct {
 	// Workers also sizes the flow's own concurrency. ProfileOperators
 	// runs the operator classes as jobs on that many workers, each with
 	// a tpg.Session fork and a fault simulator of its own; Equivalent
-	// runs the equivalence campaign beside FullTG; and CompareSampling
+	// runs the equivalence campaign beside FullTG; CompareSampling
 	// scores and fault-simulates each strategy sequence beside the next
-	// one's generation. Every compiled machine still runs its campaigns
-	// in the serial order (see tpg.Session.Fork), which is what keeps
-	// the output identical. When Workers resolves to one worker (always
-	// at Workers: 1) every section runs inline on the calling goroutine.
-	// Ctx reaches every call, every goroutine is joined before a method
-	// returns, and the error returned is the earliest in serial order.
+	// one's generation; and the top-off experiments run the baseline
+	// ATPG beside the pre-test and the top-off ATPG, on one atpg.Model.
+	// Every compiled machine still runs its campaigns in the serial
+	// order (see tpg.Session.Fork), and each ATPG run is a pure function
+	// of its inputs, which is what keeps the output identical. When
+	// Workers resolves to one worker (always at Workers: 1) every section
+	// runs inline on the calling goroutine. Ctx reaches every call, every
+	// goroutine is joined before a method returns, and the error returned
+	// is the earliest in serial order.
 	//
 	// The Progress hook sees ordered reports only: ProfileOperators
-	// reports operator classes finished, and FullTG and the strategy
-	// campaigns report targets finished, as tpg.Session.Generate does.
-	// The per-class campaigns, mutant scoring and fault simulation report
-	// nothing.
+	// reports operator classes finished, and FullTG, the strategy
+	// campaigns and the top-off ATPG report targets finished, as
+	// tpg.Session.Generate and atpg.Model.Generate do. The per-class
+	// campaigns, mutant scoring, fault simulation and the top-off
+	// experiments' baseline ATPG report nothing.
 	engine.Options
 }
 
@@ -684,7 +688,7 @@ type SeqTopoffResult struct {
 // using time-frame-expansion ATPG with the given horizon (the atpg
 // package's default depth when frames <= 0). The paper closes by calling
 // for exactly this extension ("further experiments must be conducted on
-// more complex designs").
+// more complex designs"). The baseline runs as ATPGTopoff's does.
 func (f *Flow) SequentialATPGTopoff(frames int) (*SeqTopoffResult, error) {
 	if !f.Netlist.IsSequential() {
 		return nil, fmt.Errorf("core: %s is combinational; use ATPGTopoff", f.Circuit.Name)
@@ -695,31 +699,32 @@ func (f *Flow) SequentialATPGTopoff(frames int) (*SeqTopoffResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	baseline, err := model.GenerateSequential(f.Faults, &atpg.Options{FillSeed: f.cfg.Seed + 40, Options: f.cfg.Options})
+	r := &SeqTopoffResult{Circuit: f.Circuit.Name, Frames: model.Frames()}
+	err = f.beside(func() (err error) {
+		r.Baseline, err = model.GenerateSequential(f.Faults, &atpg.Options{FillSeed: f.cfg.Seed + 40, Options: f.quiet()})
+		return err
+	}, func() error {
+		preLen, pre, err := f.preTest()
+		if err != nil {
+			return err
+		}
+		remaining := pre.Undetected()
+		r.PreTestLen, r.PreTestCoverage, r.Remaining = preLen, pre.Coverage(), len(remaining)
+		r.Topoff, err = model.GenerateSequential(remaining, &atpg.Options{FillSeed: f.cfg.Seed + 41, Options: f.cfg.Options})
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	preLen, pre, err := f.preTest()
-	if err != nil {
-		return nil, err
-	}
-	remaining := pre.Undetected()
-	topoff, err := model.GenerateSequential(remaining, &atpg.Options{FillSeed: f.cfg.Seed + 41, Options: f.cfg.Options})
-	if err != nil {
-		return nil, err
-	}
-	return &SeqTopoffResult{
-		Circuit:         f.Circuit.Name,
-		Frames:          model.Frames(),
-		Baseline:        baseline,
-		PreTestLen:      preLen,
-		PreTestCoverage: pre.Coverage(),
-		Remaining:       len(remaining),
-		Topoff:          topoff,
-	}, nil
+	return r, nil
 }
 
-// ATPGTopoff runs experiment E3 on combinational circuits.
+// ATPGTopoff runs experiment E3 on combinational circuits. Its two ATPG
+// runs are independent, so they run beside each other on one model: the
+// baseline over the full fault list, and the pre-test followed by the
+// top-off over the faults it left. The baseline runs without the
+// progress hook at every setting, so the hook sees FullTG's targets,
+// then the top-off's; in serial order it comes first.
 func (f *Flow) ATPGTopoff() (*TopoffResult, error) {
 	if f.Netlist.IsSequential() {
 		return nil, fmt.Errorf("core: ATPG top-off needs a combinational circuit; %s has flip-flops", f.Circuit.Name)
@@ -730,27 +735,24 @@ func (f *Flow) ATPGTopoff() (*TopoffResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	baseline, err := model.Generate(f.Faults, &atpg.Options{FillSeed: f.cfg.Seed + 30, Options: f.cfg.Options})
+	r := &TopoffResult{Circuit: f.Circuit.Name}
+	err = f.beside(func() (err error) {
+		r.Baseline, err = model.Generate(f.Faults, &atpg.Options{FillSeed: f.cfg.Seed + 30, Options: f.quiet()})
+		return err
+	}, func() error {
+		preLen, pre, err := f.preTest()
+		if err != nil {
+			return err
+		}
+		remaining := pre.Undetected()
+		r.PreTestLen, r.PreTestCoverage, r.Remaining = preLen, pre.Coverage(), len(remaining)
+		r.Topoff, err = model.Generate(remaining, &atpg.Options{FillSeed: f.cfg.Seed + 31, Options: f.cfg.Options})
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	preLen, pre, err := f.preTest()
-	if err != nil {
-		return nil, err
-	}
-	remaining := pre.Undetected()
-	topoff, err := model.Generate(remaining, &atpg.Options{FillSeed: f.cfg.Seed + 31, Options: f.cfg.Options})
-	if err != nil {
-		return nil, err
-	}
-	return &TopoffResult{
-		Circuit:         f.Circuit.Name,
-		Baseline:        baseline,
-		PreTestLen:      preLen,
-		PreTestCoverage: pre.Coverage(),
-		Remaining:       len(remaining),
-		Topoff:          topoff,
-	}, nil
+	return r, nil
 }
 
 // preTest applies the top-off experiments' free pre-test: it

@@ -185,21 +185,49 @@ func TestEquivalentFlagsConsistent(t *testing.T) {
 	}
 }
 
+// goroutineWatch is a progress hook that records, over the reports it
+// receives, the most goroutines running at a report and how many
+// reports came from a goroutine other than the one that built it.
+type goroutineWatch struct {
+	caller string
+	mu     sync.Mutex
+	most   int
+	// reports counts every report, elsewhere those made off caller.
+	reports, elsewhere int
+}
+
+func newGoroutineWatch() *goroutineWatch { return &goroutineWatch{caller: goroutineID()} }
+
+func (g *goroutineWatch) report(engine.Stats) {
+	n, id := runtime.NumGoroutine(), goroutineID()
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.most = max(g.most, n)
+	g.reports++
+	if id != g.caller {
+		g.elsewhere++
+	}
+}
+
+// goroutineID returns the calling goroutine's ID, read from the header
+// of its stack trace ("goroutine 7 [running]:").
+func goroutineID() string {
+	var buf [64]byte
+	return strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))[1]
+}
+
 // TestWorkersOneRunsInline pins that Workers: 1 runs every flow section
 // on the calling goroutine: no progress report sees a goroutine beyond
 // the ones running when the flow started. At Workers: 2 the reports
-// must see the profile workers and the scoring lane.
+// must see the profile workers and the scoring lane, and in the top-off
+// flow every report, FullTG's and the top-off's, must come from the
+// section that runs beside the baseline on the calling goroutine.
 func TestWorkersOneRunsInline(t *testing.T) {
 	for _, w := range []int{1, 2} {
-		var mu sync.Mutex
-		most := 0
 		cfg := Config{Seed: 1, Repeats: 1, RandHorizon: 128, EquivBudget: 64}
 		cfg.Workers = w
-		cfg.Progress = func(engine.Stats) {
-			mu.Lock()
-			most = max(most, runtime.NumGoroutine())
-			mu.Unlock()
-		}
+		g := newGoroutineWatch()
+		cfg.Progress = g.report
 		f, err := NewFlow(circuits.MustLoad("b06"), cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -209,10 +237,30 @@ func TestWorkersOneRunsInline(t *testing.T) {
 			t.Fatal(err)
 		}
 		switch {
-		case w == 1 && most > baseline:
-			t.Errorf("Workers: 1 ran %d goroutines, %d when the flow started", most, baseline)
-		case w > 1 && most <= baseline:
-			t.Errorf("Workers: %d never ran a section beside another: %d goroutines, %d at the start", w, most, baseline)
+		case w == 1 && g.most > baseline:
+			t.Errorf("Workers: 1 ran %d goroutines, %d when the flow started", g.most, baseline)
+		case w > 1 && g.most <= baseline:
+			t.Errorf("Workers: %d never ran a section beside another: %d goroutines, %d at the start", w, g.most, baseline)
+		}
+
+		g = newGoroutineWatch()
+		cfg.Progress = g.report
+		if f, err = NewFlow(circuits.MustLoad("c17"), cfg); err != nil {
+			t.Fatal(err)
+		}
+		baseline = runtime.NumGoroutine()
+		if _, err := f.ATPGTopoff(); err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case g.reports == 0:
+			t.Errorf("Workers: %d: the top-off flow made no progress report", w)
+		case w == 1 && (g.most > baseline || g.elsewhere > 0):
+			t.Errorf("Workers: 1 top-off ran %d goroutines, %d when the flow started; %d of %d reports off the calling goroutine",
+				g.most, baseline, g.elsewhere, g.reports)
+		case w > 1 && g.elsewhere != g.reports:
+			t.Errorf("Workers: %d: %d of %d top-off reports came from the calling goroutine, which runs the baseline",
+				w, g.reports-g.elsewhere, g.reports)
 		}
 	}
 }

@@ -179,8 +179,8 @@ func TestATPGCombinationalParity(t *testing.T) {
 // running baseline and subset campaigns back to back must produce
 // exactly what fresh per-call models produce (the model carries no state
 // between runs), for both engines. The runs alternate on the one model
-// — serial, packed, serial, packed — so state either kind of run leaves
-// on the model's shared cursors and plane must not leak into the next.
+// — serial, packed, serial, packed — so any state either kind of run
+// left on the model would leak into the next.
 func TestATPGModelReuseParity(t *testing.T) {
 	c := fuzzCircuit(t, 0)
 	nl, err := synth.Synthesize(c)

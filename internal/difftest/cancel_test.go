@@ -212,10 +212,11 @@ func (h *flowHook) reports() []engine.Stats {
 
 // TestFlowCancellation extends the contract to core.Flow, whose sections
 // run concurrently: ProfileOperators' class jobs, Equivalent's campaign
-// beside FullTG, and CompareSampling's scoring lane beside its strategy
-// campaigns. A cancelled Ctx must surface context.Canceled from each,
-// with every goroutine joined, and a repeated call must fail again
-// rather than return profiles or equivalence flags cached from a
+// beside FullTG, CompareSampling's scoring lane beside its strategy
+// campaigns, and SequentialATPGTopoff's baseline ATPG beside the
+// pre-test and top-off. A cancelled Ctx must surface context.Canceled
+// from each, with every goroutine joined, and a repeated call must fail
+// again rather than return profiles or equivalence flags cached from a
 // partial run.
 func TestFlowCancellation(t *testing.T) {
 	c := circuits.MustLoad("b06")
@@ -237,6 +238,7 @@ func TestFlowCancellation(t *testing.T) {
 			profile := func(f *core.Flow) error { _, err := f.ProfileOperators(); return err }
 			equivalent := func(f *core.Flow) error { _, err := f.Equivalent(); return err }
 			compare := func(f *core.Flow) error { _, err := f.CompareSampling(); return err }
+			topoff := func(f *core.Flow) error { _, err := f.SequentialATPGTopoff(8); return err }
 			wantCanceled := func(label string, err error) {
 				t.Helper()
 				if !errors.Is(err, context.Canceled) {
@@ -250,6 +252,7 @@ func TestFlowCancellation(t *testing.T) {
 			wantCanceled("pre-cancelled ProfileOperators", profile(f))
 			wantCanceled("pre-cancelled Equivalent", equivalent(f))
 			wantCanceled("pre-cancelled CompareSampling", compare(f))
+			wantCanceled("pre-cancelled SequentialATPGTopoff", topoff(f))
 
 			// Cancelled by ProfileOperators' first report.
 			f, h = newFlow()
@@ -264,6 +267,17 @@ func TestFlowCancellation(t *testing.T) {
 			h.armed.Store(true)
 			wantCanceled("Equivalent cancelled mid-run", equivalent(f))
 			wantCanceled("Equivalent after a cancelled run", equivalent(f))
+
+			// Cancelled by FullTG's first report in the pre-test, while
+			// the quiet baseline ATPG runs beside it. On one worker the
+			// baseline runs to its end before FullTG starts (serial
+			// PODEM, seconds on 8 frames and half a minute under -race),
+			// and the leg would only repeat Equivalent's FullTG cancel.
+			if ec.workers != 1 {
+				f, h = newFlow()
+				h.armed.Store(true)
+				wantCanceled("SequentialATPGTopoff cancelled mid-run", topoff(f))
+			}
 
 			// ProfileOperators reports the classes finished, in order;
 			// then the first strategy campaign's first report cancels the

@@ -25,9 +25,13 @@ fi
 txt="${out%.json}.txt"
 prof="${out%.json}.mem.pprof"
 
+# -memprofile keeps the test binary; build it outside the repository.
+dir="$(mktemp -d)"
+trap 'rm -rf "$dir"' EXIT
+
 echo "running benchmarks -> ${txt}" >&2
 go test -run='^$' -bench=. -benchmem -benchtime="${BENCHTIME:-1x}" \
-    -memprofile "$prof" "$@" . | tee "$txt" >&2
+    -o "$dir/repro.test" -memprofile "$prof" "$@" . | tee "$txt" >&2
 
 # Convert `BenchmarkName  N  T ns/op  [M metric]...  B B/op  A allocs/op`
 # lines into a JSON array, one key per custom metric (`faultcycles/s`,
