@@ -88,12 +88,13 @@ bench-compare:
 	echo "comparing $$base -> $$new"; \
 	$(GO) run ./scripts/benchcmp $(BENCHCMP_FLAGS) "$$base" "$$new"
 
-# Cross-process determinism: N fresh-process seq top-off runs per worker
-# setting, byte-compared (scripts/detsmoke.sh). Each run gets its own map
-# seed, which is the point — this catches iteration-order leaks that
-# same-process replays cannot. The two settings' reports must then match
-# each other: the concurrent top-off (-workers 0) prints the serial
-# reference's (-workers 1) bytes. Override: make determinism-smoke RUNS=20.
+# Cross-process determinism: N fresh-process seq top-off runs and N
+# Table 2 runs per worker setting, byte-compared (scripts/detsmoke.sh).
+# Each run gets its own map seed, which is the point — this catches
+# iteration-order leaks that same-process replays cannot. Each flow's two
+# settings must then match each other: the concurrent flows (-workers 0)
+# print the serial reference's (-workers 1) bytes. Override: make
+# determinism-smoke RUNS=20.
 determinism-smoke:
 	sh scripts/detsmoke.sh $(RUNS)
 

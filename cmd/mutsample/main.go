@@ -25,8 +25,9 @@
 //	               the flow's concurrent sections (operator-profile jobs,
 //	               scoring beside test generation); 0 = all cores,
 //	               1 = serial reference engines, every section inline
-//	-lanewords N   compiled-engine lane width in 64-bit words
-//	               (0 = default, 1/4/8 = 64/256/512 lanes per pass)
+//	-lanewords N   fault-simulator lane width in 64-bit words
+//	               (0 = per-topology auto, 1/4/8 = 64/256/512 lanes
+//	               per pass); mutant scoring does not read it
 package main
 
 import (
@@ -119,7 +120,7 @@ func experimentFlags(fs *flag.FlagSet) func() core.Config {
 	frac := fs.Float64("frac", 0.10, "mutant sampling fraction")
 	repeats := fs.Int("repeats", 0, "repetitions averaged per measurement (default 5)")
 	workers := fs.Int("workers", 0, "worker count for mutant scoring, fault simulation, operator-profile jobs and scoring beside test generation (0 = all cores, 1 = serial reference, inline)")
-	laneWords := fs.Int("lanewords", 0, "compiled-engine lane width in 64-bit words (0 = default, 1/4/8)")
+	laneWords := fs.Int("lanewords", 0, "fault-simulator lane width in 64-bit words (0 = per-topology auto, 1/4/8)")
 	return func() core.Config {
 		return core.Config{
 			Seed:        *seed,
@@ -396,7 +397,7 @@ func cmdFaultSim(args []string) error {
 	seed := fs.Int64("seed", 1, "stimulus seed")
 	curveEvery := fs.Int("curve", 32, "print coverage every N patterns (0 = final only)")
 	workers := fs.Int("workers", 0, "fault-simulation pool size (0 = all cores, 1 = serial reference)")
-	laneWords := fs.Int("lanewords", 0, "compiled-engine lane width in 64-bit words (0 = default, 1/4/8)")
+	laneWords := fs.Int("lanewords", 0, "fault-simulator lane width in 64-bit words (0 = per-topology auto, 1/4/8)")
 	fs.Parse(args)
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: mutsample faultsim <circuit>")

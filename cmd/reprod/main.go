@@ -41,7 +41,7 @@ func main() {
 	listen := flag.String("listen", ":9190", "listen address")
 	parallel := flag.Int("parallel", 2, "concurrently executing local shards")
 	workers := flag.Int("workers", 0, "engine pool size per shard (0 = all cores, 1 = serial reference)")
-	laneWords := flag.Int("lanewords", 0, "compiled-engine lane width in 64-bit words (0 = default)")
+	laneWords := flag.Int("lanewords", 0, "fault-simulator lane width in 64-bit words (0 = per-topology auto, 1/4/8)")
 	cacheCap := flag.Int("cache", 0, "in-memory result cache capacity (0 = default 1024)")
 	cacheDir := flag.String("cache-dir", "", "persist cached reports under this directory")
 	ckptDir := flag.String("ckpt-dir", "", "persist faultsim window checkpoints under this directory")

@@ -9,14 +9,15 @@
 // operator's class is sampled in proportion to its measured stuck-at
 // fault-coverage efficiency (NLFCE) instead of uniformly.
 //
-// Both simulation substrates (behavioral mutant scoring and gate-level
-// fault simulation) run on compiled engines that execute over multi-word
-// lane vectors (internal/lane: W×64 lanes per pass, W ∈ {1,4,8}), so one
-// pass carries up to 512 fault machines or a 512-mutant lockstep batch.
-// Every engine Config embeds the shared engine.Options surface (Workers,
-// LaneWords, a progress hook and context cancellation); Workers:1 +
-// LaneWords:1 is the pinned serial reference every configuration is
-// differentially tested against (internal/difftest).
+// Both simulation substrates run on compiled engines. Behavioral mutant
+// scoring runs one pool job per compiled mutant machine; gate-level
+// fault simulation executes over multi-word lane vectors (internal/lane:
+// W×64 lanes per pass, W ∈ {1,4,8}), so one pass carries up to 512
+// fault machines. Every engine Config embeds the shared engine.Options
+// surface (Workers, LaneWords, a progress hook and context
+// cancellation); Workers:1 + LaneWords:1 is the pinned serial reference
+// every configuration is differentially tested against
+// (internal/difftest).
 //
 // The simulation surface is session-based: faultsim.Simulator.Append
 // extends an applied sequence incrementally (bit-identical to a one-shot
@@ -29,8 +30,9 @@
 // "Sessions and incremental simulation" section of README.md.
 //
 // Sessions own their scratch: a warm round reuses buffers grown on the
-// session (internal/engine's Grow/GrowZero/Pool primitives), so
-// steady-state rounds allocate nothing. One-shot results (Run, RunOn,
+// session (internal/engine's Grow/GrowZero primitives), and a worker
+// pool's jobs use per-worker scratch, so steady-state rounds allocate
+// nothing. One-shot results (Run, RunOn,
 // Generate, MutationTests) are caller-owned; incremental results
 // (Append, AppendTest) are session-owned views overwritten by the next
 // call — Clone them to retain. The contract is stated in internal/engine

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/faultsim"
@@ -570,6 +571,120 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 	if stats.Jobs["done"] != 2*len(specs) {
 		t.Errorf("done jobs = %d, want %d", stats.Jobs["done"], 2*len(specs))
+	}
+}
+
+// TestServerCancelJob drives the job-cancel path over HTTP. With one
+// local slot, a long FaultSim job holds it while a second job waits for
+// it; cancelling the waiting job must end it cancelled, with the
+// context's error, no result and nothing cached under its key, so the
+// same spec resubmitted once the slot is free runs fresh.
+func TestServerCancelJob(t *testing.T) {
+	srv, err := NewServer(ServerConfig{Parallel: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	hs := httptest.NewServer(srv)
+	defer hs.Close()
+	c := &Client{Base: hs.URL}
+	ctx := context.Background()
+	const poll = 5 * time.Millisecond
+
+	long, err := c.Submit(ctx, Spec{Kind: FaultSim, Circuit: "b04", Seed: 1, Horizon: maxHorizon, Window: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Once the long job reports progress it holds the only slot.
+	for {
+		st, err := c.Status(ctx, long.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State != "pending" && st.State != "running" {
+			t.Fatalf("long job ended %s before the test cancelled it", st.State)
+		}
+		if st.Done > 0 {
+			break
+		}
+		time.Sleep(poll)
+	}
+
+	sp := Spec{Kind: FaultSim, Circuit: "c17", Seed: 1, Horizon: 16}
+	queued, err := c.Submit(ctx, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Cancel(ctx, queued.ID); err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.Wait(ctx, queued.ID, poll)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != "cancelled" || st.Error != context.Canceled.Error() {
+		t.Fatalf("cancelled job reads %s (%q), want cancelled (%q)", st.State, st.Error, context.Canceled)
+	}
+	if _, err := c.Result(ctx, queued.ID); err == nil || !strings.Contains(err.Error(), "409") {
+		t.Errorf("Result of a cancelled job: %v, want a 409", err)
+	}
+	stats, err := c.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Jobs["cancelled"] != 1 {
+		t.Errorf("cancelled jobs = %d, want 1", stats.Jobs["cancelled"])
+	}
+	key, err := JobKey(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if srv.cache.Get(key) != nil {
+		t.Error("the cancelled job's key is cached")
+	}
+
+	// Free the slot: the resubmitted spec must run, not hit the cache.
+	if err := c.Cancel(ctx, long.ID); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = c.Wait(ctx, long.ID, poll); err != nil {
+		t.Fatal(err)
+	}
+	if st.State != "cancelled" {
+		t.Fatalf("long job reads %s after its cancel", st.State)
+	}
+	again, err := c.Submit(ctx, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Cached {
+		t.Error("resubmitted spec served from cache")
+	}
+	if st, err = c.Wait(ctx, again.ID, poll); err != nil {
+		t.Fatal(err)
+	}
+	if st.State != "done" || st.Cached {
+		t.Errorf("resubmitted spec reads %s (cached %v), want a fresh done", st.State, st.Cached)
+	}
+	if stats, err = c.Stats(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Jobs["cancelled"] != 2 || stats.Jobs["done"] != 1 {
+		t.Errorf("job states %v, want 2 cancelled and 1 done", stats.Jobs)
+	}
+
+	if err := c.Cancel(ctx, "j999"); err == nil || !strings.Contains(err.Error(), "404") {
+		t.Errorf("Cancel of an unknown job: %v, want a 404", err)
+	}
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not return")
 	}
 }
 

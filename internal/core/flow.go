@@ -630,10 +630,7 @@ func (f *Flow) CompareSampling() (*SamplingComparison, error) {
 	for k := range out {
 		r, first := &out[k], k*reps
 		r.SampleSize = len(samples[first])
-		r.Alloc = make(map[mutation.Operator]int)
-		for _, m := range samples[first] {
-			r.Alloc[m.Op]++
-		}
+		r.Alloc = mutation.CountByOperator(samples[first])
 		for i := first; i < first+reps; i++ {
 			r.SeqLen += len(tgs[i].Seq)
 			r.MSPct += 100 * mutscore.Score(killed[i], equivalent)

@@ -28,7 +28,8 @@ import (
 
 // engineConfigs spans the serial reference (Workers 1) and the compiled
 // engines at {W=1, W=4, W=8, auto} × worker counts. Both Config types
-// share the same knob shape, so one table drives both harnesses.
+// share the same knob shape, so one table drives both harnesses; the
+// lane width reaches the fault simulator, and the scorer ignores it.
 type engineConfig struct {
 	workers   int
 	laneWords int

@@ -4,34 +4,12 @@ import (
 	"context"
 	"errors"
 	"testing"
-
-	"repro/internal/lane"
 )
 
 func TestSerial(t *testing.T) {
 	for n, want := range map[int]bool{0: false, 1: true, 2: false, 16: false} {
 		if got := (Options{Workers: n}).Serial(); got != want {
 			t.Errorf("Workers %d: Serial() = %v, want %v", n, got, want)
-		}
-	}
-}
-
-// TestLanes pins the knob resolution to internal/lane: 0 selects the
-// package default, the stenciled widths pass through, anything else is
-// rejected — the single validation every embedding Config shares.
-func TestLanes(t *testing.T) {
-	if w, err := (Options{}).Lanes(); err != nil || w != lane.DefaultWords {
-		t.Errorf("zero LaneWords resolved to (%d, %v), want (%d, nil)", w, err, lane.DefaultWords)
-	}
-	for _, w := range lane.Widths() {
-		got, err := (Options{LaneWords: w}).Lanes()
-		if err != nil || got != w {
-			t.Errorf("LaneWords %d resolved to (%d, %v)", w, got, err)
-		}
-	}
-	for _, w := range []int{-1, 2, 3, 5, 7, 9, 64} {
-		if _, err := (Options{LaneWords: w}).Lanes(); err == nil {
-			t.Errorf("LaneWords %d accepted", w)
 		}
 	}
 }

@@ -267,7 +267,7 @@ func New(nl *netlist.Netlist, faults []Fault) (*Simulator, error) {
 // New builds a fault simulator under this configuration. The fault list
 // defaults to Faults(nl) when faults is nil.
 func (c Config) New(nl *netlist.Netlist, faults []Fault) (*Simulator, error) {
-	if _, err := c.Lanes(); err != nil {
+	if err := lane.Check(c.LaneWords); err != nil {
 		return nil, fmt.Errorf("faultsim: %w", err)
 	}
 	words := c.LaneWords

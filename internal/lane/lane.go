@@ -8,8 +8,9 @@
 // own exec loop with constant-length inner loops the compiler can unroll.
 // W=1 reproduces the original single-word engines bit for bit; W=4/8
 // amortize the per-gate instruction decode over 256/512 lanes, which is
-// the single-core multiplier the schedulers in faultsim and mutscore are
-// built around.
+// the single-core multiplier the fault simulator's scheduler is built
+// around. The LaneWords knob (engine.Options) picks the fault
+// simulator's width; no other engine reads it.
 //
 // Masks at the scheduler level (which lanes are active, which lanes hold a
 // fault) are lane vectors too, so the same FirstN/Bit helpers describe
@@ -32,27 +33,18 @@ type (
 	W8 = [8]uint64
 )
 
-// DefaultWords is the generic word count selected by a zero LaneWords
-// knob when the caller has no better topology signal (mutant scoring
-// batches, say). The fault simulator overrides the zero value per
-// circuit topology — see faultsim.Config.LaneWords and the
-// engine-ablation benchmarks.
-const DefaultWords = 4
-
 // Widths lists the supported word counts, for sweeps and tests.
 func Widths() []int { return []int{1, 4, 8} }
 
-// Resolve validates a LaneWords knob: 0 selects DefaultWords, and only
-// the supported widths are accepted (the engines are stenciled per width,
-// so arbitrary counts cannot be dispatched).
-func Resolve(laneWords int) (int, error) {
+// Check validates a LaneWords knob: 0 (the engine picks the width) and
+// the supported widths pass. Engines are stenciled per width, so
+// arbitrary counts cannot be dispatched.
+func Check(laneWords int) error {
 	switch laneWords {
-	case 0:
-		return DefaultWords, nil
-	case 1, 4, 8:
-		return laneWords, nil
+	case 0, 1, 4, 8:
+		return nil
 	}
-	return 0, fmt.Errorf("lane: unsupported LaneWords %d (want 0, 1, 4 or 8)", laneWords)
+	return fmt.Errorf("lane: unsupported LaneWords %d (want 0, 1, 4 or 8)", laneWords)
 }
 
 // Count returns the number of lanes a Word carries (W×64).

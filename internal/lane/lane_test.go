@@ -5,27 +5,18 @@ import (
 	"testing"
 )
 
-func TestResolve(t *testing.T) {
-	cases := []struct {
-		in, want int
-		err      bool
-	}{
-		{0, DefaultWords, false},
-		{1, 1, false},
-		{4, 4, false},
-		{8, 8, false},
-		{2, 0, true},
-		{3, 0, true},
-		{-1, 0, true},
-		{64, 0, true},
-	}
-	for _, c := range cases {
-		got, err := Resolve(c.in)
-		if (err != nil) != c.err {
-			t.Errorf("Resolve(%d) error = %v, want error %v", c.in, err, c.err)
+// TestCheck pins the LaneWords validation faultsim and mutscore share:
+// 0 (the engine's own choice) and the stenciled widths pass, anything
+// else is rejected.
+func TestCheck(t *testing.T) {
+	for _, w := range append([]int{0}, Widths()...) {
+		if err := Check(w); err != nil {
+			t.Errorf("Check(%d) = %v", w, err)
 		}
-		if err == nil && got != c.want {
-			t.Errorf("Resolve(%d) = %d, want %d", c.in, got, c.want)
+	}
+	for _, w := range []int{-1, 2, 3, 5, 7, 9, 64} {
+		if Check(w) == nil {
+			t.Errorf("Check(%d) accepted", w)
 		}
 	}
 }

@@ -68,13 +68,7 @@ func Compare(mutCurve, randCurve []float64) Efficiency {
 	e.DeltaFCPts = 100 * (e.MFC - e.RFC)
 
 	// Random length needed to reach MFC.
-	e.LRand = -1
-	for i, c := range randCurve {
-		if c >= e.MFC {
-			e.LRand = i + 1
-			break
-		}
-	}
+	e.LRand = LengthToReach(randCurve, e.MFC)
 	if e.LRand < 0 {
 		e.LRand = len(randCurve)
 		e.RandomSaturated = true
@@ -84,18 +78,6 @@ func Compare(mutCurve, randCurve []float64) Efficiency {
 	}
 	e.NLFCE = e.DeltaFCPts * e.DeltaLPct
 	return e
-}
-
-// CoverageAt returns the curve value after n patterns (0 for n <= 0, the
-// final value beyond the end).
-func CoverageAt(curve []float64, n int) float64 {
-	if len(curve) == 0 || n <= 0 {
-		return 0
-	}
-	if n > len(curve) {
-		n = len(curve)
-	}
-	return curve[n-1]
 }
 
 // LengthToReach returns the shortest prefix length of the curve reaching

@@ -72,19 +72,6 @@ func TestCompareEmpty(t *testing.T) {
 	}
 }
 
-func TestCoverageAt(t *testing.T) {
-	c := []float64{0.1, 0.5, 0.7}
-	cases := []struct {
-		n    int
-		want float64
-	}{{0, 0}, {-1, 0}, {1, 0.1}, {2, 0.5}, {3, 0.7}, {99, 0.7}}
-	for _, tc := range cases {
-		if got := CoverageAt(c, tc.n); !almostEq(got, tc.want) {
-			t.Errorf("CoverageAt(%d) = %v, want %v", tc.n, got, tc.want)
-		}
-	}
-}
-
 func TestLengthToReach(t *testing.T) {
 	c := []float64{0.1, 0.5, 0.7}
 	if got := LengthToReach(c, 0.5); got != 2 {

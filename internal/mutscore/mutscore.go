@@ -3,14 +3,13 @@
 // budgeted-campaign estimate of the equivalent-mutant count E.
 //
 // Mutant simulation is embarrassingly parallel. The default engine runs
-// the programs a tpg.Session compiled for the population and scores lane
-// batches of LaneWords×64 mutants in lockstep on a worker pool, with
-// early-kill dropping against a shared good-circuit trace; Config.Workers
-// sizes the pool, Config.LaneWords the batches, and a flow compiles its
-// population once, for test generation and scoring alike. Workers == 1
-// selects the serial AST interpreter, the reference the compiled engine
-// is differentially tested against — both produce identical results (see
-// parity_test.go).
+// the programs a tpg.Session compiled for the population and scores one
+// mutant machine per job on a worker pool, each stopping at its first
+// divergence from a shared good-circuit trace; Config.Workers sizes the
+// pool, and a flow compiles its population once, for test generation
+// and scoring alike. Workers == 1 selects the serial AST interpreter,
+// the reference the compiled engine is differentially tested against —
+// both produce identical results (see parity_test.go).
 package mutscore
 
 import (
@@ -19,6 +18,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/hdl"
+	"repro/internal/lane"
 	"repro/internal/mutation"
 	"repro/internal/sim"
 	"repro/internal/tpg"
@@ -26,11 +26,11 @@ import (
 
 // Config tunes mutant scoring. The zero value is the fast default. The
 // execution knobs are the shared engine surface (see engine.Options for
-// the Workers/LaneWords semantics, the progress hook and cancellation):
-// Workers == 1 selects the serial interpreter reference, and LaneWords
-// sizes the compiled engine's lockstep scoring batches (0 selects
-// lane.DefaultWords). Results are identical for every setting (see
-// parity_test.go).
+// the Workers semantics, the progress hook and cancellation):
+// Workers == 1 selects the serial interpreter reference, and the
+// progress hook counts mutants scored on either engine. Scoring does not
+// read LaneWords; NewScorer only rejects an unsupported width. Results
+// are identical for every setting (see parity_test.go).
 type Config struct {
 	engine.Options
 }
@@ -65,7 +65,7 @@ type Scorer struct {
 // Under the serial reference (Workers == 1) every call runs the
 // interpreter on the session's circuit and targets instead.
 func (cfg Config) NewScorer(ts *tpg.Session) (*Scorer, error) {
-	if _, err := cfg.Lanes(); err != nil {
+	if err := lane.Check(cfg.LaneWords); err != nil {
 		return nil, fmt.Errorf("mutscore: %w", err)
 	}
 	good, progs := ts.Programs()
@@ -135,7 +135,7 @@ func (s *Scorer) Kills(seq sim.Sequence) ([]bool, error) {
 // firstKill returns FirstKillCycles for the mutants listed in idx, in idx
 // order (nil lists the whole population), so a campaign can drop mutants
 // it already killed. Workers == 1 runs the serial interpreter reference;
-// every other setting runs the compiled lockstep pool.
+// every other setting runs the compiled scoring pool.
 func (s *Scorer) firstKill(idx []int, seq sim.Sequence) ([]int, error) {
 	if s.cfg.Serial() {
 		return s.firstKillSerial(idx, seq)

@@ -24,6 +24,26 @@ func newScorer(t *testing.T, cfg Config, c *hdl.Circuit, ms []*mutation.Mutant) 
 	return s
 }
 
+// TestNewScorerChecksLaneWords pins the shared LaneWords validation:
+// scoring does not read the width, but a flow hands one engine.Options
+// to every engine, so an unsupported width fails here as it does in
+// faultsim.
+func TestNewScorerChecksLaneWords(t *testing.T) {
+	c := circuits.MustLoad("c17")
+	ts, err := tpg.NewSession(c, mutation.Generate(c), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{0, 1, 4, 8} {
+		if _, err := cfgOf(0, w).NewScorer(ts); err != nil {
+			t.Errorf("LaneWords %d rejected: %v", w, err)
+		}
+	}
+	if _, err := cfgOf(0, 3).NewScorer(ts); err == nil {
+		t.Error("LaneWords 3 accepted")
+	}
+}
+
 func TestKillsMatchFirstKillCycles(t *testing.T) {
 	c := circuits.MustLoad("b06")
 	ms := mutation.Generate(c)

@@ -11,14 +11,14 @@ import (
 )
 
 // parityConfigs spans the interesting engine settings: the legacy serial
-// interpreter (Workers 1), and the compiled engine at every lane width ×
-// {fixed pools, the all-cores default}.
+// interpreter (Workers 1), and the compiled engine on fixed pools and on
+// the all-cores default (the production setting). Scoring does not read
+// LaneWords; the last entry sets a width it must accept and ignore.
 var parityConfigs = []Config{
 	cfgOf(1, 0),
-	cfgOf(2, 1), cfgOf(5, 1), cfgOf(0, 1),
-	cfgOf(2, 4), cfgOf(0, 4),
-	cfgOf(2, 8), cfgOf(0, 8),
-	cfgOf(0, 0), // LaneWords 0: the lane.DefaultWords production setting
+	cfgOf(2, 0), cfgOf(3, 0), cfgOf(5, 0),
+	cfgOf(0, 0),
+	cfgOf(0, 8),
 }
 
 // cfgOf abbreviates the embedded engine.Options literal in test tables.

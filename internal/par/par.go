@@ -9,6 +9,7 @@ import (
 	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Workers resolves a worker-count knob: n <= 0 selects all cores, and the
@@ -34,8 +35,8 @@ func Indexed(jobs, workers int, fn func(w, i int)) {
 }
 
 // IndexedCtx is Indexed with cooperative cancellation and completion
-// reporting. A nil ctx never cancels. Once ctx is done, no new job is
-// dispatched (jobs already running finish — fn should poll ctx itself
+// reporting. A nil ctx never cancels. Once ctx is done, no worker claims
+// a new job (jobs already running finish — fn should poll ctx itself
 // when a single job is long) and the pool is drained before the
 // context's error is returned, so no goroutine outlives the call. done,
 // when non-nil, is invoked after each completed job with the number of
@@ -61,7 +62,11 @@ func IndexedCtx(ctx context.Context, jobs, workers int, fn func(w, i int), done 
 		}
 		return nil
 	}
-	next := make(chan int)
+	// A free worker claims the next index from a shared counter: a job
+	// costs one atomic add rather than a handoff from a dispatching
+	// goroutine, which is measurable on short jobs such as one mutant
+	// machine on a short sequence.
+	var next atomic.Int64
 	var doneMu sync.Mutex
 	completed := 0
 	var wg sync.WaitGroup
@@ -69,9 +74,10 @@ func IndexedCtx(ctx context.Context, jobs, workers int, fn func(w, i int), done 
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := range next {
-				if ctx != nil && ctx.Err() != nil {
-					continue // drain without working
+			for ctx == nil || ctx.Err() == nil {
+				i := int(next.Add(1) - 1)
+				if i >= jobs {
+					return
 				}
 				fn(w, i)
 				if done != nil {
@@ -86,19 +92,6 @@ func IndexedCtx(ctx context.Context, jobs, workers int, fn func(w, i int), done 
 			}
 		}(w)
 	}
-dispatch:
-	for i := 0; i < jobs; i++ {
-		if ctx == nil {
-			next <- i
-			continue
-		}
-		select {
-		case next <- i:
-		case <-ctx.Done():
-			break dispatch
-		}
-	}
-	close(next)
 	wg.Wait()
 	if ctx != nil {
 		return ctx.Err()

@@ -147,13 +147,3 @@ func Weighted(ms []*mutation.Mutant, n int, w Weights, seed int64) []*mutation.M
 	}
 	return out
 }
-
-// Allocation reports how many mutants Weighted would draw per operator,
-// for harness output and tests.
-func Allocation(ms []*mutation.Mutant, n int, w Weights, seed int64) map[mutation.Operator]int {
-	out := make(map[mutation.Operator]int)
-	for _, m := range Weighted(ms, n, w, seed) {
-		out[m.Op]++
-	}
-	return out
-}

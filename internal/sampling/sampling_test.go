@@ -74,7 +74,7 @@ func TestWeightedFavorsHeavyOperators(t *testing.T) {
 	ms := b01Mutants(t)
 	n := SampleSize(len(ms), 0.10)
 	w := Weights{mutation.CR: 100, mutation.CVR: 10, mutation.VR: 5, mutation.LOR: 1}
-	alloc := Allocation(ms, n, w, 1)
+	alloc := mutation.CountByOperator(Weighted(ms, n, w, 1))
 	if alloc[mutation.CR] <= alloc[mutation.LOR] {
 		t.Errorf("CR (w=100) got %d <= LOR (w=1) got %d", alloc[mutation.CR], alloc[mutation.LOR])
 	}

@@ -81,9 +81,6 @@ type Program struct {
 // Circuit returns the compiled circuit.
 func (p *Program) Circuit() *hdl.Circuit { return p.c }
 
-// NumInputs returns the number of input ports.
-func (p *Program) NumInputs() int { return len(p.inSlots) }
-
 // NumOutputs returns the number of output ports.
 func (p *Program) NumOutputs() int { return len(p.outSlots) }
 
@@ -442,16 +439,6 @@ func (m *Machine) Restore(snap []bitvec.BV) {
 	for i, id := range m.p.regSlots {
 		m.env[id] = snap[i]
 	}
-}
-
-// Peek returns the current value of a named signal, for debugging and
-// tests.
-func (m *Machine) Peek(name string) (bitvec.BV, bool) {
-	id, ok := m.p.slots[name]
-	if !ok {
-		return bitvec.BV{}, false
-	}
-	return m.env[id], true
 }
 
 // Step applies one input vector, advances one clock cycle, and returns the

@@ -184,24 +184,18 @@ func TestFirstKillBatchDeterministic(t *testing.T) {
 	}
 	var ref []int
 	for _, workers := range []int{1, 2, 7, 0} {
-		for _, laneWords := range []int{0, 1, 4, 8} {
-			got, err := sim.FirstKillBatchMachines(machinesOf(progs), seq, goodOuts, engine.Options{Workers: workers, LaneWords: laneWords})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ref == nil {
-				ref = got
-				continue
-			}
-			for i := range got {
-				if got[i] != ref[i] {
-					t.Fatalf("workers=%d lanewords=%d: mutant %d first-kill %d, want %d",
-						workers, laneWords, i, got[i], ref[i])
-				}
+		got, err := sim.FirstKillBatchMachines(machinesOf(progs), seq, goodOuts, engine.Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = got
+			continue
+		}
+		for i := range got {
+			if got[i] != ref[i] {
+				t.Fatalf("workers=%d: mutant %d first-kill %d, want %d", workers, i, got[i], ref[i])
 			}
 		}
-	}
-	if _, err := sim.FirstKillBatchMachines(machinesOf(progs), seq, goodOuts, engine.Options{LaneWords: 3}); err == nil {
-		t.Error("unsupported lane width accepted")
 	}
 }

@@ -1,7 +1,10 @@
 package sim_test
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/circuits"
@@ -57,28 +60,28 @@ func machinesOf(progs []*sim.Program) []*sim.Machine {
 	return ms
 }
 
-// TestFirstKillBatchRaggedTails pins lane batching on mutant counts of
-// 0, 1, 63, 64, 65 and W×64±1 (duplicating programs past the population
-// size — the same program may ride in many lanes): every count at every
-// width must reproduce the per-program profile of the W=1 single-worker
-// run.
+// TestFirstKillBatchRaggedTails pins the one-job-per-machine pool on
+// populations of 0, 1, 2, 63, 64, 65 and 257 machines (cycling through
+// 61 distinct programs, each listing with a machine of its own) at
+// Workers 1, 2, 3 and 0: every size at every pool width must reproduce
+// the per-program profile of the single-worker run.
 func TestFirstKillBatchRaggedTails(t *testing.T) {
 	fx := newScoringFixture(t)
+	distinct := fx.progs[:61]
 
 	// Reference profile per distinct program.
-	ref, err := sim.FirstKillBatchMachines(machinesOf(fx.progs), fx.seq, fx.goodOuts, engine.Options{Workers: 1, LaneWords: 1})
+	ref, err := sim.FirstKillBatchMachines(machinesOf(distinct), fx.seq, fx.goodOuts, engine.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, W := range []int{1, 4, 8} {
-		L := W * 64
-		for _, n := range []int{0, 1, 63, 64, 65, L - 1, L, L + 1} {
-			t.Run(fmt.Sprintf("W=%d/n=%d", W, n), func(t *testing.T) {
-				progs := make([]*sim.Program, n)
-				for i := range progs {
-					progs[i] = fx.progs[i%len(fx.progs)]
-				}
-				got, err := sim.FirstKillBatchMachines(machinesOf(progs), fx.seq, fx.goodOuts, engine.Options{Workers: 2, LaneWords: W})
+	for _, n := range []int{0, 1, 2, 63, 64, 65, 257} {
+		progs := make([]*sim.Program, n)
+		for i := range progs {
+			progs[i] = distinct[i%len(distinct)]
+		}
+		for _, workers := range []int{1, 2, 3, 0} {
+			t.Run(fmt.Sprintf("n=%d/workers=%d", n, workers), func(t *testing.T) {
+				got, err := sim.FirstKillBatchMachines(machinesOf(progs), fx.seq, fx.goodOuts, engine.Options{Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -86,11 +89,85 @@ func TestFirstKillBatchRaggedTails(t *testing.T) {
 					t.Fatalf("%d results for %d programs", len(got), n)
 				}
 				for i, cyc := range got {
-					if want := ref[i%len(fx.progs)]; cyc != want {
+					if want := ref[i%len(distinct)]; cyc != want {
 						t.Errorf("program %d: first-kill %d, want %d", i, cyc, want)
 					}
 				}
 			})
 		}
+	}
+}
+
+// TestFirstKillBatchProgress pins the progress contract: one report per
+// machine scored, Total the population size, Done never going backwards
+// and ending at (n, n), on the inline path and on a pool.
+func TestFirstKillBatchProgress(t *testing.T) {
+	fx := newScoringFixture(t)
+	n := 70
+	progs := make([]*sim.Program, n)
+	for i := range progs {
+		progs[i] = fx.progs[i%len(fx.progs)]
+	}
+	for _, workers := range []int{1, 3} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			var mu sync.Mutex
+			var reports []engine.Stats
+			opts := engine.Options{Workers: workers, Progress: func(s engine.Stats) {
+				mu.Lock()
+				reports = append(reports, s)
+				mu.Unlock()
+			}}
+			if _, err := sim.FirstKillBatchMachines(machinesOf(progs), fx.seq, fx.goodOuts, opts); err != nil {
+				t.Fatal(err)
+			}
+			if len(reports) != n {
+				t.Fatalf("%d reports for %d machines", len(reports), n)
+			}
+			for i, s := range reports {
+				if s.Total != n {
+					t.Fatalf("report %d: total %d, want %d", i, s.Total, n)
+				}
+				if i > 0 && s.Done < reports[i-1].Done {
+					t.Fatalf("report %d went backwards: %d after %d", i, s.Done, reports[i-1].Done)
+				}
+			}
+			if last := reports[n-1]; last != (engine.Stats{Done: n, Total: n}) {
+				t.Fatalf("last report %+v, want {%d %d}", last, n, n)
+			}
+		})
+	}
+}
+
+// TestFirstKillBatchErrors pins the error contract: when machines fail
+// to step (here c17 programs, whose inputs the b01 sequence does not
+// fit), the lowest-index failure comes back as a *BatchError; a context
+// cancelled during the call is the call's error even when machines
+// failed too.
+func TestFirstKillBatchErrors(t *testing.T) {
+	fx := newScoringFixture(t)
+	bad, err := sim.Compile(circuits.MustLoad("c17"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs := append([]*sim.Program(nil), fx.progs[:40]...)
+	progs[29], progs[7] = bad, bad
+	for _, workers := range []int{1, 3} {
+		_, err := sim.FirstKillBatchMachines(machinesOf(progs), fx.seq, fx.goodOuts, engine.Options{Workers: workers})
+		var be *sim.BatchError
+		if !errors.As(err, &be) || be.Index != 7 {
+			t.Errorf("workers=%d: error %v, want a *BatchError at index 7", workers, err)
+		}
+
+		ctx, cancel := context.WithCancel(context.Background())
+		// Cancel once machine 7 has failed.
+		opts := engine.Options{Workers: workers, Ctx: ctx, Progress: func(s engine.Stats) {
+			if s.Done == 10 {
+				cancel()
+			}
+		}}
+		if _, err := sim.FirstKillBatchMachines(machinesOf(progs), fx.seq, fx.goodOuts, opts); !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d: cancelled call returned %v", workers, err)
+		}
+		cancel()
 	}
 }

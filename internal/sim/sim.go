@@ -125,9 +125,6 @@ func New(c *hdl.Circuit) (*Simulator, error) {
 // Circuit returns the circuit being simulated.
 func (s *Simulator) Circuit() *hdl.Circuit { return s.c }
 
-// NumInputs returns the number of input ports.
-func (s *Simulator) NumInputs() int { return len(s.inSlots) }
-
 // NumOutputs returns the number of output ports.
 func (s *Simulator) NumOutputs() int { return len(s.outSlots) }
 
