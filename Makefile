@@ -49,7 +49,9 @@ race:
 # and Shards, and report JSON through DecodeReport; 10 s on checkpoint
 # gob through faultsim.Restore; and 10 s on MHDL source: ParseOnly must
 # never panic, and an accepted source must format to text that parses,
-# formats to itself and passes Check(Relaxed) when the source did.
+# formats to itself and passes Check(Relaxed) when the source did; and
+# 10 s on mutant generation: Generate must never panic on a source Parse
+# accepts and must build the clone-apply-check oracle's mutants.
 # -fuzzminimizetime keeps a slow minimization from eating a target's
 # whole budget.
 fuzz-smoke:
@@ -58,6 +60,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeReport$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/campaign
 	$(GO) test -run '^$$' -fuzz '^FuzzRestore$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/faultsim
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/hdl
+	$(GO) test -run '^$$' -fuzz '^FuzzGenerate$$' -fuzztime 10s -fuzzminimizetime 2s ./internal/mutation
 
 # The repository benchmark (bench/) is a Go module of its own, so the
 # root build, vet and test never compile it; this keeps it building and

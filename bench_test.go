@@ -21,6 +21,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/faultsim"
+	"repro/internal/hdl"
 	"repro/internal/lane"
 	"repro/internal/mutation"
 	"repro/internal/mutscore"
@@ -406,6 +407,37 @@ func BenchmarkMutantGeneration(b *testing.B) {
 			b.Fatal("no mutants")
 		}
 	}
+}
+
+// combLargeDesign is the combinational design of the repository
+// benchmark's large-netlist workload (bench/workloads.go,
+// largeDesigns[1]): 3.4k gates.
+var combLargeDesign = randcirc.Config{Seed: 4, Inputs: 16, Outputs: 16, Regs: -1, Wires: 64, MaxWidth: 16, MaxDepth: 6, ExtraStmts: 48}
+
+// BenchmarkMutantGenerationLarge times mutant generation on both designs
+// of the large-netlist workload, one operator class per Generate call as
+// the workload does: 9732 mutants an iteration. Each mutant is a path
+// copy of its design that shares every node its edit does not touch.
+func BenchmarkMutantGenerationLarge(b *testing.B) {
+	var cs []*hdl.Circuit
+	for _, cfg := range []randcirc.Config{seqLargeDesign, combLargeDesign} {
+		c, err := randcirc.Generate(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cs = append(cs, c)
+	}
+	b.ResetTimer()
+	n := 0
+	for i := 0; i < b.N; i++ {
+		n = 0
+		for _, c := range cs {
+			for _, op := range mutation.AllOperators() {
+				n += len(mutation.Generate(c, op))
+			}
+		}
+	}
+	b.ReportMetric(float64(n), "mutants")
 }
 
 // benchmarkFaultSimCombinational times combinational fault simulation of

@@ -346,16 +346,6 @@ func (e *Binary) ResultWidth() int { return e.Width }
 
 // --- lookup helpers --------------------------------------------------------
 
-// PortByName returns the named port, or nil.
-func (c *Circuit) PortByName(name string) *Port {
-	for _, p := range c.Ports {
-		if p.Name == name {
-			return p
-		}
-	}
-	return nil
-}
-
 // Inputs returns the circuit's input ports in declaration order.
 func (c *Circuit) Inputs() []*Port {
 	var in []*Port
@@ -378,30 +368,6 @@ func (c *Circuit) Outputs() []*Port {
 	return out
 }
 
-// SignalWidth returns the width of a named port, reg, wire or const, or 0
-// if the name is unknown.
-func (c *Circuit) SignalWidth(name string) int {
-	if p := c.PortByName(name); p != nil {
-		return p.Width
-	}
-	for _, r := range c.Regs {
-		if r.Name == name {
-			return r.Width
-		}
-	}
-	for _, w := range c.Wires {
-		if w.Name == name {
-			return w.Width
-		}
-	}
-	for _, k := range c.Consts {
-		if k.Name == name {
-			return k.Width
-		}
-	}
-	return 0
-}
-
 // ConstByName returns the named constant, or nil.
 func (c *Circuit) ConstByName(name string) *Const {
 	for _, k := range c.Consts {
@@ -414,8 +380,9 @@ func (c *Circuit) ConstByName(name string) *Const {
 
 // --- deep clone -------------------------------------------------------------
 
-// Clone returns a deep copy of the circuit. Mutation applies operators to a
-// clone so the original AST is never aliased into a mutant.
+// Clone returns a deep copy of the circuit that shares no node with it.
+// Mutants are not clones: each shares every node its edit does not touch
+// with its input (see mutation.Generate).
 func (c *Circuit) Clone() *Circuit {
 	n := &Circuit{Name: c.Name}
 	for _, p := range c.Ports {

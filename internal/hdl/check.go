@@ -3,6 +3,7 @@ package hdl
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"repro/internal/bitvec"
 )
@@ -41,13 +42,84 @@ type symbol struct {
 	width int
 }
 
+// Scope is the symbol table of one circuit: each declared port,
+// register, wire and constant with its kind and width. Check builds one
+// per call; the mutation engine builds one per input circuit and checks
+// each edited statement against it. A Scope is only read once built, so
+// concurrent CheckStmt calls may share it.
+type Scope struct {
+	c    *Circuit
+	syms map[string]symbol
+}
+
+// NewScope builds c's symbol table. It fails, with Check's message, when
+// a name is declared twice.
+func NewScope(c *Circuit) (*Scope, error) {
+	sc := &Scope{c: c, syms: make(map[string]symbol)}
+	add := func(name string, kind symKind, width int, pos Pos) error {
+		if _, dup := sc.syms[name]; dup {
+			return &Error{Pos: pos, Msg: fmt.Sprintf("duplicate declaration of %q", name)}
+		}
+		sc.syms[name] = symbol{kind: kind, width: width}
+		return nil
+	}
+	for _, p := range c.Ports {
+		kind := symInput
+		if p.Dir == Output {
+			kind = symOutput
+		}
+		if err := add(p.Name, kind, p.Width, p.Pos); err != nil {
+			return nil, err
+		}
+	}
+	for _, r := range c.Regs {
+		if err := add(r.Name, symReg, r.Width, r.Pos); err != nil {
+			return nil, err
+		}
+	}
+	for _, w := range c.Wires {
+		if err := add(w.Name, symWire, w.Width, w.Pos); err != nil {
+			return nil, err
+		}
+	}
+	for _, k := range c.Consts {
+		if err := add(k.Name, symConst, k.Width, k.Pos); err != nil {
+			return nil, err
+		}
+	}
+	return sc, nil
+}
+
+// Width returns the declared width of a port, register, wire or
+// constant, and 0 for any other name (a loop variable, say).
+func (sc *Scope) Width(name string) int { return sc.syms[name].width }
+
+// IsConst reports whether name is a declared constant.
+func (sc *Scope) IsConst(name string) bool {
+	sym, ok := sc.syms[name]
+	return ok && sym.kind == symConst
+}
+
+// CheckStmt checks what s holds itself: an Assign's target, bit index
+// and right-hand side, an If's condition, a Case's subject and labels.
+// It checks none of s's child statements. kind is the kind of the block
+// that holds s, and loops are the variables of the For statements around
+// it. Seeing one statement only, it cannot tell whether an output is
+// driven from both block kinds. Like Check, it annotates the expressions
+// it checks with their widths; Check runs every statement through it.
+func (sc *Scope) CheckStmt(s Stmt, kind BlockKind, loops []string) error {
+	ck := checker{Scope: sc, kind: kind, loops: loops[:len(loops):len(loops)]}
+	return ck.stmt(s)
+}
+
 type checker struct {
-	c       *Circuit
-	mode    Mode
-	syms    map[string]symbol
-	loopVar map[string]bool
+	*Scope
+	kind  BlockKind // kind of the block being checked
+	loops []string  // variables of the enclosing For statements, outermost first
 	// drivers records which block kind assigns each signal, to reject
-	// signals driven from both seq and comb blocks.
+	// signals driven from both seq and comb blocks. CheckStmt's checker
+	// has none: it sees a lone statement, so it checks neither drivers
+	// nor child statements.
 	drivers map[string]BlockKind
 }
 
@@ -55,18 +127,14 @@ type checker struct {
 // definite assignment of combinational targets. It annotates expression
 // nodes with their resolved widths as a side effect.
 func Check(c *Circuit, mode Mode) error {
-	ck := &checker{
-		c:       c,
-		mode:    mode,
-		syms:    make(map[string]symbol),
-		loopVar: make(map[string]bool),
-		drivers: make(map[string]BlockKind),
-	}
-	if err := ck.declare(); err != nil {
+	sc, err := NewScope(c)
+	if err != nil {
 		return err
 	}
+	ck := &checker{Scope: sc, drivers: make(map[string]BlockKind)}
 	for _, b := range c.Blocks {
-		if err := ck.stmts(b.Stmts, b.Kind); err != nil {
+		ck.kind = b.Kind
+		if err := ck.stmts(b.Stmts); err != nil {
 			return err
 		}
 	}
@@ -82,62 +150,30 @@ func (ck *checker) errorf(pos Pos, format string, args ...any) error {
 	return &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (ck *checker) declare() error {
-	add := func(name string, kind symKind, width int, pos Pos) error {
-		if _, dup := ck.syms[name]; dup {
-			return ck.errorf(pos, "duplicate declaration of %q", name)
-		}
-		ck.syms[name] = symbol{kind: kind, width: width}
-		return nil
+func (ck *checker) stmts(ss []Stmt) error {
+	if ck.drivers == nil {
+		return nil // a lone statement (CheckStmt): children go unchecked
 	}
-	for _, p := range ck.c.Ports {
-		kind := symInput
-		if p.Dir == Output {
-			kind = symOutput
-		}
-		if err := add(p.Name, kind, p.Width, p.Pos); err != nil {
-			return err
-		}
-	}
-	for _, r := range ck.c.Regs {
-		if err := add(r.Name, symReg, r.Width, r.Pos); err != nil {
-			return err
-		}
-	}
-	for _, w := range ck.c.Wires {
-		if err := add(w.Name, symWire, w.Width, w.Pos); err != nil {
-			return err
-		}
-	}
-	for _, k := range ck.c.Consts {
-		if err := add(k.Name, symConst, k.Width, k.Pos); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (ck *checker) stmts(ss []Stmt, kind BlockKind) error {
 	for _, s := range ss {
-		if err := ck.stmt(s, kind); err != nil {
+		if err := ck.stmt(s); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (ck *checker) stmt(s Stmt, kind BlockKind) error {
+func (ck *checker) stmt(s Stmt) error {
 	switch s := s.(type) {
 	case *Assign:
-		return ck.assign(s, kind)
+		return ck.assign(s)
 	case *If:
 		if _, err := ck.expr(s.Cond, 0); err != nil {
 			return err
 		}
-		if err := ck.stmts(s.Then, kind); err != nil {
+		if err := ck.stmts(s.Then); err != nil {
 			return err
 		}
-		return ck.stmts(s.Else, kind)
+		return ck.stmts(s.Else)
 	case *Case:
 		w, err := ck.expr(s.Subject, 0)
 		if err != nil {
@@ -145,35 +181,35 @@ func (ck *checker) stmt(s Stmt, kind BlockKind) error {
 		}
 		for _, arm := range s.Arms {
 			for _, l := range arm.Labels {
-				if !isConstExpr(ck.c, l) {
+				if !ck.isConstExpr(l) {
 					return ck.errorf(l.ExprPos(), "case label must be a literal or named constant")
 				}
 				if _, err := ck.expr(l, w); err != nil {
 					return err
 				}
 			}
-			if err := ck.stmts(arm.Body, kind); err != nil {
+			if err := ck.stmts(arm.Body); err != nil {
 				return err
 			}
 		}
-		return ck.stmts(s.Default, kind)
+		return ck.stmts(s.Default)
 	case *For:
-		if ck.loopVar[s.Var] {
+		if slices.Contains(ck.loops, s.Var) {
 			return ck.errorf(s.Pos, "nested loops reuse variable %q", s.Var)
 		}
 		if _, clash := ck.syms[s.Var]; clash {
 			return ck.errorf(s.Pos, "loop variable %q shadows a declared signal", s.Var)
 		}
-		ck.loopVar[s.Var] = true
-		err := ck.stmts(s.Body, kind)
-		delete(ck.loopVar, s.Var)
+		ck.loops = append(ck.loops, s.Var)
+		err := ck.stmts(s.Body)
+		ck.loops = ck.loops[:len(ck.loops)-1]
 		return err
 	default:
 		return ck.errorf(s.StmtPos(), "unknown statement type %T", s)
 	}
 }
 
-func (ck *checker) assign(s *Assign, kind BlockKind) error {
+func (ck *checker) assign(s *Assign) error {
 	sym, ok := ck.syms[s.LHS.Name]
 	if !ok {
 		return ck.errorf(s.Pos, "assignment to undeclared signal %q", s.LHS.Name)
@@ -184,19 +220,21 @@ func (ck *checker) assign(s *Assign, kind BlockKind) error {
 	case symConst:
 		return ck.errorf(s.Pos, "cannot assign to constant %q", s.LHS.Name)
 	case symReg:
-		if kind != Seq {
+		if ck.kind != Seq {
 			return ck.errorf(s.Pos, "register %q assigned outside a seq block", s.LHS.Name)
 		}
 	case symWire:
-		if kind != Comb {
+		if ck.kind != Comb {
 			return ck.errorf(s.Pos, "wire %q assigned outside a comb block", s.LHS.Name)
 		}
 	case symOutput:
-		if prev, seen := ck.drivers[s.LHS.Name]; seen && prev != kind {
+		if prev, seen := ck.drivers[s.LHS.Name]; seen && prev != ck.kind {
 			return ck.errorf(s.Pos, "output %q driven by both seq and comb blocks", s.LHS.Name)
 		}
 	}
-	ck.drivers[s.LHS.Name] = kind
+	if ck.drivers != nil {
+		ck.drivers[s.LHS.Name] = ck.kind
+	}
 
 	want := sym.width
 	if s.LHS.Index != nil {
@@ -218,7 +256,7 @@ func (ck *checker) assign(s *Assign, kind BlockKind) error {
 // MaxWidth-1 = 63, which fits comfortably).
 func (ck *checker) checkIndex(e Expr) error {
 	ctx := 0
-	if isAdaptable(ck.c, e) {
+	if ck.isAdaptable(e) {
 		ctx = 8
 	}
 	_, err := ck.expr(e, ctx)
@@ -228,17 +266,17 @@ func (ck *checker) checkIndex(e Expr) error {
 // isAdaptable reports whether e has no inherent width and adapts to the
 // width demanded by context: unsized literals, loop variables, and
 // width-preserving compositions of those.
-func isAdaptable(c *Circuit, e Expr) bool {
+func (ck *checker) isAdaptable(e Expr) bool {
 	switch e := e.(type) {
 	case *Lit:
 		return !e.Sized
 	case *Ref:
-		return c.SignalWidth(e.Name) == 0 // loop variable (or undeclared, caught later)
+		return ck.Width(e.Name) == 0 // loop variable (or undeclared, caught later)
 	case *Unary:
-		return (e.Op == OpNot || e.Op == OpNeg) && isAdaptable(c, e.X)
+		return (e.Op == OpNot || e.Op == OpNeg) && ck.isAdaptable(e.X)
 	case *Binary:
 		if e.Op.IsLogical() || e.Op.IsArithmetic() {
-			return isAdaptable(c, e.X) && isAdaptable(c, e.Y)
+			return ck.isAdaptable(e.X) && ck.isAdaptable(e.Y)
 		}
 		return false
 	default:
@@ -248,12 +286,12 @@ func isAdaptable(c *Circuit, e Expr) bool {
 
 // isConstExpr reports whether e evaluates to a compile-time constant
 // (literal or reference to a named constant).
-func isConstExpr(c *Circuit, e Expr) bool {
+func (ck *checker) isConstExpr(e Expr) bool {
 	switch e := e.(type) {
 	case *Lit:
 		return true
 	case *Ref:
-		return c.ConstByName(e.Name) != nil
+		return ck.IsConst(e.Name)
 	default:
 		return false
 	}
@@ -289,7 +327,7 @@ func (ck *checker) expr(e Expr, ctx int) (int, error) {
 		e.Val = bitvec.New(e.Raw, w)
 		return w, nil
 	case *Ref:
-		if ck.loopVar[e.Name] {
+		if slices.Contains(ck.loops, e.Name) {
 			w := ctx
 			if w == 0 {
 				w = 8 // loop indices are small; natural width for unconstrained uses
@@ -344,7 +382,7 @@ func (ck *checker) expr(e Expr, ctx int) (int, error) {
 			e.Width = w
 			return w, nil
 		default: // reductions
-			if isAdaptable(ck.c, e.X) {
+			if ck.isAdaptable(e.X) {
 				return 0, ck.errorf(e.Pos, "cannot infer width of reduction operand")
 			}
 			if _, err := ck.expr(e.X, 0); err != nil {
@@ -392,7 +430,7 @@ func (ck *checker) binary(e *Binary, ctx int) (int, error) {
 		e.Width = w
 		return w, nil
 	case e.Op == OpConcat:
-		if isAdaptable(ck.c, e.X) || isAdaptable(ck.c, e.Y) {
+		if ck.isAdaptable(e.X) || ck.isAdaptable(e.Y) {
 			return 0, ck.errorf(e.Pos, "concat operands must have fixed widths")
 		}
 		xw, err := ck.expr(e.X, 0)
@@ -420,7 +458,7 @@ func (ck *checker) binary(e *Binary, ctx int) (int, error) {
 // sameWidth resolves both operands of a same-width operator, letting an
 // adaptable side inherit the fixed side's width.
 func (ck *checker) sameWidth(e *Binary, ctx int) (int, error) {
-	ax, ay := isAdaptable(ck.c, e.X), isAdaptable(ck.c, e.Y)
+	ax, ay := ck.isAdaptable(e.X), ck.isAdaptable(e.Y)
 	switch {
 	case ax && !ay:
 		yw, err := ck.expr(e.Y, ctx)

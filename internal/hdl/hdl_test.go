@@ -58,11 +58,18 @@ func TestParseCounter(t *testing.T) {
 
 func TestSignalWidth(t *testing.T) {
 	c := mustParse(t, counterSrc)
+	sc, err := NewScope(c)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := map[string]int{"en": 1, "q": 3, "cnt": 3, "LIMIT": 3, "nosuch": 0}
 	for name, want := range cases {
-		if got := c.SignalWidth(name); got != want {
-			t.Errorf("SignalWidth(%q) = %d, want %d", name, got, want)
+		if got := sc.Width(name); got != want {
+			t.Errorf("Width(%q) = %d, want %d", name, got, want)
 		}
+	}
+	if !sc.IsConst("LIMIT") || sc.IsConst("cnt") || sc.IsConst("nosuch") {
+		t.Error("IsConst: only LIMIT is a constant")
 	}
 }
 

@@ -2,6 +2,7 @@ package mutation
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bitvec"
 	"repro/internal/hdl"
@@ -10,10 +11,17 @@ import (
 
 // Mutant is one faulty version of a circuit.
 type Mutant struct {
-	ID      int          // position in the deterministic enumeration
-	Op      Operator     // operator that produced it
-	Desc    string       // human-readable site/change description
-	Circuit *hdl.Circuit // mutated clone, checked in relaxed mode
+	ID   int      // position in the deterministic enumeration
+	Op   Operator // operator that produced it
+	Desc string   // human-readable site/change description
+	// Circuit is the input circuit with one edit, checked in relaxed
+	// mode. It shares every node the edit does not touch with the input:
+	// only its header, the block list, the statement lists on the path to
+	// the edit, the edited statement and that statement's own expressions
+	// are its own. Both stay read-only while the mutants live. Do not
+	// Check a mutant again: the checker writes width annotations, into
+	// the shared nodes too.
+	Circuit *hdl.Circuit
 }
 
 // siteKind enumerates the mechanical change a site descriptor encodes.
@@ -30,42 +38,63 @@ const (
 	kindConstDecl                  // change a const declaration's value (CR)
 )
 
-// site is one (location, variant) pair found by enumeration.
-type site struct {
+// edit is one change an operator makes, without the place it is made.
+type edit struct {
 	op       Operator
 	kind     siteKind
-	stmtOrd  int // matching ordinal in the deterministic statement walk
-	exprOrd  int // matching ordinal in the deterministic expression walk
-	declIdx  int // for kindConstDecl
 	newBinOp hdl.BinOp
 	newName  string
 	newVal   bitvec.BV
 	desc     string
 }
 
+// site is an edit and its place in the input circuit: a statement (a row
+// of the enumeration's statement table) and, for an expression edit, the
+// ordinal of the edited expression among the expressions that statement
+// holds itself, counted in hdl.Walk order. A const declaration edit names
+// the declaration instead.
+type site struct {
+	edit
+	stmt int // row in the statement table; -1 for kindConstDecl
+	expr int // expression ordinal in the statement; -1 for statement edits
+	decl int // index into Circuit.Consts, for kindConstDecl
+}
+
+// stmtPos locates one statement of the input circuit: its block, the
+// compound statements around it, and its index in the innermost list.
+type stmtPos struct {
+	block int
+	path  []step
+	at    int
+	loops []string // variables of the enclosing For statements, outermost first
+}
+
+// step is one compound statement on a statement's path: the index of the
+// compound statement in its list and which child list holds the rest of
+// the path. An If's Then is list 0 and its Else list 1, a Case's arm k
+// is list k and its Default list len(Arms), and a For's body is list 0.
+type step struct{ at, list int }
+
 // Generate enumerates and constructs all mutants of c for the given
 // operators (all ten if none are given). Mutants that fail the relaxed
-// semantic re-check (stillborn) are discarded. The input circuit must have
-// passed hdl.Check; it is never modified.
+// semantic re-check (stillborn) are discarded. The input circuit must
+// have passed hdl.Check. Generate only reads it, so concurrent calls on
+// one circuit are safe, and every mutant shares the nodes its edit does
+// not touch with it (see Mutant.Circuit).
 //
-// Construction (clone, apply, re-check) is independent per site and runs
-// on a worker pool; enumeration order, surviving set and mutant IDs are
-// identical to a serial build.
+// Construction (path copy, edit, re-check of the edited statement) is
+// independent per site and runs on a worker pool; enumeration order,
+// surviving set and mutant IDs are identical to a serial build.
 func Generate(c *hdl.Circuit, ops ...Operator) []*Mutant {
-	if len(ops) == 0 {
-		ops = AllOperators()
+	enabled := enabledSet(ops)
+	sc, err := hdl.NewScope(c)
+	if err != nil {
+		return nil // a duplicate declaration: every mutant would fail its check
 	}
-	enabled := make(map[Operator]bool, len(ops))
-	for _, op := range ops {
-		if !op.Valid() {
-			panic(fmt.Sprintf("mutation: invalid operator %q", op))
-		}
-		enabled[op] = true
-	}
-	sites := enumerate(c, enabled)
+	sites, stmts := enumerate(c, sc, enabled)
 	built := make([]*hdl.Circuit, len(sites))
 	par.Indexed(len(sites), 0, func(_, i int) {
-		built[i] = buildMutant(c, sites[i])
+		built[i] = build(c, sc, stmts, &sites[i])
 	})
 	mutants := make([]*Mutant, 0, len(sites))
 	for i, mc := range built {
@@ -82,18 +111,20 @@ func Generate(c *hdl.Circuit, ops ...Operator) []*Mutant {
 	return mutants
 }
 
-// buildMutant applies one site to a fresh clone and re-checks it,
-// returning nil for stillborn mutants (syntactically produced but
-// semantically dead).
-func buildMutant(c *hdl.Circuit, st site) *hdl.Circuit {
-	mc := apply(c, st)
-	if mc == nil {
-		return nil
+// enabledSet returns the set of the given operators, all ten if none
+// are given.
+func enabledSet(ops []Operator) map[Operator]bool {
+	if len(ops) == 0 {
+		ops = AllOperators()
 	}
-	if err := hdl.Check(mc, hdl.Relaxed); err != nil {
-		return nil
+	enabled := make(map[Operator]bool, len(ops))
+	for _, op := range ops {
+		if !op.Valid() {
+			panic(fmt.Sprintf("mutation: invalid operator %q", op))
+		}
+		enabled[op] = true
 	}
-	return mc
+	return enabled
 }
 
 // CountByOperator tallies a mutant population per operator.
@@ -126,128 +157,227 @@ var relationalAlts = []hdl.BinOp{hdl.OpEq, hdl.OpNe, hdl.OpLt, hdl.OpLe, hdl.OpG
 // arithmeticAlts lists the AOR substitution class.
 var arithmeticAlts = []hdl.BinOp{hdl.OpAdd, hdl.OpSub, hdl.OpMul}
 
-func enumerate(c *hdl.Circuit, enabled map[Operator]bool) []site {
-	var sites []site
-	varWidths := variableCandidates(c)
+// rules decides which edits the enabled operators make at one statement,
+// expression or const declaration of a circuit. Where the edits go is the
+// caller's business.
+type rules struct {
+	c       *hdl.Circuit
+	sc      *hdl.Scope
+	enabled map[Operator]bool
+	vars    map[int][]string // VR candidates by width
+}
 
-	w := &mutWalker{
-		onStmt: func(s hdl.Stmt, ord int) stmtAction {
-			switch s := s.(type) {
-			case *hdl.Assign:
-				if enabled[SDL] {
-					sites = append(sites, site{
-						op: SDL, kind: kindDeleteStmt, stmtOrd: ord, exprOrd: -1,
-						desc: fmt.Sprintf("%s: delete assignment to %s", s.Pos, s.LHS.Name),
-					})
-				}
-			case *hdl.If:
-				if enabled[CNR] {
-					sites = append(sites, site{
-						op: CNR, kind: kindSwapIf, stmtOrd: ord, exprOrd: -1,
-						desc: fmt.Sprintf("%s: negate condition %s", s.Pos, hdl.FormatExpr(s.Cond)),
-					})
-				}
-			}
-			return keepStmt
-		},
-		onExpr: func(ep *hdl.Expr, ord int, inLabel bool) {
-			e := *ep
-			switch e := e.(type) {
-			case *hdl.Binary:
-				var op Operator
-				var alts []hdl.BinOp
-				switch {
-				case e.Op.IsLogical():
-					op, alts = LOR, logicalAlts
-				case e.Op.IsRelational():
-					op, alts = ROR, relationalAlts
-				case e.Op.IsArithmetic():
-					op, alts = AOR, arithmeticAlts
-				case e.Op.IsShift():
-					op = SOR
-					if e.Op == hdl.OpShl {
-						alts = []hdl.BinOp{hdl.OpShr}
-					} else {
-						alts = []hdl.BinOp{hdl.OpShl}
-					}
-				default:
-					return
-				}
-				if !enabled[op] {
-					return
-				}
-				for _, alt := range alts {
-					if alt == e.Op {
-						continue
-					}
-					sites = append(sites, site{
-						op: op, kind: kindBinOp, stmtOrd: -1, exprOrd: ord, newBinOp: alt,
-						desc: fmt.Sprintf("%s: %s -> %s", e.Pos, e.Op, alt),
-					})
-				}
-			case *hdl.Ref:
-				if inLabel {
-					return // labels must stay constant
-				}
-				w := c.SignalWidth(e.Name)
-				if w == 0 {
-					return // loop variable
-				}
-				isConst := c.ConstByName(e.Name) != nil
-				if isConst {
-					return // const reads are CR territory (via declaration sites)
-				}
-				if enabled[UOI] {
-					sites = append(sites, site{
-						op: UOI, kind: kindWrapNot, stmtOrd: -1, exprOrd: ord,
-						desc: fmt.Sprintf("%s: %s -> not %s", e.Pos, e.Name, e.Name),
-					})
-				}
-				if enabled[VR] {
-					for _, cand := range varWidths[w] {
-						if cand == e.Name {
-							continue
-						}
-						sites = append(sites, site{
-							op: VR, kind: kindRefToRef, stmtOrd: -1, exprOrd: ord, newName: cand,
-							desc: fmt.Sprintf("%s: %s -> %s", e.Pos, e.Name, cand),
-						})
-					}
-				}
-				if enabled[CVR] {
-					for _, v := range cvrVariants(c, w) {
-						sites = append(sites, site{
-							op: CVR, kind: kindRefToLit, stmtOrd: -1, exprOrd: ord, newVal: v,
-							desc: fmt.Sprintf("%s: %s -> %s", e.Pos, e.Name, v),
-						})
-					}
-				}
-			case *hdl.Lit:
-				if !enabled[CR] || e.Width == 0 {
-					return
-				}
-				for _, v := range constantVariants(e.Width, &e.Val) {
-					sites = append(sites, site{
-						op: CR, kind: kindLitValue, stmtOrd: -1, exprOrd: ord, newVal: v,
-						desc: fmt.Sprintf("%s: %s -> %s", e.Pos, e.Val, v),
-					})
-				}
-			}
-		},
-	}
-	w.walk(c)
+func newRules(c *hdl.Circuit, sc *hdl.Scope, enabled map[Operator]bool) *rules {
+	return &rules{c: c, sc: sc, enabled: enabled, vars: variableCandidates(c)}
+}
 
-	if enabled[CR] {
-		for i, k := range c.Consts {
-			for _, v := range constantVariants(k.Width, &k.Value) {
-				sites = append(sites, site{
-					op: CR, kind: kindConstDecl, stmtOrd: -1, exprOrd: -1, declIdx: i, newVal: v,
-					desc: fmt.Sprintf("%s: const %s %s -> %s", k.Pos, k.Name, k.Value, v),
-				})
-			}
+// stmtEdits lists the edits of the statement itself: SDL on an Assign,
+// CNR on an If.
+func (r *rules) stmtEdits(s hdl.Stmt, add func(edit)) {
+	switch s := s.(type) {
+	case *hdl.Assign:
+		if r.enabled[SDL] {
+			add(edit{op: SDL, kind: kindDeleteStmt,
+				desc: fmt.Sprintf("%s: delete assignment to %s", s.Pos, s.LHS.Name)})
+		}
+	case *hdl.If:
+		if r.enabled[CNR] {
+			add(edit{op: CNR, kind: kindSwapIf,
+				desc: fmt.Sprintf("%s: negate condition %s", s.Pos, hdl.FormatExpr(s.Cond))})
 		}
 	}
-	return sites
+}
+
+// exprEdits lists the edits of expression e itself, not of its
+// subexpressions. inLabel marks a case label, whose signal reads must
+// stay constant.
+func (r *rules) exprEdits(e hdl.Expr, inLabel bool, add func(edit)) {
+	switch e := e.(type) {
+	case *hdl.Binary:
+		var op Operator
+		var alts []hdl.BinOp
+		switch {
+		case e.Op.IsLogical():
+			op, alts = LOR, logicalAlts
+		case e.Op.IsRelational():
+			op, alts = ROR, relationalAlts
+		case e.Op.IsArithmetic():
+			op, alts = AOR, arithmeticAlts
+		case e.Op.IsShift():
+			op = SOR
+			if e.Op == hdl.OpShl {
+				alts = []hdl.BinOp{hdl.OpShr}
+			} else {
+				alts = []hdl.BinOp{hdl.OpShl}
+			}
+		default:
+			return
+		}
+		if !r.enabled[op] {
+			return
+		}
+		for _, alt := range alts {
+			if alt == e.Op {
+				continue
+			}
+			add(edit{op: op, kind: kindBinOp, newBinOp: alt,
+				desc: fmt.Sprintf("%s: %s -> %s", e.Pos, e.Op, alt)})
+		}
+	case *hdl.Ref:
+		if inLabel {
+			return // labels must stay constant
+		}
+		w := r.sc.Width(e.Name)
+		if w == 0 {
+			return // loop variable
+		}
+		if r.sc.IsConst(e.Name) {
+			return // const reads are CR territory (via declaration sites)
+		}
+		if r.enabled[UOI] {
+			add(edit{op: UOI, kind: kindWrapNot,
+				desc: fmt.Sprintf("%s: %s -> not %s", e.Pos, e.Name, e.Name)})
+		}
+		if r.enabled[VR] {
+			for _, cand := range r.vars[w] {
+				if cand == e.Name {
+					continue
+				}
+				add(edit{op: VR, kind: kindRefToRef, newName: cand,
+					desc: fmt.Sprintf("%s: %s -> %s", e.Pos, e.Name, cand)})
+			}
+		}
+		if r.enabled[CVR] {
+			for _, v := range cvrVariants(r.c, w) {
+				add(edit{op: CVR, kind: kindRefToLit, newVal: v,
+					desc: fmt.Sprintf("%s: %s -> %s", e.Pos, e.Name, v)})
+			}
+		}
+	case *hdl.Lit:
+		if !r.enabled[CR] || e.Width == 0 {
+			return
+		}
+		for _, v := range constantVariants(e.Width, &e.Val) {
+			add(edit{op: CR, kind: kindLitValue, newVal: v,
+				desc: fmt.Sprintf("%s: %s -> %s", e.Pos, e.Val, v)})
+		}
+	}
+}
+
+// constEdits lists the CR edits of the const declarations, with each
+// declaration's index.
+func (r *rules) constEdits(add func(decl int, ed edit)) {
+	if !r.enabled[CR] {
+		return
+	}
+	for i, k := range r.c.Consts {
+		for _, v := range constantVariants(k.Width, &k.Value) {
+			add(i, edit{op: CR, kind: kindConstDecl, newVal: v,
+				desc: fmt.Sprintf("%s: const %s %s -> %s", k.Pos, k.Name, k.Value, v)})
+		}
+	}
+}
+
+// enumerate lists the sites of c in the deterministic order of hdl.Walk:
+// each statement's own edits, then those of the expressions it holds,
+// then its child statements', and the const declarations' last. It
+// returns the sites and the table of c's statements they point into. It
+// only reads c.
+func enumerate(c *hdl.Circuit, sc *hdl.Scope, enabled map[Operator]bool) ([]site, []stmtPos) {
+	en := &enumerator{rules: newRules(c, sc, enabled)}
+	for bi, b := range c.Blocks {
+		en.block = bi
+		en.list(b.Stmts)
+	}
+	en.constEdits(func(decl int, ed edit) {
+		en.sites = append(en.sites, site{edit: ed, stmt: -1, expr: -1, decl: decl})
+	})
+	return en.sites, en.stmts
+}
+
+// enumerator walks the input circuit read-only, tracking where it is.
+type enumerator struct {
+	*rules
+	sites []site
+	stmts []stmtPos
+	block int
+	path  []step
+	loops []string
+}
+
+// stmtCursor is the walk's state inside one statement: its row in the
+// statement table and the ordinal of its next own expression.
+type stmtCursor struct {
+	row, next int
+}
+
+func (en *enumerator) list(ss []hdl.Stmt) {
+	for i, s := range ss {
+		en.stmt(s, i)
+	}
+}
+
+// child walks child list k of the compound statement at index at.
+func (en *enumerator) child(at, k int, ss []hdl.Stmt) {
+	en.path = append(en.path, step{at: at, list: k})
+	en.list(ss)
+	en.path = en.path[:len(en.path)-1]
+}
+
+func (en *enumerator) stmt(s hdl.Stmt, at int) {
+	cur := &stmtCursor{row: len(en.stmts)}
+	en.stmts = append(en.stmts, stmtPos{
+		block: en.block, path: slices.Clone(en.path), at: at, loops: slices.Clone(en.loops),
+	})
+	en.stmtEdits(s, func(ed edit) { en.add(cur, -1, ed) })
+	switch s := s.(type) {
+	case *hdl.Assign:
+		if s.LHS.Index != nil {
+			en.expr(cur, s.LHS.Index, false)
+		}
+		en.expr(cur, s.RHS, false)
+	case *hdl.If:
+		en.expr(cur, s.Cond, false)
+		en.child(at, 0, s.Then)
+		en.child(at, 1, s.Else)
+	case *hdl.Case:
+		en.expr(cur, s.Subject, false)
+		for k, arm := range s.Arms {
+			for _, l := range arm.Labels {
+				en.expr(cur, l, true)
+			}
+			en.child(at, k, arm.Body)
+		}
+		en.child(at, len(s.Arms), s.Default)
+	case *hdl.For:
+		en.loops = append(en.loops, s.Var)
+		en.child(at, 0, s.Body)
+		en.loops = en.loops[:len(en.loops)-1]
+	}
+}
+
+// expr enumerates the edits of e and its subexpressions, numbering each
+// expression within the statement of cur.
+func (en *enumerator) expr(cur *stmtCursor, e hdl.Expr, inLabel bool) {
+	ord := cur.next
+	cur.next++
+	en.exprEdits(e, inLabel, func(ed edit) { en.add(cur, ord, ed) })
+	switch e := e.(type) {
+	case *hdl.Index:
+		en.expr(cur, e.X, inLabel)
+		en.expr(cur, e.I, inLabel)
+	case *hdl.SliceExpr:
+		en.expr(cur, e.X, inLabel)
+	case *hdl.Unary:
+		en.expr(cur, e.X, inLabel)
+	case *hdl.Binary:
+		en.expr(cur, e.X, inLabel)
+		en.expr(cur, e.Y, inLabel)
+	}
+}
+
+func (en *enumerator) add(cur *stmtCursor, expr int, ed edit) {
+	en.sites = append(en.sites, site{edit: ed, stmt: cur.row, expr: expr})
 }
 
 // variableCandidates maps width -> names of replaceable signals (inputs,
@@ -324,154 +454,162 @@ func dedupExcluding(cands []bitvec.BV, orig *bitvec.BV) []bitvec.BV {
 	return out
 }
 
-// --- application -------------------------------------------------------------
+// --- construction ------------------------------------------------------------
 
-// apply clones c and performs the change st describes. It returns nil if
-// the site was not found (which would indicate a walker mismatch and is
-// asserted against in tests).
-func apply(c *hdl.Circuit, st site) *hdl.Circuit {
-	mc := c.Clone()
+// build makes the mutant of one site by path copying: a new circuit
+// header, copies of the block list and of every statement list and
+// compound statement on the path to the edited statement, and a copy of
+// that statement and of the expressions it holds itself, edited.
+// Everything else is the input's. Only the edited statement is checked
+// again; build returns nil for a stillborn mutant, one that fails that
+// relaxed check. Deleting an assignment or changing a const declaration
+// leaves no statement to check and fails no check: the input passed.
+func build(c *hdl.Circuit, sc *hdl.Scope, stmts []stmtPos, st *site) *hdl.Circuit {
+	mc := *c
 	if st.kind == kindConstDecl {
-		mc.Consts[st.declIdx].Value = st.newVal
-		return mc
+		mc.Consts = slices.Clone(c.Consts)
+		k := *c.Consts[st.decl]
+		k.Value = st.newVal
+		mc.Consts[st.decl] = &k
+		return &mc
 	}
-	done := false
-	w := &mutWalker{
-		onStmt: func(s hdl.Stmt, ord int) stmtAction {
-			if done || ord != st.stmtOrd {
-				return keepStmt
-			}
-			switch st.kind {
-			case kindDeleteStmt:
-				done = true
-				return deleteStmt
-			case kindSwapIf:
-				ifs := s.(*hdl.If)
-				ifs.Then, ifs.Else = ifs.Else, ifs.Then
-				done = true
-			}
-			return keepStmt
-		},
-		onExpr: func(ep *hdl.Expr, ord int, inLabel bool) {
-			if done || ord != st.exprOrd {
-				return
-			}
-			switch st.kind {
-			case kindBinOp:
-				(*ep).(*hdl.Binary).Op = st.newBinOp
-			case kindWrapNot:
-				ref := (*ep).(*hdl.Ref)
-				*ep = &hdl.Unary{Op: hdl.OpNot, X: ref, Width: ref.Width, Pos: ref.Pos}
-			case kindRefToRef:
-				ref := (*ep).(*hdl.Ref)
-				ref.Name = st.newName
-			case kindRefToLit:
-				ref := (*ep).(*hdl.Ref)
-				*ep = &hdl.Lit{
-					Val: st.newVal, Raw: st.newVal.Uint(), Sized: true,
-					Width: st.newVal.Width(), Pos: ref.Pos,
-				}
-			case kindLitValue:
-				lit := (*ep).(*hdl.Lit)
-				lit.Val = st.newVal
-				lit.Raw = st.newVal.Uint()
-				lit.Sized = true
-			}
-			done = true
-		},
+	pos := &stmts[st.stmt]
+	mc.Blocks = slices.Clone(c.Blocks)
+	b := *c.Blocks[pos.block]
+	mc.Blocks[pos.block] = &b
+	list := &b.Stmts
+	for _, stp := range pos.path {
+		*list = slices.Clone(*list)
+		list = descend(*list, stp)
 	}
-	w.walk(mc)
-	if !done {
+	if st.kind == kindDeleteStmt {
+		out := make([]hdl.Stmt, 0, len(*list)-1)
+		*list = append(append(out, (*list)[:pos.at]...), (*list)[pos.at+1:]...)
+		return &mc
+	}
+	*list = slices.Clone(*list)
+	ed := &editor{st: st}
+	s := ed.stmt((*list)[pos.at])
+	(*list)[pos.at] = s
+	if sc.CheckStmt(s, b.Kind, pos.loops) != nil {
 		return nil
 	}
-	return mc
+	return &mc
 }
 
-// --- deterministic walker ----------------------------------------------------
-
-// stmtAction tells the walker what to do with the statement just visited.
-type stmtAction int
-
-const (
-	keepStmt stmtAction = iota
-	deleteStmt
-)
-
-// mutWalker visits statements and expressions in exactly the order of
-// hdl.Walk, assigning each a stable ordinal, and additionally exposes
-// pointer access so visitors can rewrite expressions and delete statements
-// in place.
-type mutWalker struct {
-	stmtN  int
-	exprN  int
-	onStmt func(s hdl.Stmt, ord int) stmtAction
-	onExpr func(ep *hdl.Expr, ord int, inLabel bool)
-}
-
-func (w *mutWalker) walk(c *hdl.Circuit) {
-	for _, b := range c.Blocks {
-		b.Stmts = w.stmts(b.Stmts)
+// descend replaces the compound statement at stp.at of list, a copy
+// already, by a shallow copy of it, and returns the copy's child list
+// stp.list, still the input's, for the caller to copy.
+func descend(list []hdl.Stmt, stp step) *[]hdl.Stmt {
+	switch s := list[stp.at].(type) {
+	case *hdl.If:
+		n := *s
+		list[stp.at] = &n
+		if stp.list == 0 {
+			return &n.Then
+		}
+		return &n.Else
+	case *hdl.Case:
+		n := *s
+		list[stp.at] = &n
+		if stp.list == len(s.Arms) {
+			return &n.Default
+		}
+		n.Arms = slices.Clone(s.Arms)
+		arm := *s.Arms[stp.list]
+		n.Arms[stp.list] = &arm
+		return &arm.Body
+	case *hdl.For:
+		n := *s
+		list[stp.at] = &n
+		return &n.Body
+	default:
+		panic(fmt.Sprintf("mutation: no child list in %T", s))
 	}
 }
 
-func (w *mutWalker) stmts(ss []hdl.Stmt) []hdl.Stmt {
-	out := ss[:0]
-	for _, s := range ss {
-		ord := w.stmtN
-		w.stmtN++
-		act := keepStmt
-		if w.onStmt != nil {
-			act = w.onStmt(s, ord)
-		}
-		w.children(s)
-		if act != deleteStmt {
-			out = append(out, s)
-		}
-	}
-	return out
+// editor copies the statement a site edits together with the
+// expressions the statement holds itself, numbering those as enumerate
+// does, and makes the site's edit in the copy.
+type editor struct {
+	st   *site
+	next int // ordinal of the next expression copied
 }
 
-func (w *mutWalker) children(s hdl.Stmt) {
+func (ed *editor) stmt(s hdl.Stmt) hdl.Stmt {
 	switch s := s.(type) {
 	case *hdl.Assign:
+		n := *s
 		if s.LHS.Index != nil {
-			w.expr(&s.LHS.Index, false)
+			lv := *s.LHS
+			lv.Index = ed.expr(s.LHS.Index)
+			n.LHS = &lv
 		}
-		w.expr(&s.RHS, false)
+		n.RHS = ed.expr(s.RHS)
+		return &n
 	case *hdl.If:
-		w.expr(&s.Cond, false)
-		s.Then = w.stmts(s.Then)
-		s.Else = w.stmts(s.Else)
-	case *hdl.Case:
-		w.expr(&s.Subject, false)
-		for _, arm := range s.Arms {
-			for i := range arm.Labels {
-				w.expr(&arm.Labels[i], true)
-			}
-			arm.Body = w.stmts(arm.Body)
+		n := *s
+		n.Cond = ed.expr(s.Cond)
+		if ed.st.kind == kindSwapIf {
+			n.Then, n.Else = s.Else, s.Then
 		}
-		s.Default = w.stmts(s.Default)
-	case *hdl.For:
-		s.Body = w.stmts(s.Body)
+		return &n
+	case *hdl.Case:
+		n := *s
+		n.Subject = ed.expr(s.Subject)
+		n.Arms = slices.Clone(s.Arms)
+		for k, arm := range s.Arms {
+			na := *arm
+			na.Labels = slices.Clone(arm.Labels)
+			for j, l := range arm.Labels {
+				na.Labels[j] = ed.expr(l)
+			}
+			n.Arms[k] = &na
+		}
+		return &n
+	default:
+		panic(fmt.Sprintf("mutation: no expression edit in %T", s))
 	}
 }
 
-func (w *mutWalker) expr(ep *hdl.Expr, inLabel bool) {
-	ord := w.exprN
-	w.exprN++
-	if w.onExpr != nil {
-		w.onExpr(ep, ord, inLabel)
-	}
-	switch e := (*ep).(type) {
+func (ed *editor) expr(e hdl.Expr) hdl.Expr {
+	here := ed.next == ed.st.expr
+	ed.next++
+	switch e := e.(type) {
+	case *hdl.Lit:
+		n := *e
+		if here { // kindLitValue
+			n.Val, n.Raw, n.Sized = ed.st.newVal, ed.st.newVal.Uint(), true
+		}
+		return &n
+	case *hdl.Ref:
+		n := *e
+		if !here {
+			return &n
+		}
+		switch ed.st.kind {
+		case kindWrapNot:
+			return &hdl.Unary{Op: hdl.OpNot, X: &n, Width: n.Width, Pos: n.Pos}
+		case kindRefToRef:
+			n.Name = ed.st.newName
+			return &n
+		default: // kindRefToLit
+			v := ed.st.newVal
+			return &hdl.Lit{Val: v, Raw: v.Uint(), Sized: true, Width: v.Width(), Pos: n.Pos}
+		}
 	case *hdl.Index:
-		w.expr(&e.X, inLabel)
-		w.expr(&e.I, inLabel)
+		return &hdl.Index{X: ed.expr(e.X), I: ed.expr(e.I), Pos: e.Pos}
 	case *hdl.SliceExpr:
-		w.expr(&e.X, inLabel)
+		return &hdl.SliceExpr{X: ed.expr(e.X), Hi: e.Hi, Lo: e.Lo, Pos: e.Pos}
 	case *hdl.Unary:
-		w.expr(&e.X, inLabel)
+		return &hdl.Unary{Op: e.Op, X: ed.expr(e.X), Width: e.Width, Pos: e.Pos}
 	case *hdl.Binary:
-		w.expr(&e.X, inLabel)
-		w.expr(&e.Y, inLabel)
+		n := &hdl.Binary{Op: e.Op, X: ed.expr(e.X), Y: ed.expr(e.Y), Width: e.Width, Pos: e.Pos}
+		if here { // kindBinOp
+			n.Op = ed.st.newBinOp
+		}
+		return n
+	default:
+		panic(fmt.Sprintf("mutation: unknown expression %T", e))
 	}
 }

@@ -1,11 +1,17 @@
 package mutation
 
 import (
+	"fmt"
+	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/bitvec"
+	"repro/internal/circuits"
 	"repro/internal/hdl"
+	"repro/internal/randcirc"
 	"repro/internal/sim"
 )
 
@@ -195,7 +201,9 @@ func TestCRCoversConstDeclAndLiterals(t *testing.T) {
 func TestVRRespectsWidths(t *testing.T) {
 	c := parse(t, testSrc)
 	for _, m := range Generate(c, VR) {
-		if err := hdl.Check(m.Circuit, hdl.Relaxed); err != nil {
+		// A clone: checking writes annotations, and a mutant shares
+		// nodes with c.
+		if err := hdl.Check(m.Circuit.Clone(), hdl.Relaxed); err != nil {
 			t.Fatalf("VR mutant fails checking: %v (%s)", err, m.Desc)
 		}
 	}
@@ -282,5 +290,185 @@ func TestByOperatorPartition(t *testing.T) {
 	}
 	if total != len(ms) {
 		t.Errorf("partition lost mutants: %d vs %d", total, len(ms))
+	}
+}
+
+// stillbornSrc has sites whose mutants fail the relaxed check: CR and
+// CVR put literal bit indices out of range, in statements nested in an
+// If, a For and a Case arm. Its loop body reads the loop variable, so a
+// re-check that lost the enclosing For's variable would reject mutants
+// the whole-circuit check accepts.
+const stillbornSrc = `
+circuit stillborn {
+  input a : bits(4);
+  input j : bits(4);
+  input k : bits(2);
+  output o : bits(4);
+  output p : bit;
+  reg r : bits(4);
+  const K : bits(4) = 4'd9;
+  seq {
+    if k == 2'd1 {
+      r[2] = a[j];
+    } else {
+      r = r + K;
+    }
+  }
+  comb {
+    o = r;
+    for n in 0 .. 2 {
+      if a[n] == 1 {
+        o[n + 1] = a[j] xor a[n];
+      }
+    }
+    case k {
+      when 2'd0: { p = a[0]; }
+      when 2'd1, 2'd2: { p = r[j]; }
+      default: { p = 0; }
+    }
+  }
+}
+`
+
+// largeDesigns are the two designs of the repository benchmark's
+// large-netlist workload: a sequential one of 6.8k gates and a
+// combinational one of 3.4k.
+var largeDesigns = []randcirc.Config{
+	{Seed: 3, Inputs: 12, Outputs: 12, Regs: 16, Wires: 32, MaxWidth: 16, MaxDepth: 6, ExtraStmts: 32},
+	{Seed: 4, Inputs: 16, Outputs: 16, Regs: -1, Wires: 64, MaxWidth: 16, MaxDepth: 6, ExtraStmts: 48},
+}
+
+// TestGenerateMatchesOracle holds Generate to the clone-apply-check
+// oracle on every in-repo circuit, the stillborn fixture, the random
+// circuits of randcirc's mutation test and the large-netlist designs,
+// once per operator class and once with all classes. The all-classes run
+// is held to the class runs' mutants, each already equal to the oracle's:
+// comparing mutants that share the input's nodes is cheap, and the
+// oracle's clones are what makes this test slow.
+func TestGenerateMatchesOracle(t *testing.T) {
+	type input struct {
+		name string
+		load func() (*hdl.Circuit, error)
+	}
+	var inputs []input
+	for _, name := range circuits.Names() {
+		inputs = append(inputs, input{name, func() (*hdl.Circuit, error) { return circuits.Load(name) }})
+	}
+	inputs = append(inputs, input{"stillborn", func() (*hdl.Circuit, error) { return hdl.Parse(stillbornSrc) }})
+	for seed := int64(0); seed < 20; seed++ {
+		inputs = append(inputs, input{fmt.Sprintf("rand%d", seed), func() (*hdl.Circuit, error) {
+			return randcirc.Generate(randcirc.Config{Seed: seed})
+		}})
+	}
+	for i, cfg := range largeDesigns {
+		inputs = append(inputs, input{fmt.Sprintf("large%d", i), func() (*hdl.Circuit, error) {
+			return randcirc.Generate(cfg)
+		}})
+	}
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			t.Parallel()
+			c, err := in.load()
+			if err != nil {
+				t.Fatal(err)
+			}
+			byClass := make(map[Operator][]*hdl.Circuit)
+			for _, op := range AllOperators() {
+				byClass[op] = checkGenerate(t, c, []Operator{op}, oracleRef(c))
+			}
+			next := make(map[Operator]int)
+			all := checkGenerate(t, c, nil, func(w oracleSite) *hdl.Circuit {
+				class := byClass[w.op]
+				if next[w.op] == len(class) {
+					t.Fatalf("more %s sites with all classes than with %s alone", w.op, w.op)
+				}
+				next[w.op]++
+				return class[next[w.op]-1]
+			})
+			if in.name == "stillborn" && !slices.Contains(all, nil) {
+				t.Fatal("the stillborn fixture produced no stillborn site")
+			}
+		})
+	}
+}
+
+// FuzzGenerate feeds arbitrary MHDL to Generate, seeded with every
+// in-repo circuit and the stillborn fixture. For every source hdl.Parse
+// accepts, Generate must not panic and must match the oracle.
+func FuzzGenerate(f *testing.F) {
+	for _, name := range circuits.Names() {
+		src, _ := circuits.Source(name)
+		f.Add(src)
+	}
+	f.Add(stillbornSrc)
+	f.Fuzz(func(t *testing.T, src string) {
+		c, err := hdl.Parse(src)
+		if err != nil {
+			return
+		}
+		checkGenerate(t, c, nil, oracleRef(c))
+	})
+}
+
+// TestGenerateConcurrent runs two Generate calls on one circuit while
+// the programs of a population generated from it earlier compile. Every
+// walk of the input must be read-only, and mutants share the input's
+// nodes, so under -race any write to the input shows up here.
+func TestGenerateConcurrent(t *testing.T) {
+	c := circuits.MustLoad("b01")
+	earlier := Generate(c)
+	cs := make([]*hdl.Circuit, len(earlier))
+	for i, m := range earlier {
+		cs[i] = m.Circuit
+	}
+	var wg sync.WaitGroup
+	var a, b []*Mutant
+	var compileErr error
+	wg.Add(3)
+	go func() { defer wg.Done(); a = Generate(c, LOR, CR) }()
+	go func() { defer wg.Done(); b = Generate(c) }()
+	go func() { defer wg.Done(); _, compileErr = sim.CompileBatch(cs, 2) }()
+	wg.Wait()
+	if compileErr != nil {
+		t.Fatal(compileErr)
+	}
+	if len(b) != len(earlier) {
+		t.Fatalf("%d mutants, %d before", len(b), len(earlier))
+	}
+	for i, m := range b {
+		if m.Desc != earlier[i].Desc || hdl.Format(m.Circuit) != hdl.Format(earlier[i].Circuit) {
+			t.Fatalf("mutant %d differs between calls: %s vs %s", i, m.Desc, earlier[i].Desc)
+		}
+	}
+	if len(a) == 0 {
+		t.Fatal("no LOR or CR mutants")
+	}
+}
+
+// TestLargePopulationHeap generates each large-netlist design's whole
+// population in one call and bounds the live heap it holds. Built as
+// whole-circuit clones, the two populations (4147 and 5585 mutants) held
+// +326 MB and +561 MB. Path copies share all but the edited path with the
+// input: they hold 7.5 and 17.9 MB, and the bounds are a tenth of the
+// clones' or less and twice the path copies' or more.
+func TestLargePopulationHeap(t *testing.T) {
+	bounds := []uint64{16 << 20, 40 << 20}
+	for i, cfg := range largeDesigns {
+		c, err := randcirc.Generate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		ms := Generate(c)
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		grown := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+		t.Logf("design %d: %d mutants hold %+.1f MB", i, len(ms), float64(grown)/(1<<20))
+		if grown > int64(bounds[i]) {
+			t.Errorf("design %d: %d mutants hold %+.1f MB, bound %d MB", i, len(ms), float64(grown)/(1<<20), bounds[i]>>20)
+		}
+		runtime.KeepAlive(ms)
 	}
 }

@@ -3,10 +3,12 @@
 // Al-Hayek & Robach, JETTA 1999, which the paper builds on), deterministic
 // mutant enumeration, and mutant construction.
 //
-// A mutant is a clone of the original circuit with exactly one small,
-// syntactically valid modification. Enumeration is deterministic: the same
-// circuit always yields the same mutant list in the same order, which makes
-// sampling experiments reproducible.
+// A mutant is the original circuit with exactly one small, syntactically
+// valid modification, built as a path copy that shares every untouched
+// node with the original (in the spirit of mutant schemata: Untch, Offutt
+// and Harrold, ISSTA 1993). Enumeration is deterministic: the same
+// circuit always yields the same mutant list in the same order, which
+// makes sampling experiments reproducible.
 package mutation
 
 import "fmt"
