@@ -108,7 +108,7 @@ determinism-smoke:
 campaign-smoke:
 	sh scripts/campaignsmoke.sh
 
-ci: build examples vet lint fmt-check race fuzz-smoke bench-module bench-smoke campaign-smoke
+ci: build examples vet lint fmt-check race fuzz-smoke bench-module bench-smoke campaign-smoke determinism-smoke
 
 clean:
 	rm -f BENCH_*.json BENCH_*.txt BENCH_*.mem.pprof

@@ -30,7 +30,6 @@ func cmdCampaign(args []string) error {
 	frames := fs.Int("frames", 0, "sequential atpg time-frame depth (0 = default)")
 	backtracks := fs.Int("maxbacktracks", 0, "atpg backtrack budget per fault (0 = default)")
 	workers := fs.Int("workers", 0, "local execution pool size (0 = all cores)")
-	laneWords := fs.Int("lanewords", 0, "fault-simulator lane width in 64-bit words (0 = per-topology auto, 1/4/8)")
 	ckptDir := fs.String("ckpt-dir", "", "local checkpoint directory (resume interrupted faultsim jobs)")
 	poll := fs.Duration("poll", 100*time.Millisecond, "server status poll interval")
 	fs.Parse(args)
@@ -79,7 +78,7 @@ func cmdCampaign(args []string) error {
 	}
 
 	cfg := &campaign.ExecConfig{
-		Options: engine.Options{Workers: *workers, LaneWords: *laneWords, Ctx: ctx},
+		Options: engine.Options{Workers: *workers, Ctx: ctx},
 	}
 	if *ckptDir != "" {
 		st, err := campaign.NewCheckpointStore(*ckptDir)

@@ -25,9 +25,6 @@
 //	               the flow's concurrent sections (operator-profile jobs,
 //	               scoring beside test generation); 0 = all cores,
 //	               1 = serial reference engines, every section inline
-//	-lanewords N   fault-simulator lane width in 64-bit words
-//	               (0 = per-topology auto, 1/4/8 = 64/256/512 lanes
-//	               per pass); mutant scoring does not read it
 package main
 
 import (
@@ -107,7 +104,7 @@ commands:
   faultsim <circuit>         fault-simulate pseudo-random data, print curve
   campaign <circuit>         run one campaign job (locally or via -server)
 
-experiment flags: -seed N  -horizon N  -equiv N  -frac F  -workers N  -lanewords N
+experiment flags: -seed N  -horizon N  -equiv N  -frac F  -workers N
 `)
 }
 
@@ -120,7 +117,6 @@ func experimentFlags(fs *flag.FlagSet) func() core.Config {
 	frac := fs.Float64("frac", 0.10, "mutant sampling fraction")
 	repeats := fs.Int("repeats", 0, "repetitions averaged per measurement (default 5)")
 	workers := fs.Int("workers", 0, "worker count for mutant scoring, fault simulation, operator-profile jobs and scoring beside test generation (0 = all cores, 1 = serial reference, inline)")
-	laneWords := fs.Int("lanewords", 0, "fault-simulator lane width in 64-bit words (0 = per-topology auto, 1/4/8)")
 	return func() core.Config {
 		return core.Config{
 			Seed:        *seed,
@@ -128,7 +124,7 @@ func experimentFlags(fs *flag.FlagSet) func() core.Config {
 			EquivBudget: *equiv,
 			SampleFrac:  *frac,
 			Repeats:     *repeats,
-			Options:     engine.Options{Workers: *workers, LaneWords: *laneWords},
+			Options:     engine.Options{Workers: *workers},
 		}
 	}
 }
@@ -397,7 +393,6 @@ func cmdFaultSim(args []string) error {
 	seed := fs.Int64("seed", 1, "stimulus seed")
 	curveEvery := fs.Int("curve", 32, "print coverage every N patterns (0 = final only)")
 	workers := fs.Int("workers", 0, "fault-simulation pool size (0 = all cores, 1 = serial reference)")
-	laneWords := fs.Int("lanewords", 0, "fault-simulator lane width in 64-bit words (0 = per-topology auto, 1/4/8)")
 	fs.Parse(args)
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: mutsample faultsim <circuit>")
@@ -410,7 +405,7 @@ func cmdFaultSim(args []string) error {
 	if err != nil {
 		return err
 	}
-	sim, err := faultsim.Config{Options: engine.Options{Workers: *workers, LaneWords: *laneWords}}.New(nl, nil)
+	sim, err := faultsim.Config{Options: engine.Options{Workers: *workers}}.New(nl, nil)
 	if err != nil {
 		return err
 	}

@@ -7,8 +7,8 @@
 //
 // Usage:
 //
-//	reprod [-listen :9190] [-parallel N] [-workers N] [-lanewords N]
-//	       [-cache N] [-cache-dir DIR] [-ckpt-dir DIR]
+//	reprod [-listen :9190] [-parallel N] [-workers N] [-cache N]
+//	       [-cache-dir DIR] [-ckpt-dir DIR]
 //	       [-peers URL1,URL2,...]
 //
 // The v1 API:
@@ -41,27 +41,26 @@ func main() {
 	listen := flag.String("listen", ":9190", "listen address")
 	parallel := flag.Int("parallel", 2, "concurrently executing local shards")
 	workers := flag.Int("workers", 0, "engine pool size per shard (0 = all cores, 1 = serial reference)")
-	laneWords := flag.Int("lanewords", 0, "fault-simulator lane width in 64-bit words (0 = per-topology auto, 1/4/8)")
 	cacheCap := flag.Int("cache", 0, "in-memory result cache capacity (0 = default 1024)")
 	cacheDir := flag.String("cache-dir", "", "persist cached reports under this directory")
 	ckptDir := flag.String("ckpt-dir", "", "persist faultsim window checkpoints under this directory")
 	peers := flag.String("peers", "", "comma-separated base URLs of remote campaign workers")
 	flag.Parse()
 
-	if err := run(*listen, *parallel, *workers, *laneWords, *cacheCap, *cacheDir, *ckptDir, *peers); err != nil {
+	if err := run(*listen, *parallel, *workers, *cacheCap, *cacheDir, *ckptDir, *peers); err != nil {
 		fmt.Fprintf(os.Stderr, "reprod: %v\n", err)
 		os.Exit(1)
 	}
 }
 
-func run(listen string, parallel, workers, laneWords, cacheCap int, cacheDir, ckptDir, peers string) error {
+func run(listen string, parallel, workers, cacheCap int, cacheDir, ckptDir, peers string) error {
 	cache, err := campaign.NewCache(cacheCap, cacheDir)
 	if err != nil {
 		return err
 	}
 	cfg := campaign.ServerConfig{
 		Exec: campaign.ExecConfig{
-			Options: engine.Options{Workers: workers, LaneWords: laneWords},
+			Options: engine.Options{Workers: workers},
 		},
 		Cache:    cache,
 		Parallel: parallel,

@@ -13,11 +13,11 @@
 // scoring runs one pool job per compiled mutant machine; gate-level
 // fault simulation executes over multi-word lane vectors (internal/lane:
 // W×64 lanes per pass, W ∈ {1,4,8}), so one pass carries up to 512
-// fault machines. Every engine Config embeds the shared engine.Options
-// surface (Workers, LaneWords, a progress hook and context
-// cancellation); Workers:1 + LaneWords:1 is the pinned serial reference
-// every configuration is differentially tested against
-// (internal/difftest).
+// fault machines; the fault simulator picks every width itself. Every
+// engine Config embeds the shared engine.Options surface (Workers, a
+// progress hook and context cancellation); Workers:1 is the pinned
+// serial reference every configuration is differentially tested
+// against (internal/difftest).
 //
 // The simulation surface is session-based: faultsim.Simulator.Append
 // extends an applied sequence incrementally (bit-identical to a one-shot

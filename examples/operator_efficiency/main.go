@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/circuits"
 	"repro/internal/core"
-	"repro/internal/engine"
 )
 
 func main() {
@@ -28,7 +27,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		flow, err := core.NewFlow(c, core.Config{Seed: 1, Options: engine.Options{LaneWords: 4}})
+		flow, err := core.NewFlow(c, core.Config{Seed: 1})
 		if err != nil {
 			log.Fatal(err)
 		}

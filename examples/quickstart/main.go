@@ -10,7 +10,6 @@ import (
 	"log"
 
 	"repro/internal/circuits"
-	"repro/internal/engine"
 	"repro/internal/faultsim"
 	"repro/internal/metrics"
 	"repro/internal/mutation"
@@ -57,13 +56,13 @@ func main() {
 		len(tg.Seq), tg.KilledCount(), len(sample))
 
 	// The same data doubles as a structural stuck-at test set: fault
-	// simulate it once. The explicit config pins the parallel-fault
-	// engine to 512 lanes per pass (LaneWords: 8); the zero value picks
-	// a width automatically. Workers, Progress and Ctx (cancellation)
-	// ride on the same embedded engine.Options surface. The coverage
-	// curve has one point per cycle, so the coverage after each accepted
-	// segment is the curve at that segment's end.
-	fsim, err := faultsim.Config{Options: engine.Options{LaneWords: 8}}.New(nl, nil)
+	// simulate it once. The simulator picks its own lane widths (up to
+	// 512 fault machines per pass on a sequential circuit); Workers,
+	// Progress and Ctx (cancellation) ride on the embedded
+	// engine.Options surface. The coverage curve has one point per
+	// cycle, so the coverage after each accepted segment is the curve at
+	// that segment's end.
+	fsim, err := faultsim.New(nl, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -86,10 +85,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	scorer, err := mutscore.Config{}.NewScorer(full)
-	if err != nil {
-		log.Fatal(err)
-	}
+	scorer := mutscore.Config{}.NewScorer(full)
 	killed, err := scorer.Kills(tg.Seq)
 	if err != nil {
 		log.Fatal(err)

@@ -96,10 +96,7 @@ func TestEquivalenceDigest(t *testing.T) {
 	}
 	for _, w := range digestWorkers {
 		t.Run(fmt.Sprintf("workers=%d", w), func(t *testing.T) {
-			s, err := mutscore.Config{Options: engine.Options{Workers: w}}.NewScorer(ts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			s := mutscore.Config{Options: engine.Options{Workers: w}}.NewScorer(ts)
 			eq, err := s.EstimateEquivalence(&mutscore.EquivalenceOptions{Budget: 256, Seed: 2})
 			if err != nil {
 				t.Fatal(err)

@@ -8,7 +8,7 @@ import "testing"
 func sameOptions(a, b Options) bool {
 	return a.MaxBacktracks == b.MaxBacktracks && a.FillSeed == b.FillSeed &&
 		a.PackPairs == b.PackPairs &&
-		a.Workers == b.Workers && a.LaneWords == b.LaneWords
+		a.Workers == b.Workers
 }
 
 // checkOptionsDefaults pins every defaulted Options field for one kind of
@@ -28,7 +28,6 @@ func checkOptionsDefaults(t *testing.T, sequential bool, backtracks int) {
 	// embedded engine knobs the compiled engine reads.
 	in := &Options{MaxBacktracks: 17, FillSeed: 5, PackPairs: 4}
 	in.Workers = 2
-	in.LaneWords = 4
 	if got := in.withDefaults(sequential); !sameOptions(got, *in) {
 		t.Errorf("explicit options rewritten: %+v, want %+v", got, *in)
 	}

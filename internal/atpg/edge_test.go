@@ -9,99 +9,9 @@ import (
 	"repro/internal/faultsim"
 )
 
-// Edge cases for RunTestSet and GenerateSequential: empty test sets,
-// zero-fault lists, single-pattern tests, depth-1 unrolls and
-// already-detected fault lists, on both engines where the knob applies.
-
-func TestRunTestSetEmptyTestSet(t *testing.T) {
-	nl := buildToggle(t)
-	cov, err := RunTestSet(nl, faultsim.Faults(nl), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cov != 0 {
-		t.Errorf("coverage %v for an empty test set", cov)
-	}
-	// An empty test inside a non-empty set is a zero-cycle no-op.
-	cov, err = RunTestSet(nl, faultsim.Faults(nl), [][]faultsim.Pattern{{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cov != 0 {
-		t.Errorf("coverage %v for a zero-cycle test", cov)
-	}
-}
-
-func TestRunTestSetZeroFaults(t *testing.T) {
-	nl := buildToggle(t)
-	tests := [][]faultsim.Pattern{{{1}, {0}, {1}}}
-	for _, faults := range [][]faultsim.Fault{nil, {}} {
-		cov, err := RunTestSet(nl, faults, tests)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cov != 0 {
-			t.Errorf("coverage %v over %d faults", cov, len(faults))
-		}
-	}
-}
-
-func TestRunTestSetSinglePatternTests(t *testing.T) {
-	nl := buildToggle(t)
-	faults := faultsim.Faults(nl)
-	// Each test is one cycle long; union coverage accumulates across the
-	// independently applied tests exactly as the one-shot sim says.
-	tests := [][]faultsim.Pattern{{{1}}, {{0}}, {{1}}}
-	cov, err := RunTestSet(nl, faults, tests)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 0
-	fs, err := faultsim.New(nl, faults)
-	if err != nil {
-		t.Fatal(err)
-	}
-	detected := make([]bool, len(faults))
-	for _, test := range tests {
-		res, err := fs.Run(test)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, d := range res.FirstDetected {
-			if d >= 0 && !detected[i] {
-				detected[i] = true
-				want++
-			}
-		}
-	}
-	if cov != float64(want)/float64(len(faults)) {
-		t.Errorf("single-pattern union coverage %v, independent sims say %d/%d", cov, want, len(faults))
-	}
-}
-
-// TestRunTestSetAlreadyDetected feeds a test set whose first test already
-// detects everything the rest could: the remaining tests must not change
-// the result (the session's frontier is empty and the loop breaks).
-func TestRunTestSetAlreadyDetected(t *testing.T) {
-	nl := buildToggle(t)
-	faults := faultsim.Faults(nl)
-	rep, err := GenerateSequential(nl, 4, faults, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := RunTestSet(nl, faults, rep.Tests)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doubled := append(append([][]faultsim.Pattern{}, rep.Tests...), rep.Tests...)
-	again, err := RunTestSet(nl, faults, doubled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full != again {
-		t.Errorf("replaying the same tests changed coverage: %v then %v", full, again)
-	}
-}
+// Edge cases for Generate and GenerateSequential: non-positive and
+// depth-1 unrolls, zero-fault and already-detected fault lists, and
+// cancellation, on both engines where the knob applies.
 
 // TestGenerateSequentialNonPositiveFrames pins the depth default end to
 // end: frames <= 0 means "unset" (default depth 8).

@@ -31,7 +31,7 @@ type Model struct {
 }
 
 // dropSimConfig projects the ATPG engine options onto the drop-sim
-// session: Workers/LaneWords/Ctx forward — so Workers == 1 drops through
+// session: Workers and Ctx forward — so Workers == 1 drops through
 // faultsim's single-fault reference engine — but the progress hook does
 // not: ATPG reports resolved targets on it, and interleaving the inner
 // simulator's batch counts would make one hook carry two incompatible

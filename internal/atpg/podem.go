@@ -82,8 +82,8 @@ type Options struct {
 	// Workers == 1 selects the serial reference — the three-valued
 	// interpreter, with faultsim's single-fault reference engine as the
 	// drop-sim session — and every other setting runs the pack scheduler
-	// on the compiled dual-rail machine, forwarding Workers/LaneWords to
-	// the drop-sim session. Results are identical for every setting.
+	// on the compiled dual-rail machine, forwarding Workers to the
+	// drop-sim session. Results are identical for every setting.
 	engine.Options
 }
 

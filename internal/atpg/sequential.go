@@ -65,29 +65,3 @@ func (m *Model) GenerateSequential(faults []faultsim.Fault, opts *Options) (*Seq
 	}
 	return m.run(faults, opts)
 }
-
-// RunTestSet fault-simulates a set of power-on test sequences and returns
-// the union coverage over the given fault list, driving one incremental
-// reset-per-test session so already-detected faults are never
-// re-simulated.
-func RunTestSet(nl *netlist.Netlist, faults []faultsim.Fault, tests [][]faultsim.Pattern) (float64, error) {
-	if len(faults) == 0 {
-		return 0, nil
-	}
-	fs, err := faultsim.New(nl, faults)
-	if err != nil {
-		return 0, err
-	}
-	detected := 0
-	for _, t := range tests {
-		if detected == len(faults) {
-			break
-		}
-		res, err := fs.AppendTest(t)
-		if err != nil {
-			return 0, err
-		}
-		detected = res.DetectedCount()
-	}
-	return float64(detected) / float64(len(faults)), nil
-}

@@ -122,12 +122,18 @@ func TestGenerateSequentialToggle(t *testing.T) {
 	if rep.Coverage() < 0.8 {
 		t.Errorf("toggle coverage %.2f; want high", rep.Coverage())
 	}
-	// Verify the reported coverage by independent simulation.
-	cov, err := RunTestSet(nl, faultsim.Faults(nl), rep.Tests)
+	// Verify the reported coverage by independent simulation: replay the
+	// tests as power-on sequences on one reset-per-test session.
+	fs, err := faultsim.New(nl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cov < rep.Coverage() {
+	for _, test := range rep.Tests {
+		if _, err := fs.AppendTest(test); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if cov := fs.Current().Coverage(); cov < rep.Coverage() {
 		t.Errorf("replayed coverage %.2f < reported %.2f", cov, rep.Coverage())
 	}
 }

@@ -101,9 +101,9 @@ func TestExecuteEngineAndWindowInvariance(t *testing.T) {
 		{Kind: MutationTG, Circuit: "b02", Seed: 5, MaxLen: 64},
 	}
 	configs := []engine.Options{
-		{Workers: 1, LaneWords: 1},
-		{Workers: 2, LaneWords: 4},
-		{Workers: 0, LaneWords: 0},
+		{Workers: 1},
+		{Workers: 2},
+		{Workers: 0},
 	}
 	for _, sp := range specs {
 		var want []byte

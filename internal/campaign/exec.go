@@ -12,7 +12,7 @@ import (
 )
 
 // ExecConfig configures local job execution. The embedded engine.Options
-// carries the execution knobs (Workers/LaneWords — forwarded to the
+// carries the execution knob (Workers — forwarded to the
 // engines, never part of the job key), the cancellation context (polled
 // at window/target boundaries) and the progress hook. For FaultSim jobs
 // the hook reports windows completed — the checkpoint grain — rather

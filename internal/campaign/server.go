@@ -14,7 +14,7 @@ import (
 
 // ServerConfig configures a campaign server.
 type ServerConfig struct {
-	// Exec carries the execution knobs (engine Workers/LaneWords) and the
+	// Exec carries the execution knob (engine Workers) and the
 	// optional checkpoint store local jobs run under. The Ctx and
 	// Progress fields are ignored: each job gets its own cancellation
 	// context and progress aggregation.

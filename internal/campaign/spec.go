@@ -7,7 +7,7 @@
 // Every job is keyed by content: the netlist fingerprint
 // (netlist.Fingerprint, stable across processes), the seed, and a
 // canonical digest of the job's semantic options (engine.Digest). The
-// engine execution knobs — Workers, LaneWords — are deliberately
+// engine execution knobs — Workers, Progress, Ctx — are deliberately
 // excluded from the key: results are bit-identical for every engine
 // setting (the repository's oldest invariant, pinned by the parity
 // suites and internal/difftest), so a result computed once serves every

@@ -50,9 +50,9 @@ type Config struct {
 	Repeats int
 	// Options is the shared engine surface forwarded to every substrate
 	// — mutant scoring, fault simulation and test generation. See
-	// engine.Options for the Workers/LaneWords semantics (Workers:1 +
-	// LaneWords:1 is the bit-identical legacy reference configuration)
-	// and cancellation. Results are identical for every setting.
+	// engine.Options for the Workers semantics (Workers:1 is the
+	// bit-identical serial reference configuration) and cancellation.
+	// Results are identical for every setting.
 	//
 	// Workers also sizes the flow's own concurrency. ProfileOperators
 	// runs the operator classes as jobs on that many workers, each with
@@ -158,11 +158,7 @@ func (f *Flow) fullScorer() (*mutscore.Scorer, error) {
 		if err != nil {
 			return nil, err
 		}
-		s, err := mutscore.Config{Options: f.quiet()}.NewScorer(tg)
-		if err != nil {
-			return nil, err
-		}
-		f.scorer = s
+		f.scorer = mutscore.Config{Options: f.quiet()}.NewScorer(tg)
 	}
 	return f.scorer, nil
 }

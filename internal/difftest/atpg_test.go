@@ -13,20 +13,17 @@ import (
 // atpgConfigs spans the compiled ATPG engine's knob space; each entry is
 // compared against the serial reference (Workers 1: three-valued
 // interpreter, single-fault reference drop-sim). Workers > 1 exercises
-// the pooled drop-sim schedulers, LaneWords the per-width batch
-// machines, and packPairs the lane-pack scheduler: 1 runs it on a single
-// pair, 4 forces heavy pair turnover (every fourth target re-arms a
-// pair), 32 the full pack, 0 the auto setting. The target-index commit
-// order makes every width byte-identical — this matrix is the lock on
-// that contract.
+// the pooled drop-sim schedulers, and packPairs the lane-pack
+// scheduler: 1 runs it on a single pair, 4 forces heavy pair turnover
+// (every fourth target re-arms a pair), 32 the full pack, 0 the auto
+// setting. The target-index commit order makes every pack width
+// byte-identical — this matrix is the lock on that contract.
 var atpgConfigs = []engineConfig{
-	{workers: 2, laneWords: 1, packPairs: 1},
-	{workers: 0, laneWords: 1, packPairs: 4},
-	{workers: 2, laneWords: 4, packPairs: 32},
-	{workers: 0, laneWords: 8, packPairs: 4},
-	{workers: 2, laneWords: 4, packPairs: 1},
-	{workers: 0, laneWords: 8, packPairs: 32},
-	{workers: 0, laneWords: 0, packPairs: 0}, // production auto setting
+	{workers: 2, packPairs: 1},
+	{workers: 0, packPairs: 4},
+	{workers: 2, packPairs: 32},
+	{workers: 0, packPairs: 32},
+	{workers: 0, packPairs: 0}, // production auto setting
 }
 
 // assertSameSeqReport compares two sequential ATPG reports field by field,

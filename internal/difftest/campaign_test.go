@@ -59,7 +59,7 @@ func TestCampaignCachedVsFresh(t *testing.T) {
 			if kind == campaign.ATPG {
 				// The serial reference, one mid-shape, and the production
 				// setting; the full matrix is faultsim's job.
-				configs = []engineConfig{engineConfigs[0], engineConfigs[3], engineConfigs[8]}
+				configs = []engineConfig{engineConfigs[0], engineConfigs[1], engineConfigs[3]}
 			}
 			for _, ec := range configs {
 				for _, win := range []int{0, 13} {

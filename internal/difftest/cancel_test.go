@@ -43,9 +43,9 @@ func checkGoroutines(t *testing.T, baseline int) {
 // compiled setting — cancellation must work on every path, not just the
 // worker pool's dispatch loop.
 var cancelConfigs = []engineConfig{
-	{workers: 1, laneWords: 1}, // serial reference
-	{workers: 2, laneWords: 1},
-	{workers: 0, laneWords: 0}, // production setting
+	{workers: 1}, // serial reference
+	{workers: 2},
+	{workers: 0}, // production setting
 }
 
 func TestFaultSimCancellation(t *testing.T) {
@@ -116,10 +116,7 @@ func TestMutScoreCancellation(t *testing.T) {
 			cancel()
 			opts := ec.options()
 			opts.Ctx = ctx
-			s, err := mutscore.Config{Options: opts}.NewScorer(ts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			s := mutscore.Config{Options: opts}.NewScorer(ts)
 			if _, err := s.Kills(seq); !errors.Is(err, context.Canceled) {
 				t.Fatalf("pre-cancelled Kills returned %v", err)
 			}
@@ -134,10 +131,7 @@ func TestMutScoreCancellation(t *testing.T) {
 					cancel2()
 				}
 			}
-			s, err = mutscore.Config{Options: opts}.NewScorer(ts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			s = mutscore.Config{Options: opts}.NewScorer(ts)
 			_, err = s.EstimateEquivalence(&mutscore.EquivalenceOptions{Budget: 2048, Seed: 3})
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("mid-campaign EstimateEquivalence returned %v", err)

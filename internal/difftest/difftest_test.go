@@ -27,34 +27,29 @@ import (
 )
 
 // engineConfigs spans the serial reference (Workers 1) and the compiled
-// engines at {W=1, W=4, W=8, auto} × worker counts. Both Config types
-// share the same knob shape, so one table drives both harnesses; the
-// lane width reaches the fault simulator, and the scorer ignores it.
+// engines at several worker counts. Both Config types share the same
+// knob shape, so one table drives both harnesses. The fault simulator
+// picks its own lane widths (faultsim's parity and re-plan tests arm
+// each of them).
 type engineConfig struct {
 	workers   int
-	laneWords int
 	packPairs int // ATPG pack width (atpg.Options.PackPairs)
 }
 
 var engineConfigs = []engineConfig{
-	{workers: 1, laneWords: 1}, // serial reference (LaneWords ignored)
-	{workers: 2, laneWords: 1},
-	{workers: 0, laneWords: 1},
-	{workers: 2, laneWords: 4},
-	{workers: 3, laneWords: 4},
-	{workers: 0, laneWords: 4},
-	{workers: 2, laneWords: 8},
-	{workers: 0, laneWords: 8},
-	{workers: 0, laneWords: 0}, // production auto setting
+	{workers: 1}, // serial reference
+	{workers: 2},
+	{workers: 3},
+	{workers: 0}, // production setting
 }
 
 // options projects the table entry onto the shared engine surface.
 func (e engineConfig) options() engine.Options {
-	return engine.Options{Workers: e.workers, LaneWords: e.laneWords}
+	return engine.Options{Workers: e.workers}
 }
 
 func (e engineConfig) String() string {
-	return fmt.Sprintf("workers=%d/lanewords=%d/packpairs=%d", e.workers, e.laneWords, e.packPairs)
+	return fmt.Sprintf("workers=%d/packpairs=%d", e.workers, e.packPairs)
 }
 
 // fuzzCircuit generates one deterministic random circuit. Sequential and
@@ -141,10 +136,7 @@ func TestFirstKillProfiles(t *testing.T) {
 			var ref []int
 			var refCfg engineConfig
 			for _, ec := range engineConfigs {
-				s, err := mutscore.Config{Options: ec.options()}.NewScorer(ts)
-				if err != nil {
-					t.Fatalf("%s: %v", ec, err)
-				}
+				s := mutscore.Config{Options: ec.options()}.NewScorer(ts)
 				cycles, err := s.FirstKillCycles(seq)
 				if err != nil {
 					t.Fatalf("%s: %v", ec, err)

@@ -150,8 +150,7 @@ func TestIncrementalAppendParity(t *testing.T) {
 
 // TestSessionGenerateAcrossEngines pins the second acceptance surface:
 // tpg.Session (and so MutationTests, which is built on it) produces the
-// same sequence, kill flags and rounds at every Workers/LaneWords
-// setting.
+// same sequence, kill flags and rounds at every Workers setting.
 func TestSessionGenerateAcrossEngines(t *testing.T) {
 	c := fuzzCircuit(t, 2) // sequential shape
 	ms := mutation.Generate(c)

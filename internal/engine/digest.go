@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
-	"math"
 )
 
 // Digest is the canonical content hasher for Options-bearing configs:
@@ -16,9 +15,9 @@ import (
 // concatenation.
 //
 // The embedded engine.Options contributes NOTHING to a digest, by
-// design: Workers, LaneWords, Progress and Ctx are execution knobs, and
-// the engine contract (pinned by the parity suites and internal/difftest)
-// is that results are bit-identical for every setting. Excluding them is
+// design: Workers, Progress and Ctx are execution knobs, and the engine
+// contract (pinned by the parity suites and internal/difftest) is that
+// results are bit-identical for every setting. Excluding them is
 // what lets a result computed under one engine configuration serve a
 // request made under any other — the whole point of a content-addressed
 // result cache.
@@ -40,12 +39,6 @@ func (d *Digest) Int(label string, v int64) {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], uint64(v))
 	d.h.Write(b[:])
-}
-
-// Float folds a labeled float field (by IEEE-754 bits, so the value
-// round-trips exactly).
-func (d *Digest) Float(label string, v float64) {
-	d.Int(label, int64(math.Float64bits(v)))
 }
 
 // Str folds a labeled string field.

@@ -2,9 +2,10 @@
 // engine in this repository shares. The fault simulator (faultsim), the
 // mutant scorer (mutscore), the behavioral batch pool (sim) and the
 // test generator (tpg) all run batched work on the same worker pool,
-// so their configuration knobs are the same four things: a pool size, a
-// lane width (read by the fault simulator), a progress hook and a
-// cancellation context. Options defines that knob set once; the
+// so their configuration knobs are the same three things: a pool size,
+// a progress hook and a cancellation context. Lane widths are not
+// among them: the fault simulator picks its own from the netlist's
+// topology and fault count. Options defines that knob set once; the
 // per-package Configs embed it, which keeps the semantics (and the doc
 // comments) from drifting apart.
 package engine
@@ -22,10 +23,10 @@ type Stats struct {
 }
 
 // Options is the execution configuration shared by every engine. The
-// zero value is the fast default: compiled engines, all cores, automatic
-// lane width, no progress reporting, never cancelled. faultsim.Config,
-// mutscore.Config, core.Config and tpg.Options embed it, so the knobs
-// read identically everywhere.
+// zero value is the fast default: compiled engines, all cores, no
+// progress reporting, never cancelled. faultsim.Config, mutscore.Config,
+// core.Config and tpg.Options embed it, so the knobs read identically
+// everywhere.
 type Options struct {
 	// Workers sizes the engine worker pool: 0 uses all cores (compiled
 	// engine), n > 1 uses exactly n workers (compiled engine), and 1
@@ -37,19 +38,6 @@ type Options struct {
 	// Results are identical for every setting — the parity tests and
 	// internal/difftest pin this.
 	Workers int
-	// LaneWords selects the compiled fault simulator's lane vector width
-	// in 64-bit words: 1, 4 or 8 force 64, 256 or 512 lanes (fault
-	// machines, or packed patterns) per pass, and 0 picks a
-	// topology-dependent width (8 for sequential circuits, where wide
-	// vectors amortize the per-gate decode over more fault machines; 1
-	// for combinational ones, where each live fault propagates through
-	// only the gates it disturbs and 64-pattern batches drop detected
-	// faults soonest). ATPG forwards it to its drop-sim session; mutant
-	// scoring, test generation and the serial reference engines
-	// (Workers == 1) do not read it. faultsim.Config.New and
-	// mutscore.Config.NewScorer reject any other width (lane.Check).
-	// Results are identical for every setting.
-	LaneWords int
 	// Progress, when non-nil, receives completion counts while a batch
 	// operation runs. It may be called concurrently from pool workers,
 	// so it must be safe for concurrent use, and it should return

@@ -61,7 +61,7 @@ func TestAppendMatchesRun(t *testing.T) {
 			}
 			tests := randPatterns(len(nl.PIs), 120, 11)
 			for ci, cfg := range parityConfigs {
-				label := fmt.Sprintf("workers=%d/lanewords=%d", cfg.Workers, cfg.LaneWords)
+				label := labelOf(cfg)
 				oneshot, err := cfg.New(nl, nil)
 				if err != nil {
 					t.Fatal(err)

@@ -33,9 +33,9 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	}
 
 	configs := []Config{
-		{Options: engine.Options{Workers: 1, LaneWords: 1}},
-		{Options: engine.Options{Workers: 2, LaneWords: 4}},
-		{Options: engine.Options{Workers: 0, LaneWords: 0}},
+		{Options: engine.Options{Workers: 1}},
+		{Options: engine.Options{Workers: 2}},
+		{Options: engine.Options{Workers: 0}},
 	}
 	for _, cut := range []int{20, 60, 100} {
 		for ci, cfg := range configs {

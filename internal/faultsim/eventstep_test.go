@@ -45,7 +45,7 @@ func eventSubset(nl *netlist.Netlist) []int {
 // eventConfigs are parityConfigs plus the production setting with the
 // initial plan pinned.
 func eventConfigs() []Config {
-	static := cfgOf(0, 0)
+	static := cfgOf(0)
 	static.StaticPlan = true
 	return append(append([]Config(nil), parityConfigs...), static)
 }
@@ -73,7 +73,7 @@ func TestEventStepMatchesReference(t *testing.T) {
 	nl := eventNetlist(t)
 	sub := eventSubset(nl)
 	tests := randPatterns(len(nl.PIs), 128, 3)
-	ref, err := cfgOf(1, 0).New(nl, nil)
+	ref, err := cfgOf(1).New(nl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestEventStepMatchesReference(t *testing.T) {
 			t.Fatalf("%s: %v", label, err)
 		}
 		assertSameProfile(t, label+"/run", got, want)
-		if cfg.Workers == 0 && cfg.LaneWords == 0 {
+		if cfg.Workers == 0 {
 			requireSteps(t, label+"/run", s)
 		}
 		if _, err := s.RunOn(chunks[0], sub); err != nil {
@@ -111,7 +111,7 @@ func TestEventStepMatchesReference(t *testing.T) {
 			}
 		}
 		assertSameProfile(t, label+"/chunked", s.Current(), want)
-		if cfg.Workers == 0 && cfg.LaneWords == 0 {
+		if cfg.Workers == 0 {
 			requireSteps(t, label+"/chunked", s)
 		}
 	}
@@ -154,14 +154,14 @@ func TestEventStepReplanAndRetire(t *testing.T) {
 		}
 		return s.Current().Clone().FirstDetected, s
 	}
-	want, _ := run(cfgOf(1, 0))
-	got, s := run(cfgOf(0, 0))
+	want, _ := run(cfgOf(1))
+	got, s := run(cfgOf(0))
 	diffProfiles(t, "replan", got, want)
 	requireSteps(t, "replan", s)
 	if w := batchWidths(s); len(w) == 0 || w[0] == 8 {
 		t.Fatalf("live plan %v: retiring should have re-planned onto narrower machines", w)
 	}
-	static := cfgOf(0, 0)
+	static := cfgOf(0)
 	static.StaticPlan = true
 	got, s = run(static)
 	diffProfiles(t, "static", got, want)
@@ -203,11 +203,11 @@ func TestEventStepAppendTestRetire(t *testing.T) {
 		}
 		return s.Current().Clone().FirstDetected, s
 	}
-	want, _ := run(cfgOf(1, 0))
-	for _, cfg := range []Config{cfgOf(0, 0), cfgOf(2, 4)} {
+	want, _ := run(cfgOf(1))
+	for _, cfg := range []Config{cfgOf(0), cfgOf(2)} {
 		got, s := run(cfg)
 		diffProfiles(t, labelOf(cfg), got, want)
-		if cfg.LaneWords == 0 {
+		if cfg.Workers == 0 {
 			requireSteps(t, labelOf(cfg), s)
 		}
 	}
@@ -285,7 +285,7 @@ func TestPathStats(t *testing.T) {
 	if st := s.PathStats(); st != (PathStats{}) {
 		t.Fatalf("Reset left %+v", st)
 	}
-	ref, err := cfgOf(1, 0).New(nl, eventSubsetFaults(nl))
+	ref, err := cfgOf(1).New(nl, eventSubsetFaults(nl))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,11 +4,14 @@
 // propagation for combinational circuits (one fault-free pass per
 // 64-pattern batch, then each live fault re-evaluates only the gates it
 // disturbs, with fault dropping between batches), and parallel-fault
-// whole-sequence simulation for sequential circuits (64 faults per pass,
-// one fault machine per lane of the compiled netlist engine, with
+// whole-sequence simulation for sequential circuits (one fault machine
+// per lane of the compiled netlist engine, up to 512 per pass, with
 // per-lane fault dropping at first detection; a batch whose live faults
 // disturb few gates per cycle evaluates only those, against one
-// fault-free machine shared by every batch). Both paths run the
+// fault-free machine shared by every batch). The simulator picks every
+// lane width itself: 64-pattern batches for combinational circuits, and
+// eight-word fault batches plus the cheapest narrower tail for
+// sequential ones, re-planned narrower as lanes drop. Both paths run the
 // compiled netlist.Program on a worker pool sized by Config.Workers;
 // Workers == 1 selects the serial single-fault Evaluator path kept as the
 // differential reference. The produced first-detection profile is what

@@ -13,18 +13,16 @@ import (
 
 // parityConfigs spans the interesting engine settings: the single-fault
 // serial reference engine (Workers 1), and the compiled parallel-fault
-// engine at every lane width × {fixed pools, all-cores default}.
-var parityConfigs = []Config{
-	cfgOf(1, 0),
-	cfgOf(2, 1), cfgOf(5, 1), cfgOf(0, 1),
-	cfgOf(2, 4), cfgOf(5, 4), cfgOf(0, 4),
-	cfgOf(2, 8), cfgOf(5, 8), cfgOf(0, 8),
-	cfgOf(0, 0), // LaneWords 0: the per-topology production setting
-}
+// engine on fixed pools and on the all-cores default. The planner picks
+// the lane widths: combinational sessions run W=1 batches, and
+// sequential ones plan W=8 batches plus a cheapest tail (see
+// TestPlanSeqChunksWidths) — b03's 567 faults run a W8 and a W1 batch,
+// b06's 207 and b03's every-third-fault RunOn subset (189) a W4 batch.
+var parityConfigs = []Config{cfgOf(1), cfgOf(2), cfgOf(5), cfgOf(0)}
 
 // cfgOf abbreviates the embedded engine.Options literal in test tables.
-func cfgOf(workers, laneWords int) Config {
-	return Config{Options: engine.Options{Workers: workers, LaneWords: laneWords}}
+func cfgOf(workers int) Config {
+	return Config{Options: engine.Options{Workers: workers}}
 }
 
 // randPatterns builds a deterministic random test set.
@@ -91,7 +89,7 @@ func assertParity(t *testing.T, nl *netlist.Netlist, tests []Pattern) {
 	var refOn *Result
 	var subset []int
 	for _, cfg := range parityConfigs {
-		label := fmt.Sprintf("workers=%d/lanewords=%d", cfg.Workers, cfg.LaneWords)
+		label := labelOf(cfg)
 		s, err := cfg.New(nl, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)

@@ -61,7 +61,7 @@ func checkProgress(t *testing.T, label string, reports []engine.Stats, live bool
 
 // TestProgressContract pins the engine.Stats stream of Run and of a
 // windowed Append session on a combinational (c880) and a sequential
-// (b03) circuit, for pooled compiled settings at every lane width.
+// (b03) circuit, for pooled compiled settings.
 func TestProgressContract(t *testing.T) {
 	for _, name := range []string{"c880", "b03"} {
 		nl, err := synth.Synthesize(circuits.MustLoad(name))
@@ -70,27 +70,25 @@ func TestProgressContract(t *testing.T) {
 		}
 		tests := randPatterns(len(nl.PIs), 600, 17)
 		for _, workers := range []int{2, 0} {
-			for _, words := range []int{1, 4, 8} {
-				t.Run(fmt.Sprintf("%s/workers=%d/lanewords=%d", name, workers, words), func(t *testing.T) {
-					var log progressLog
-					s, err := Config{Options: engine.Options{Workers: workers, LaneWords: words, Progress: log.hook}}.New(nl, nil)
-					if err != nil {
+			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
+				var log progressLog
+				s, err := Config{Options: engine.Options{Workers: workers, Progress: log.hook}}.New(nl, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.Run(tests); err != nil {
+					t.Fatal(err)
+				}
+				checkProgress(t, "Run", log.take(), true)
+				s.Reset()
+				for lo := 0; lo < len(tests); lo += 150 {
+					live := len(s.Frontier()) > 0
+					if _, err := s.Append(tests[lo : lo+150]); err != nil {
 						t.Fatal(err)
 					}
-					if _, err := s.Run(tests); err != nil {
-						t.Fatal(err)
-					}
-					checkProgress(t, "Run", log.take(), true)
-					s.Reset()
-					for lo := 0; lo < len(tests); lo += 150 {
-						live := len(s.Frontier()) > 0
-						if _, err := s.Append(tests[lo : lo+150]); err != nil {
-							t.Fatal(err)
-						}
-						checkProgress(t, fmt.Sprintf("Append [%d,%d)", lo, lo+150), log.take(), live)
-					}
-				})
-			}
+					checkProgress(t, fmt.Sprintf("Append [%d,%d)", lo, lo+150), log.take(), live)
+				}
+			})
 		}
 	}
 }

@@ -154,8 +154,8 @@ func TestReplanRetireOrders(t *testing.T) {
 	for name, steps := range orders {
 		t.Run(name, func(t *testing.T) {
 			ref, _ := runScheduled(t, nl, Config{Options: engine.Options{Workers: 1}}, windows, steps)
-			static, _ := runScheduled(t, nl, Config{StaticPlan: true, Options: engine.Options{LaneWords: 8}}, windows, steps)
-			replan, s := runScheduled(t, nl, Config{Options: engine.Options{LaneWords: 8}}, windows, steps)
+			static, _ := runScheduled(t, nl, Config{StaticPlan: true}, windows, steps)
+			replan, s := runScheduled(t, nl, Config{}, windows, steps)
 			diffProfiles(t, "static vs reference", static, ref)
 			diffProfiles(t, "replan vs reference", replan, ref)
 			if got := batchWidths(s); len(got) > 1 || (len(got) == 1 && got[0] != 1) {
@@ -180,7 +180,7 @@ func TestReplanSingleLiveWordBatch(t *testing.T) {
 		{afterWindow: 0, lo: 0, hi: 1},
 	}
 	ref, _ := runScheduled(t, nl, Config{Options: engine.Options{Workers: 1}}, windows, steps)
-	replan, s := runScheduled(t, nl, Config{Options: engine.Options{LaneWords: 8}}, windows, steps)
+	replan, s := runScheduled(t, nl, Config{}, windows, steps)
 	diffProfiles(t, "replan vs reference", replan, ref)
 	if got := batchWidths(s); len(got) > 1 || (len(got) == 1 && got[0] != 1) {
 		t.Errorf("want at most one W1 batch for the scattered survivors, got widths %v", got)
@@ -194,7 +194,7 @@ func TestReplanSingleLiveWordBatch(t *testing.T) {
 // re-plan only ever replaces a plan with a strictly cheaper one).
 func TestReplanBoundariesObserved(t *testing.T) {
 	nl := replanNetlist(t)
-	s, err := Config{Options: engine.Options{LaneWords: 8}}.New(nl, nil)
+	s, err := Config{}.New(nl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,8 +276,8 @@ func TestReplanAppendTestDiscipline(t *testing.T) {
 		return s.Current().Clone().FirstDetected
 	}
 	ref := run(Config{Options: engine.Options{Workers: 1}})
-	static := run(Config{StaticPlan: true, Options: engine.Options{LaneWords: 8}})
-	replan := run(Config{Options: engine.Options{LaneWords: 8}})
+	static := run(Config{StaticPlan: true})
+	replan := run(Config{})
 	diffProfiles(t, "static vs reference", static, ref)
 	diffProfiles(t, "replan vs reference", replan, ref)
 }
@@ -288,7 +288,7 @@ func TestReplanAppendTestDiscipline(t *testing.T) {
 func TestStaticPlanKnob(t *testing.T) {
 	nl := replanNetlist(t)
 	windows := makeWindows(nl, 64, 8, 5)
-	static, err := Config{StaticPlan: true, Options: engine.Options{LaneWords: 8}}.New(nl, nil)
+	static, err := Config{StaticPlan: true}.New(nl, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

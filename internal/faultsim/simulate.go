@@ -95,21 +95,22 @@ func (r *Result) Undetected() []Fault {
 
 // Config tunes fault simulation. The zero value is the fast default. The
 // execution knobs are the shared engine surface (see engine.Options for
-// the Workers/LaneWords semantics, the progress hook and cancellation):
-// Workers == 1 selects the single-fault reference engine — one Evaluator
-// pass per fault, strictly serial, kept for differential testing — and a
-// zero LaneWords picks the measured per-topology auto width: 8 words for
-// sequential circuits (wide vectors amortize the per-gate decode over
-// more fault machines) and 1 for combinational ones (a batch's
-// fault-free pass is shared by every live fault, whose propagation
-// touches only the gates it disturbs; 64-pattern batches drop detected
-// faults soonest and keep each disturbed gate one word wide, the fastest
-// width in the engine-ablation benchmarks). Results are identical for
-// every setting (see parity_test.go and internal/difftest). No knob
-// chooses how a sequential batch is evaluated: each one runs full
-// machine passes, or event-driven steps that evaluate only the gates
-// its live faults disturb, as its injected-gate count and then its
-// measured activity make cheaper (see stepCost and PathStats).
+// the Workers semantics, the progress hook and cancellation): Workers ==
+// 1 selects the single-fault reference engine — one Evaluator pass per
+// fault, strictly serial, kept for differential testing. No knob picks
+// the lane width: the simulator chooses it per topology. Combinational
+// sessions run 64-pattern (W=1) batches: a batch's fault-free pass is
+// shared by every live fault, whose propagation touches only the gates
+// it disturbs, and narrow batches drop detected faults soonest and keep
+// each disturbed gate one word wide. Sequential sessions plan W=8
+// batches (wide vectors amortize the per-gate decode over more fault
+// machines) plus the cheapest narrower tail, and re-plan narrower as
+// lanes drop (see planSeqChunks and maybeReplan). Results are identical
+// for every setting (see parity_test.go and internal/difftest). No knob
+// chooses how a sequential batch is evaluated either: each one runs
+// full machine passes, or event-driven steps that evaluate only the
+// gates its live faults disturb, as its injected-gate count and then
+// its measured activity make cheaper (see stepCost and PathStats).
 type Config struct {
 	engine.Options
 	// StaticPlan pins the initial parallel-fault batch plan for the
@@ -137,7 +138,6 @@ type Simulator struct {
 	nl     *netlist.Netlist
 	faults []Fault
 	cfg    Config
-	words  int // resolved lane vector width
 
 	good *netlist.Evaluator // reference engine (Workers == 1)
 	bad  *netlist.Evaluator
@@ -267,23 +267,11 @@ func New(nl *netlist.Netlist, faults []Fault) (*Simulator, error) {
 // New builds a fault simulator under this configuration. The fault list
 // defaults to Faults(nl) when faults is nil.
 func (c Config) New(nl *netlist.Netlist, faults []Fault) (*Simulator, error) {
-	if err := lane.Check(c.LaneWords); err != nil {
-		return nil, fmt.Errorf("faultsim: %w", err)
-	}
-	words := c.LaneWords
-	if words == 0 {
-		// Auto width, per topology: see the Config comment.
-		if nl.IsSequential() {
-			words = 8
-		} else {
-			words = 1
-		}
-	}
 	var err error
 	if faults == nil {
 		faults = Faults(nl)
 	}
-	s := &Simulator{nl: nl, faults: faults, cfg: c, words: words}
+	s := &Simulator{nl: nl, faults: faults, cfg: c}
 	if c.Serial() {
 		if s.good, err = netlist.NewEvaluator(nl); err != nil {
 			return nil, err
@@ -391,12 +379,12 @@ func (s *Simulator) Current() *Result {
 
 // Run fault-simulates the ordered test set from power-on reset and
 // returns the first-detection profile. Combinational circuits treat each
-// pattern independently (W×64 patterns per batch); sequential circuits
+// pattern independently (64 patterns per batch); sequential circuits
 // treat the whole set as one sequence applied from power-on reset,
-// simulated W×64 faults at a time (parallel-fault, one fault machine per
-// lane) with per-lane fault dropping at first detection. W is the
-// configured LaneWords. Run is exactly Reset followed by Append; unlike
-// Append, the returned Result is caller-owned.
+// simulated up to 512 faults at a time (parallel-fault, one fault
+// machine per lane) with per-lane fault dropping at first detection. Run
+// is exactly Reset followed by Append; unlike Append, the returned
+// Result is caller-owned.
 func (s *Simulator) Run(tests []Pattern) (*Result, error) {
 	s.Reset()
 	res, err := s.Append(tests)
@@ -526,7 +514,7 @@ func (s *Simulator) appendWindow(tests []Pattern, fromReset bool) (*Result, erro
 			if s.cfg.Serial() {
 				err = s.appendCombinationalRef(tests)
 			} else {
-				err = s.appendCombinational(tests)
+				err = appendCombLanes[lane.W1](s, tests)
 			}
 		}
 		if err != nil {
@@ -667,19 +655,6 @@ func (s *Simulator) maybeReplan() {
 const allLanes = ^uint64(0)
 
 // --- compiled combinational (pattern-parallel) -------------------------------
-
-// appendCombinational dispatches the pattern-parallel scheduler at the
-// resolved lane width; each width stencils its own scheduler and machine.
-func (s *Simulator) appendCombinational(tests []Pattern) error {
-	switch s.words {
-	case 4:
-		return appendCombLanes[lane.W4](s, tests)
-	case 8:
-		return appendCombLanes[lane.W8](s, tests)
-	default:
-		return appendCombLanes[lane.W1](s, tests)
-	}
-}
 
 // packPatternBatches packs the test set into W×64-pattern PI vector
 // batches (lane k·64+t of every vector is pattern lo+k·64+t) into the
@@ -867,16 +842,13 @@ func stepCost(words int) int {
 	return 64
 }
 
-// tailWidth picks the cheapest lane width ≤ maxWords for an n-fault tail:
-// the width minimizing batch count × per-pass cost, preferring narrower
+// tailWidth picks the cheapest lane width for an n-fault tail: the
+// width minimizing batch count × per-pass cost, preferring narrower
 // machines on ties. A 55-fault tail runs on a one-word machine instead of
 // wasting seven dead words per pass of an eight-word one.
-func tailWidth(n, maxWords int) int {
+func tailWidth(n int) int {
 	best, bestCost := 1, (n+63)/64*passCost(1)
 	for _, w := range []int{4, 8} {
-		if w > maxWords {
-			break
-		}
 		if c := (n + w*64 - 1) / (w * 64) * passCost(w); c < bestCost {
 			best, bestCost = w, c
 		}
@@ -884,24 +856,23 @@ func tailWidth(n, maxWords int) int {
 	return best
 }
 
-// planSeqChunks carves the include list into lane batches: full-width
-// batches at the configured width, then ragged-tail batches at whatever
-// narrower width simulates the remainder cheapest. The returned slice is
-// session-owned scratch, overwritten by the next plan (the re-planner
-// probes a candidate plan at every sequential window start, so this
-// must not allocate warm).
+// planSeqChunks carves the include list into lane batches: full W=8
+// batches, then ragged-tail batches at whatever width simulates the
+// remainder cheapest. The returned slice is session-owned scratch,
+// overwritten by the next plan (the re-planner probes a candidate plan
+// at every sequential window start, so this must not allocate warm).
 //
 //repro:session-owned
 func (s *Simulator) planSeqChunks(n int) []seqChunk {
+	const L = 8 * 64 // a full batch runs an eight-word machine
 	out := s.chunks[:0]
-	L := s.words * 64
 	lo := 0
 	for n-lo >= L {
-		out = append(out, seqChunk{lo: lo, hi: lo + L, words: s.words})
+		out = append(out, seqChunk{lo: lo, hi: lo + L, words: 8})
 		lo += L
 	}
 	for lo < n {
-		w := tailWidth(n-lo, s.words)
+		w := tailWidth(n - lo)
 		hi := min(lo+w*64, n)
 		out = append(out, seqChunk{lo: lo, hi: hi, words: w})
 		lo = hi

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/circuits"
@@ -90,8 +91,52 @@ func TestAppendTestMatchesRunOnPerTest(t *testing.T) {
 	}
 }
 
+// TestAppendTestZeroLengthNoop pins that a zero-length test applies
+// nothing: no cycles, no detections, the whole frontier still live, and
+// the continuous-Append discipline still open, so a following Append
+// matches a fresh Run.
+func TestAppendTestZeroLengthNoop(t *testing.T) {
+	nl, err := synth.Synthesize(circuits.MustLoad("b06"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tests := randPatterns(len(nl.PIs), 40, 23)
+	for _, cfg := range parityConfigs {
+		label := labelOf(cfg)
+		s, err := cfg.New(nl, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, empty := range [][]Pattern{nil, {}} {
+			res, err := s.AppendTest(empty)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if res.Patterns != 0 || res.DetectedCount() != 0 || len(s.Frontier()) != len(s.Faults()) {
+				t.Fatalf("%s: zero-length test applied %d cycles and detected %d faults, %d of %d live",
+					label, res.Patterns, res.DetectedCount(), len(s.Frontier()), len(s.Faults()))
+			}
+		}
+		got, err := s.Append(tests)
+		if err != nil {
+			t.Fatalf("%s: Append after a zero-length test: %v", label, err)
+		}
+		fresh, err := cfg.New(nl, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh.Run(tests)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.FirstDetected, want.FirstDetected) {
+			t.Errorf("%s: Append after a zero-length test diverges from a fresh Run", label)
+		}
+	}
+}
+
 func labelOf(cfg Config) string {
-	return fmt.Sprintf("workers=%d/lanewords=%d", cfg.Workers, cfg.LaneWords)
+	return fmt.Sprintf("workers=%d", cfg.Workers)
 }
 
 // TestAppendAfterAppendTestRejected pins the discipline guard: once a

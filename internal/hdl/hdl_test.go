@@ -93,6 +93,8 @@ func TestParseErrors(t *testing.T) {
 		{"wire read before assign", "circuit x { input i : bit; wire w : bit; output o : bit; comb { o = w; w = i; } }", "read before assignment"},
 		{"unterminated comment", "circuit x { /* oops", "unterminated"},
 		{"sized literal overflow", "circuit x { output o : bits(2); comb { o = 2'd7; } }", "does not fit"},
+		{"default after empty default", "circuit x { input s : bits(2); output o : bit; comb { o = 0; case s { when 2'd0: { o = 1; } default: { } default: { o = 1; } } } }", "duplicate default arm"},
+		{"two empty defaults", "circuit x { input s : bits(2); output o : bit; comb { o = 0; case s { when 2'd0: { o = 1; } default: { } default: { } } } }", "duplicate default arm"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

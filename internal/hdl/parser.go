@@ -359,6 +359,9 @@ func (p *parser) parseCase() (Stmt, error) {
 	if err := p.expect(tokPunct, "{"); err != nil {
 		return nil, err
 	}
+	// An empty default body parses to nil, so node.Default cannot tell
+	// whether a default arm was seen.
+	hasDefault := false
 	for {
 		if ok, err := p.accept(tokPunct, "}"); err != nil {
 			return nil, err
@@ -375,9 +378,10 @@ func (p *parser) parseCase() (Stmt, error) {
 			if err != nil {
 				return nil, err
 			}
-			if node.Default != nil {
+			if hasDefault {
 				return nil, p.errorf("duplicate default arm")
 			}
+			hasDefault = true
 			node.Default = body
 			continue
 		}

@@ -9,19 +9,16 @@
 // W=1 reproduces the original single-word engines bit for bit; W=4/8
 // amortize the per-gate instruction decode over 256/512 lanes, which is
 // the single-core multiplier the fault simulator's scheduler is built
-// around. The LaneWords knob (engine.Options) picks the fault
-// simulator's width; no other engine reads it.
+// around. The fault simulator picks its widths itself, per session and
+// per batch; no caller sets one.
 //
 // Masks at the scheduler level (which lanes are active, which lanes hold a
 // fault) are lane vectors too, so the same FirstN/Bit helpers describe
 // ragged tails at every width.
 package lane
 
-import "fmt"
-
-// Word is a fixed-width lane vector: W 64-bit words = W×64 lanes. The
-// three widths are the supported LaneWords settings; every generic engine
-// instantiates once per width.
+// Word is a fixed-width lane vector: W 64-bit words = W×64 lanes. Every
+// generic engine instantiates once per width it runs.
 type Word interface {
 	[1]uint64 | [4]uint64 | [8]uint64
 }
@@ -32,20 +29,6 @@ type (
 	W4 = [4]uint64
 	W8 = [8]uint64
 )
-
-// Widths lists the supported word counts, for sweeps and tests.
-func Widths() []int { return []int{1, 4, 8} }
-
-// Check validates a LaneWords knob: 0 (the engine picks the width) and
-// the supported widths pass. Engines are stenciled per width, so
-// arbitrary counts cannot be dispatched.
-func Check(laneWords int) error {
-	switch laneWords {
-	case 0, 1, 4, 8:
-		return nil
-	}
-	return fmt.Errorf("lane: unsupported LaneWords %d (want 0, 1, 4 or 8)", laneWords)
-}
 
 // Count returns the number of lanes a Word carries (W×64).
 func Count[W Word]() int {

@@ -5,22 +5,6 @@ import (
 	"testing"
 )
 
-// TestCheck pins the LaneWords validation faultsim and mutscore share:
-// 0 (the engine's own choice) and the stenciled widths pass, anything
-// else is rejected.
-func TestCheck(t *testing.T) {
-	for _, w := range append([]int{0}, Widths()...) {
-		if err := Check(w); err != nil {
-			t.Errorf("Check(%d) = %v", w, err)
-		}
-	}
-	for _, w := range []int{-1, 2, 3, 5, 7, 9, 64} {
-		if Check(w) == nil {
-			t.Errorf("Check(%d) accepted", w)
-		}
-	}
-}
-
 func TestCount(t *testing.T) {
 	if got := Count[W1](); got != 64 {
 		t.Errorf("Count[W1] = %d", got)

@@ -37,10 +37,6 @@ func AllOperators() []Operator {
 	return []Operator{LOR, ROR, AOR, SOR, CNR, UOI, SDL, VR, CVR, CR}
 }
 
-// PaperOperators returns the four operators whose efficiency the paper's
-// Table 1 reports, in the paper's increasing-efficiency order.
-func PaperOperators() []Operator { return []Operator{LOR, VR, CVR, CR} }
-
 // Valid reports whether op is one of the ten defined operators.
 func (op Operator) Valid() bool {
 	switch op {

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/hdl"
-	"repro/internal/lane"
 	"repro/internal/mutation"
 	"repro/internal/sim"
 	"repro/internal/tpg"
@@ -28,9 +27,8 @@ import (
 // execution knobs are the shared engine surface (see engine.Options for
 // the Workers semantics, the progress hook and cancellation):
 // Workers == 1 selects the serial interpreter reference, and the
-// progress hook counts mutants scored on either engine. Scoring does not
-// read LaneWords; NewScorer only rejects an unsupported width. Results
-// are identical for every setting (see parity_test.go).
+// progress hook counts mutants scored on either engine. Results are
+// identical for every setting (see parity_test.go).
 type Config struct {
 	engine.Options
 }
@@ -64,12 +62,9 @@ type Scorer struct {
 // It compiles nothing: the compiled engine runs the session's programs.
 // Under the serial reference (Workers == 1) every call runs the
 // interpreter on the session's circuit and targets instead.
-func (cfg Config) NewScorer(ts *tpg.Session) (*Scorer, error) {
-	if err := lane.Check(cfg.LaneWords); err != nil {
-		return nil, fmt.Errorf("mutscore: %w", err)
-	}
+func (cfg Config) NewScorer(ts *tpg.Session) *Scorer {
 	good, progs := ts.Programs()
-	return &Scorer{cfg: cfg, c: good.Circuit(), mutants: ts.Targets(), good: good, progs: progs}, nil
+	return &Scorer{cfg: cfg, c: good.Circuit(), mutants: ts.Targets(), good: good, progs: progs}
 }
 
 // wrapBatchErr attaches the failing mutant's identity to a pool error.

@@ -12,18 +12,12 @@ import (
 
 // parityConfigs spans the interesting engine settings: the legacy serial
 // interpreter (Workers 1), and the compiled engine on fixed pools and on
-// the all-cores default (the production setting). Scoring does not read
-// LaneWords; the last entry sets a width it must accept and ignore.
-var parityConfigs = []Config{
-	cfgOf(1, 0),
-	cfgOf(2, 0), cfgOf(3, 0), cfgOf(5, 0),
-	cfgOf(0, 0),
-	cfgOf(0, 8),
-}
+// the all-cores default (the production setting).
+var parityConfigs = []Config{cfgOf(1), cfgOf(2), cfgOf(3), cfgOf(5), cfgOf(0)}
 
 // cfgOf abbreviates the embedded engine.Options literal in test tables.
-func cfgOf(workers, laneWords int) Config {
-	return Config{Options: engine.Options{Workers: workers, LaneWords: laneWords}}
+func cfgOf(workers int) Config {
+	return Config{Options: engine.Options{Workers: workers}}
 }
 
 // TestEngineParity is the differential guarantee the ISSUE demands:
@@ -52,19 +46,13 @@ func TestEngineParity(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			onUsed := func(cfg Config) *Scorer {
-				s, err := cfg.NewScorer(used)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return s
-			}
+			onUsed := func(cfg Config) *Scorer { return cfg.NewScorer(used) }
 
 			var refCycles []int
 			var refKills []bool
 			var refEquiv []bool
 			for _, cfg := range parityConfigs {
-				label := fmt.Sprintf("workers=%d/lanewords=%d", cfg.Workers, cfg.LaneWords)
+				label := fmt.Sprintf("workers=%d", cfg.Workers)
 				cycles, err := newScorer(t, cfg, c, ms).FirstKillCycles(seq)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
@@ -138,7 +126,7 @@ func TestEstimateEquivalenceParityWithExtras(t *testing.T) {
 		}
 		return eq
 	}
-	serial, pooled := estimate(cfgOf(1, 0)), estimate(cfgOf(0, 0))
+	serial, pooled := estimate(cfgOf(1)), estimate(cfgOf(0))
 	for i := range serial {
 		if serial[i] != pooled[i] {
 			t.Errorf("mutant %d: serial %v, pooled %v", i, serial[i], pooled[i])

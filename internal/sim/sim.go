@@ -157,16 +157,6 @@ func (s *Simulator) Restore(snap []bitvec.BV) {
 	}
 }
 
-// Peek returns the current value of a named signal (register, port, wire
-// or constant), for debugging and tests.
-func (s *Simulator) Peek(name string) (bitvec.BV, bool) {
-	id, ok := s.slots[name]
-	if !ok {
-		return bitvec.BV{}, false
-	}
-	return s.env[id], true
-}
-
 // Step applies one input vector, advances one clock cycle, and returns the
 // sampled output vector. The returned slice is freshly allocated.
 func (s *Simulator) Step(in Vector) (Vector, error) {

@@ -240,16 +240,6 @@ func TestRunResets(t *testing.T) {
 	}
 }
 
-func TestPeek(t *testing.T) {
-	s := mustSim(t, counterSrc)
-	if v, ok := s.Peek("LIMIT"); !ok || v.Uint() != 6 {
-		t.Errorf("Peek(LIMIT) = %v, %v", v, ok)
-	}
-	if _, ok := s.Peek("nosuch"); ok {
-		t.Error("Peek of unknown signal succeeded")
-	}
-}
-
 func TestSequenceClone(t *testing.T) {
 	seq := Sequence{vec(b1(1), b1(0))}
 	cl := seq.Clone()

@@ -46,8 +46,7 @@ func sameResult(t *testing.T, label string, got, want *Result) {
 // the full population must reproduce the one-shot MutationTests result
 // exactly — for full-population runs, for subset runs against one-shot
 // runs over the same subset, for repeated (state-reusing) runs, and at
-// several Workers settings (LaneWords is documented inert here, but the
-// engine surface is exercised anyway).
+// several Workers settings.
 func TestSessionMatchesMutationTests(t *testing.T) {
 	for _, name := range []string{"b01", "b06"} {
 		t.Run(name, func(t *testing.T) {
@@ -57,8 +56,8 @@ func TestSessionMatchesMutationTests(t *testing.T) {
 				t.Fatalf("population too small: %d", len(ms))
 			}
 			for _, mode := range []Mode{PerMutant, PerMutantSkip} {
-				for _, eng := range []engine.Options{{}, {Workers: 1}, {Workers: 3, LaneWords: 4}} {
-					label := fmt.Sprintf("mode=%d/workers=%d/lanewords=%d", mode, eng.Workers, eng.LaneWords)
+				for _, eng := range []engine.Options{{}, {Workers: 1}, {Workers: 3}} {
+					label := fmt.Sprintf("mode=%d/workers=%d", mode, eng.Workers)
 					opts := &Options{Options: eng, Mode: mode, Seed: 17, MaxLen: 200}
 					want, err := MutationTests(c, ms, opts)
 					if err != nil {

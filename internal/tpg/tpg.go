@@ -121,9 +121,7 @@ const (
 // engine surface (engine.Options): Workers sizes the mutant batch
 // compilation pool (and core.Flow runs that many operator-profile jobs,
 // each on a Session.Fork), Ctx cancels a running generation between
-// candidate rounds, and Progress reports completed targets. LaneWords
-// has no effect here — candidate scoring is per-machine, not
-// lane-packed.
+// candidate rounds, and Progress reports completed targets.
 type Options struct {
 	engine.Options
 

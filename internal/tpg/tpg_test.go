@@ -196,7 +196,7 @@ func TestOptionsWithDefaults(t *testing.T) {
 	// non-comparable), so the pins compare the scalar fields explicitly.
 	same := func(a, b Options) bool {
 		return a.Mode == b.Mode && a.Seed == b.Seed && a.MaxLen == b.MaxLen &&
-			a.Workers == b.Workers && a.LaneWords == b.LaneWords
+			a.Workers == b.Workers
 	}
 	got := (*Options)(nil).withDefaults()
 	want := Options{Mode: PerMutant, Seed: 0, MaxLen: 1024}
@@ -207,7 +207,6 @@ func TestOptionsWithDefaults(t *testing.T) {
 	// embedded engine knobs.
 	in := &Options{Mode: PerMutantSkip, Seed: 9, MaxLen: 64}
 	in.Workers = 3
-	in.LaneWords = 4
 	if got := in.withDefaults(); !same(got, *in) {
 		t.Errorf("explicit options rewritten: %+v, want %+v", got, *in)
 	}
