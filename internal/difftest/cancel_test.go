@@ -48,9 +48,14 @@ var cancelConfigs = []engineConfig{
 	{workers: 0}, // production setting
 }
 
+// TestFaultSimCancellation cancels at the first progress report, which
+// must leave work undone, on the wide shapes: fuzzCircuit's seeds 2 and
+// 3 give lanes to one batch and to one fault, so their first report was
+// also their last. Seed 2 is sequential and plans two batches; seed 3
+// is combinational and reports after each of its 32 pattern batches.
 func TestFaultSimCancellation(t *testing.T) {
-	for _, seed := range []int64{2, 3} { // sequential and combinational shapes
-		c := fuzzCircuit(t, seed)
+	for _, seed := range []int64{2, 3} {
+		c := wideCircuit(t, seed)
 		nl, err := synth.Synthesize(c)
 		if err != nil {
 			t.Fatal(err)
@@ -77,10 +82,12 @@ func TestFaultSimCancellation(t *testing.T) {
 				ctx2, cancel2 := context.WithCancel(context.Background())
 				defer cancel2()
 				var fired atomic.Bool
+				var first engine.Stats
 				opts = ec.options()
 				opts.Ctx = ctx2
-				opts.Progress = func(engine.Stats) {
+				opts.Progress = func(st engine.Stats) {
 					if fired.CompareAndSwap(false, true) {
+						first = st
 						cancel2()
 					}
 				}
@@ -90,6 +97,9 @@ func TestFaultSimCancellation(t *testing.T) {
 				}
 				if _, err := s2.Run(pats); !errors.Is(err, context.Canceled) {
 					t.Fatalf("mid-campaign cancel returned %v", err)
+				}
+				if first.Done >= first.Total {
+					t.Errorf("the first report (%+v) ended the run; the cancel is not mid-campaign", first)
 				}
 				checkGoroutines(t, baseline)
 			})

@@ -76,24 +76,60 @@ func fuzzCircuit(t *testing.T, seed int64) *hdl.Circuit {
 	return c
 }
 
+// wideCircuit generates a shape with eight outputs, so that more of its
+// logic reaches one; odd seeds are combinational. The fault simulator
+// gives lanes only to faults whose site reaches a primary output, and
+// fuzzCircuit's shapes keep 1 to 112 of those, which plan W1 and W4
+// batches only. Wide seeds 0 and 2 keep 555 and 668: a full W8 batch
+// plus a W1 and a W4 tail.
+func wideCircuit(t *testing.T, seed int64) *hdl.Circuit {
+	t.Helper()
+	cfg := randcirc.Config{Seed: seed, Inputs: 4, Outputs: 8, Regs: 6, Wires: 4, ExtraStmts: 6}
+	if seed%2 == 1 {
+		cfg.Regs = -1
+	}
+	c, err := randcirc.Generate(cfg)
+	if err != nil {
+		t.Fatalf("wide seed %d: %v", seed, err)
+	}
+	return c
+}
+
 // TestFaultSimProfiles fuzzes the fault simulator: every engine
 // configuration must reproduce the serial reference's FirstDetected
 // profile exactly, on random circuits × random gate-level test sets.
+// The compiled sequential batches must come in every lane width.
 func TestFaultSimProfiles(t *testing.T) {
+	type fuzzCase struct {
+		name string
+		c    *hdl.Circuit
+		seed int64
+	}
+	var cases []fuzzCase
 	for seed := int64(0); seed < 6; seed++ {
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			c := fuzzCircuit(t, seed)
+		cases = append(cases, fuzzCase{fmt.Sprintf("seed=%d", seed), fuzzCircuit(t, seed), seed})
+	}
+	for _, seed := range []int64{0, 2} {
+		cases = append(cases, fuzzCase{fmt.Sprintf("wide=%d", seed), wideCircuit(t, seed), seed})
+	}
+	widths := map[int]bool{}
+	for _, fc := range cases {
+		t.Run(fc.name, func(t *testing.T) {
+			c := fc.c
 			nl, err := synth.Synthesize(c)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pats := tpg.ToPatterns(c, tpg.RawRandomSequence(c, 96, seed+500))
+			pats := tpg.ToPatterns(c, tpg.RawRandomSequence(c, 96, fc.seed+500))
 			var ref *faultsim.Result
 			var refCfg engineConfig
 			for _, ec := range engineConfigs {
 				s, err := faultsim.Config{Options: ec.options()}.New(nl, nil)
 				if err != nil {
 					t.Fatalf("%s: %v", ec, err)
+				}
+				for _, w := range s.BatchWidths() {
+					widths[w] = true
 				}
 				res, err := s.Run(pats)
 				if err != nil {
@@ -114,6 +150,11 @@ func TestFaultSimProfiles(t *testing.T) {
 				}
 			}
 		})
+	}
+	for _, w := range []int{8, 4, 1} {
+		if !widths[w] {
+			t.Errorf("no compiled batch ran at W%d (saw %v); the parity would not cover it", w, widths)
+		}
 	}
 }
 

@@ -11,7 +11,8 @@
 // fault-free machine shared by every batch). The simulator picks every
 // lane width itself: 64-pattern batches for combinational circuits, and
 // eight-word fault batches plus the cheapest narrower tail for
-// sequential ones, re-planned narrower as lanes drop. Both paths run the
+// sequential ones, re-planned narrower as lanes drop. A fault whose site
+// reaches no primary output gets no lane at all. Both paths run the
 // compiled netlist.Program on a worker pool sized by Config.Workers;
 // Workers == 1 selects the serial single-fault Evaluator path kept as the
 // differential reference. The produced first-detection profile is what
@@ -20,7 +21,7 @@
 package faultsim
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/netlist"
 )
@@ -51,41 +52,72 @@ func Faults(nl *netlist.Netlist) []Fault {
 			}
 		}
 	}
-
-	var out []Fault
-	stem := func(g *netlist.Gate, v uint64) {
-		out = append(out, Fault{
-			Site: netlist.FaultSite{Gate: g.ID, Pin: -1, Stuck: v},
-			Desc: fmt.Sprintf("%s/out s-a-%d", gateLabel(nl, g), v),
-		})
+	// The first pass sizes the list and its descriptions, the second
+	// fills them: every Desc is a substring of one string, so the list
+	// costs a handful of allocations instead of one or two per fault.
+	n, size := 0, 0
+	var scratch []byte
+	collapsed(nl, fanout, func(site netlist.FaultSite) {
+		n++
+		scratch = appendDesc(scratch[:0], nl, site)
+		size += len(scratch)
+	})
+	out := make([]Fault, 0, n)
+	ends := make([]int, 0, n)
+	buf := make([]byte, 0, size)
+	collapsed(nl, fanout, func(site netlist.FaultSite) {
+		out = append(out, Fault{Site: site})
+		buf = appendDesc(buf, nl, site)
+		ends = append(ends, len(buf))
+	})
+	descs, lo := string(buf), 0
+	for i, hi := range ends {
+		out[i].Desc, lo = descs[lo:hi], hi
 	}
+	return out
+}
+
+// collapsed calls visit on every fault of the collapsed list, in list
+// order.
+func collapsed(nl *netlist.Netlist, fanout []int, visit func(netlist.FaultSite)) {
 	for _, g := range nl.Gates {
 		switch g.Type {
 		case netlist.Const0:
-			stem(g, 1)
+			visit(netlist.FaultSite{Gate: g.ID, Pin: -1, Stuck: 1})
 			continue
 		case netlist.Const1:
-			stem(g, 0)
+			visit(netlist.FaultSite{Gate: g.ID, Pin: -1, Stuck: 0})
 			continue
 		}
-		stem(g, 0)
-		stem(g, 1)
+		visit(netlist.FaultSite{Gate: g.ID, Pin: -1, Stuck: 0})
+		visit(netlist.FaultSite{Gate: g.ID, Pin: -1, Stuck: 1})
 		for j, d := range g.Fanin {
 			if d < 0 || fanout[d] <= 1 {
 				continue // branch ≡ driver stem
 			}
 			for v := uint64(0); v <= 1; v++ {
-				if branchEquivToStem(g.Type, v) {
-					continue
+				if !branchEquivToStem(g.Type, v) {
+					visit(netlist.FaultSite{Gate: g.ID, Pin: j, Stuck: v})
 				}
-				out = append(out, Fault{
-					Site: netlist.FaultSite{Gate: g.ID, Pin: j, Stuck: v},
-					Desc: fmt.Sprintf("%s/in%d s-a-%d", gateLabel(nl, g), j, v),
-				})
 			}
 		}
 	}
-	return out
+}
+
+// appendDesc appends the fault's description, "<gate>/out s-a-<v>" or
+// "<gate>/in<pin> s-a-<v>", where <gate> is the gate's name or n<ID>.
+func appendDesc(b []byte, nl *netlist.Netlist, site netlist.FaultSite) []byte {
+	if g := nl.Gates[site.Gate]; g.Name != "" {
+		b = append(b, g.Name...)
+	} else {
+		b = strconv.AppendInt(append(b, 'n'), int64(g.ID), 10)
+	}
+	if site.Pin < 0 {
+		b = append(b, "/out"...)
+	} else {
+		b = strconv.AppendInt(append(b, "/in"...), int64(site.Pin), 10)
+	}
+	return strconv.AppendUint(append(b, " s-a-"...), site.Stuck, 10)
 }
 
 // branchEquivToStem reports whether an input s-a-v of a gate of type t is
@@ -100,11 +132,4 @@ func branchEquivToStem(t netlist.GateType, v uint64) bool {
 		return v == 1
 	}
 	return false
-}
-
-func gateLabel(nl *netlist.Netlist, g *netlist.Gate) string {
-	if g.Name != "" {
-		return g.Name
-	}
-	return fmt.Sprintf("n%d", g.ID)
 }

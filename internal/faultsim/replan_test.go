@@ -32,23 +32,10 @@ func makeWindows(nl *netlist.Netlist, total, per int, seed int64) [][]Pattern {
 	return out
 }
 
-// batchWidths returns the lane widths of the session's live batch plan,
-// in schedule order (white-box: the re-plan tests assert the compaction
-// actually happened, so the parity assertions are not vacuous).
-func batchWidths(s *Simulator) []int {
-	var out []int
-	for _, b := range s.batches {
-		if !b.retired() {
-			out = append(out, b.width())
-		}
-	}
-	return out
-}
-
 // livePlanCost sums the per-window pass cost of the live plan.
 func livePlanCost(s *Simulator) int {
 	c := 0
-	for _, w := range batchWidths(s) {
+	for _, w := range s.BatchWidths() {
 		c += passCost(w)
 	}
 	return c
@@ -158,7 +145,7 @@ func TestReplanRetireOrders(t *testing.T) {
 			replan, s := runScheduled(t, nl, Config{}, windows, steps)
 			diffProfiles(t, "static vs reference", static, ref)
 			diffProfiles(t, "replan vs reference", replan, ref)
-			if got := batchWidths(s); len(got) > 1 || (len(got) == 1 && got[0] != 1) {
+			if got := s.BatchWidths(); len(got) > 1 || (len(got) == 1 && got[0] != 1) {
 				t.Errorf("after shaving to a ragged word, want at most one W1 batch, got widths %v", got)
 			}
 		})
@@ -182,7 +169,7 @@ func TestReplanSingleLiveWordBatch(t *testing.T) {
 	ref, _ := runScheduled(t, nl, Config{Options: engine.Options{Workers: 1}}, windows, steps)
 	replan, s := runScheduled(t, nl, Config{}, windows, steps)
 	diffProfiles(t, "replan vs reference", replan, ref)
-	if got := batchWidths(s); len(got) > 1 || (len(got) == 1 && got[0] != 1) {
+	if got := s.BatchWidths(); len(got) > 1 || (len(got) == 1 && got[0] != 1) {
 		t.Errorf("want at most one W1 batch for the scattered survivors, got widths %v", got)
 	}
 }
@@ -198,7 +185,7 @@ func TestReplanBoundariesObserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w := batchWidths(s); len(w) < 2 || w[0] != 8 {
+	if w := s.BatchWidths(); len(w) < 2 || w[0] != 8 {
 		t.Fatalf("initial plan should start with multiple batches at W8, got %v", w)
 	}
 	windows := makeWindows(nl, 96, 8, 5)
@@ -218,7 +205,7 @@ func TestReplanBoundariesObserved(t *testing.T) {
 		} else {
 			lastCost = c
 		}
-		for _, w := range batchWidths(s) {
+		for _, w := range s.BatchWidths() {
 			seen[w] = true
 		}
 		if ti < len(targets) {
@@ -237,7 +224,7 @@ func TestReplanBoundariesObserved(t *testing.T) {
 			t.Errorf("compaction ladder never planned a W%d batch (saw %v)", w, seen)
 		}
 	}
-	if got := batchWidths(s); len(got) > 1 || (len(got) == 1 && got[0] != 1) {
+	if got := s.BatchWidths(); len(got) > 1 || (len(got) == 1 && got[0] != 1) {
 		t.Errorf("final plan: want at most one W1 batch, got %v", got)
 	}
 }

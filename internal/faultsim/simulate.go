@@ -132,8 +132,10 @@ type Config struct {
 // trace, the per-fault drop state and the live-fault frontier carry over,
 // so Append(t1) followed by Append(t2) is bit-identical to Run(t1 ∥ t2)
 // while only simulating the still-undetected frontier over the new
-// cycles. Run is reset-plus-Append; Reset restarts the session
-// explicitly. Not safe for concurrent use.
+// cycles. The compiled engine simulates only the frontier's faults whose
+// site reaches a primary output; the others keep their place on the
+// frontier, undetected. Run is reset-plus-Append; Reset restarts the
+// session explicitly. Not safe for concurrent use.
 type Simulator struct {
 	nl     *netlist.Netlist
 	faults []Fault
@@ -142,6 +144,10 @@ type Simulator struct {
 	good *netlist.Evaluator // reference engine (Workers == 1)
 	bad  *netlist.Evaluator
 	prog *netlist.Program // compiled engine (every other setting)
+	// reach marks the gates with a structural path to a primary output.
+	// A fault on any other gate is undetectable under every stimulus, so
+	// it stays on the frontier but the compiled engine gives it no lane.
+	reach []bool
 
 	// Session state, rebuilt by Reset (and so by Run/RunOn).
 	applied  int                       // cycles (sequential) / patterns (combinational) applied
@@ -160,6 +166,7 @@ type Simulator struct {
 	// sections read them but never grow them.
 	res     Result              // the view snapshot() refreshes per window
 	incAll  []int               // Reset's full-fault-list include buffer
+	lanes   []int               // the frontier faults given lanes (laned)
 	goodPOs [][]uint64          // good-trace PO rows for the current window
 	goodNet [][]uint64          // good-trace net rows, one bit per net, when a batch steps
 	errs    []error             // per-batch error slots for the current window
@@ -271,7 +278,7 @@ func (c Config) New(nl *netlist.Netlist, faults []Fault) (*Simulator, error) {
 	if faults == nil {
 		faults = Faults(nl)
 	}
-	s := &Simulator{nl: nl, faults: faults, cfg: c}
+	s := &Simulator{nl: nl, faults: faults, cfg: c, reach: reachesPO(nl)}
 	if c.Serial() {
 		if s.good, err = netlist.NewEvaluator(nl); err != nil {
 			return nil, err
@@ -291,6 +298,49 @@ func (c Config) New(nl *netlist.Netlist, faults []Fault) (*Simulator, error) {
 	return s, nil
 }
 
+// reachesPO marks the gates with a structural path to a primary output:
+// a backward walk from the POs over every fanin edge, flip-flop D pins
+// included, in O(gates + fanin edges). A fault's effect leaves its site
+// gate only through that gate's output (a branch fault changes the value
+// its gate reads), so a fault whose site is unmarked can change no PO
+// value, on any cycle, under any stimulus.
+func reachesPO(nl *netlist.Netlist) []bool {
+	reach := make([]bool, len(nl.Gates))
+	stack := make([]int, 0, len(nl.POs))
+	for _, g := range nl.POs {
+		if !reach[g] {
+			reach[g] = true
+			stack = append(stack, g)
+		}
+	}
+	for len(stack) > 0 {
+		g := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, d := range nl.Gates[g].Fanin {
+			if d >= 0 && !reach[d] {
+				reach[d] = true
+				stack = append(stack, d)
+			}
+		}
+	}
+	return reach
+}
+
+// laned returns the listed faults that get a lane, those whose site
+// reaches a primary output, in list order. The slice is session scratch,
+// overwritten by the next call; appendCombLanes's pool reads it until
+// the pool joins.
+func (s *Simulator) laned(list []int) []int {
+	out := s.lanes[:0]
+	for _, fi := range list {
+		if s.reach[s.faults[fi].Site.Gate] {
+			out = append(out, fi)
+		}
+	}
+	s.lanes = out
+	return out
+}
+
 // Faults returns the fault list under simulation.
 func (s *Simulator) Faults() []Fault { return s.faults }
 
@@ -300,7 +350,9 @@ func (s *Simulator) Applied() int { return s.applied }
 
 // Frontier returns the indices of the faults still under simulation —
 // the included, not-yet-detected subset the next Append will exercise.
-// The slice is owned by the caller.
+// It lists the faults without a lane too (see Simulator): no stimulus
+// detects them, and they leave it only when retired. The slice is owned
+// by the caller.
 func (s *Simulator) Frontier() []int { return append([]int(nil), s.live...) }
 
 // PathStats counts the compiled sequential engine's work since the last
@@ -318,6 +370,21 @@ type PathStats struct {
 // PathStats returns the session's path counts. They are observability
 // only: no Result, Checkpoint or report carries them.
 func (s *Simulator) PathStats() PathStats { return s.paths }
+
+// BatchWidths returns the lane width, in 64-bit words, of each live
+// parallel-fault batch of a compiled sequential session, in schedule
+// order: the plan the next window starts from (its start may re-plan it
+// narrower). Combinational sessions and the Workers: 1 reference run no
+// batches. Like PathStats, it is observability only.
+func (s *Simulator) BatchWidths() []int {
+	var out []int
+	for _, b := range s.batches {
+		if !b.retired() {
+			out = append(out, b.width())
+		}
+	}
+	return out
+}
 
 // Reset restarts the session at power-on reset with the full fault list
 // live and zero patterns applied. It also clears any sticky error left
@@ -351,7 +418,7 @@ func (s *Simulator) resetTo(include []int) {
 	s.batches = s.batches[:0]
 	if s.goodM != nil {
 		s.goodM.Reset()
-		s.batches = s.planBatches(include)
+		s.batches = s.planBatches(s.laned(include))
 	}
 }
 
@@ -534,10 +601,10 @@ func (s *Simulator) appendWindow(tests []Pattern, fromReset bool) (*Result, erro
 // the fault's lane in its parallel-fault batch; a batch whose last lane
 // retires is released like a fully dropped one. Retiring a fault that is
 // not on the frontier (already detected, excluded or retired) is a
-// no-op. Removal costs one linear pass over the frontier and one over
-// the lanes of the live batches up to the fault's own — callers retire
-// at most once per fault, and each retirement follows work (a PODEM
-// search, say) that dwarfs it.
+// no-op. Removal costs one linear pass over the frontier and, for a
+// fault with a lane, one over the lanes of the live batches up to the
+// fault's own — callers retire at most once per fault, and each
+// retirement follows work (a PODEM search, say) that dwarfs it.
 func (s *Simulator) Retire(fi int) error {
 	if fi < 0 || fi >= len(s.faults) {
 		return fmt.Errorf("faultsim: fault index %d out of range [0,%d)", fi, len(s.faults))
@@ -550,8 +617,8 @@ func (s *Simulator) Retire(fi int) error {
 			break
 		}
 	}
-	if !found {
-		return nil
+	if !found || !s.reach[s.faults[fi].Site.Gate] {
+		return nil // not on the frontier, or on it without a lane
 	}
 	for _, b := range s.batches {
 		if !b.retired() && b.dropLane(s, fi) {
@@ -603,7 +670,8 @@ func (s *Simulator) prune() {
 // nothing. Serial session code only, invoked at the start of each
 // sequential Append window (before any fan-out).
 func (s *Simulator) maybeReplan() {
-	n := len(s.live)
+	lanes := s.laned(s.live)
+	n := len(lanes)
 	if n == 0 || len(s.batches) == 0 {
 		return
 	}
@@ -628,8 +696,8 @@ func (s *Simulator) maybeReplan() {
 		return
 	}
 	// Carry each surviving lane's flip-flop state over, in frontier
-	// order — batches hold contiguous frontier slices, so batch-major
-	// lane order IS s.live order.
+	// order — batches hold contiguous slices of the laned frontier, so
+	// batch-major lane order IS the order of lanes.
 	s.surv = engine.Grow(s.surv, n)
 	idx := 0
 	for _, b := range s.batches {
@@ -644,7 +712,7 @@ func (s *Simulator) maybeReplan() {
 	for _, b := range s.batches {
 		b.recycle(s)
 	}
-	s.batches = s.planBatches(s.live)
+	s.batches = s.planBatches(lanes)
 	idx = 0
 	for _, b := range s.batches {
 		b.arm(s)
@@ -718,26 +786,30 @@ func broadcast[W lane.Word](s *Simulator, tests []Pattern) [][]W {
 // independent, so the workers never wait on each other. Detection
 // indices are offset by the patterns already applied; progress counts
 // the live faults settled (detected, or undetected by the whole window),
-// reported after every batch.
+// reported after every batch. Only the laned frontier is simulated; the
+// faults without a lane count as settled from the first report.
 func appendCombLanes[W lane.Word](s *Simulator, tests []Pattern) error {
-	live := s.live
-	total := len(live)
-	if total == 0 {
+	total := len(s.live)
+	lanes := s.laned(s.live)
+	settled := total - len(lanes)
+	if len(lanes) == 0 {
+		if total > 0 {
+			s.cfg.Report(total, total)
+		}
 		return nil
 	}
 	ws := widthOf[W](s)
 	batchPIs := packPatternBatches[W](s, tests)
-	workers := par.Workers(s.cfg.Workers, total)
+	workers := par.Workers(s.cfg.Workers, len(lanes))
 	for len(ws.comb) < workers {
 		ws.comb = append(ws.comb, netlist.NewMachine[W](s.prog))
 	}
 	L := lane.Count[W]()
 	base := s.applied
 	var mu sync.Mutex
-	settled := 0
 	return par.IndexedCtx(s.cfg.Ctx, workers, workers, func(_, j int) {
 		m := ws.comb[j]
-		left := (total - j + workers - 1) / workers // this worker's undetected faults
+		left := (len(lanes) - j + workers - 1) / workers // this worker's undetected faults
 		for b, words := range batchPIs {
 			if s.cfg.Cancelled() != nil {
 				return
@@ -746,11 +818,11 @@ func appendCombLanes[W lane.Word](s *Simulator, tests []Pattern) error {
 			lo := b * L
 			laneMask := lane.FirstN[W](len(tests) - lo)
 			done := 0
-			for n, i := 0, j; i < total; n, i = n+1, i+workers {
+			for n, i := 0, j; i < len(lanes); n, i = n+1, i+workers {
 				if n&1023 == 1023 && s.cfg.Cancelled() != nil {
 					return
 				}
-				fi := live[i]
+				fi := lanes[i]
 				if s.detected[fi] >= 0 {
 					continue // detected by an earlier batch
 				}
@@ -1179,6 +1251,15 @@ func (c *seqBatchW[W]) runSteps(s *Simulator, sc *netlist.EventScratch[W], base 
 // machine — the good one and each live batch's — restarts from power-on
 // before the window; arming costs are still paid only once per session.
 func (s *Simulator) appendSequential(tests []Pattern, fromReset bool) error {
+	if len(s.batches) == 0 {
+		// No live fault has a lane, and none gets one before the next
+		// reset, so the good trace need not advance either. A window
+		// with live faults still reports: zero batches of zero done.
+		if len(s.live) > 0 {
+			s.cfg.Report(0, 0)
+		}
+		return nil
+	}
 	ctx := s.cfg.Ctx
 	if fromReset {
 		s.goodM.Reset()
