@@ -46,12 +46,14 @@ race:
 # must never panic, and every netlist it accepts must compile and
 # simulate like the Evaluator (sequential ones under Step too). 10 s
 # each on the campaign service's inputs: job-spec JSON through JobKey
-# and Shards, and report JSON through DecodeReport; 10 s on checkpoint
-# gob through faultsim.Restore; and 10 s on MHDL source: ParseOnly must
-# never panic, and an accepted source must format to text that parses,
-# formats to itself and passes Check(Relaxed) when the source did; and
-# 10 s on mutant generation: Generate must never panic on a source Parse
-# accepts and must build the clone-apply-check oracle's mutants.
+# and shard derivation (a shard shares its job's elaboration and keys
+# as its spec does), and report JSON through DecodeReport; 10 s on
+# checkpoint gob through faultsim.Restore; and 10 s on MHDL source:
+# ParseOnly must never panic, and an accepted source must format to
+# text that parses, formats to itself and passes Check(Relaxed) when
+# the source did; and 10 s on mutant generation: Generate must never
+# panic on a source Parse accepts and must build the clone-apply-check
+# oracle's mutants.
 # -fuzzminimizetime keeps a slow minimization from eating a target's
 # whole budget.
 fuzz-smoke:
@@ -104,7 +106,8 @@ determinism-smoke:
 # Campaign service end to end: start a race-instrumented cmd/reprod,
 # submit the same job set twice via the mutsample campaign client, and
 # assert the second pass is served from the content cache with
-# byte-identical reports (scripts/campaignsmoke.sh).
+# byte-identical reports, which also equal an in-process run of the
+# same jobs (scripts/campaignsmoke.sh).
 campaign-smoke:
 	sh scripts/campaignsmoke.sh
 

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"bytes"
 	"container/list"
 	"encoding/gob"
 	"errors"
@@ -209,19 +210,11 @@ func (st *CheckpointStore) Save(key Key, ck *faultsim.Checkpoint) error {
 	if st.dir == "" {
 		return nil
 	}
-	f, err := os.CreateTemp(st.dir, string(key)+".tmp*")
-	if err != nil {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(ck); err != nil {
 		return err
 	}
-	err = gob.NewEncoder(f).Encode(ck)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(f.Name())
-		return err
-	}
-	return os.Rename(f.Name(), st.path(key))
+	return atomicWrite(st.path(key), buf.Bytes())
 }
 
 // Load returns the stored checkpoint for a job, or (nil, nil) when none

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -28,6 +29,21 @@ func mustExecute(t *testing.T, sp Spec, cfg *ExecConfig) []byte {
 		t.Fatal(err)
 	}
 	return b
+}
+
+// shardSpecs returns the specs of a job's shards at width n, nil when
+// the job does not split.
+func shardSpecs(t testing.TB, sp Spec, n int) []Spec {
+	t.Helper()
+	pr, err := prepare(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []Spec
+	for _, sh := range pr.shards(n) {
+		out = append(out, sh.spec)
+	}
+	return out
 }
 
 // TestJobKeyWindowInvariant pins the key design: the append window is a
@@ -134,15 +150,13 @@ func TestFaultSimShardMergeExact(t *testing.T) {
 	sp := Spec{Kind: FaultSim, Circuit: "b03", Seed: 9, Horizon: 80}
 	want := mustExecute(t, sp, nil)
 	for _, n := range []int{2, 3, 5} {
-		shards, err := Shards(sp, n)
-		if err != nil {
-			t.Fatal(err)
-		}
+		shards := shardSpecs(t, sp, n)
 		if len(shards) != n {
-			t.Fatalf("Shards(%d) returned %d shards", n, len(shards))
+			t.Fatalf("shards(%d) returned %d shards", n, len(shards))
 		}
 		reports := make([]*Report, len(shards))
 		for i, shard := range shards {
+			var err error
 			if reports[i], err = Execute(shard, nil); err != nil {
 				t.Fatal(err)
 			}
@@ -171,14 +185,7 @@ func TestFaultSimShardMergeExact(t *testing.T) {
 // a function of the spec alone.
 func TestCanonicalDecompositions(t *testing.T) {
 	tg := Spec{Kind: MutationTG, Circuit: "b02", Seed: 1}
-	s3, err := Shards(tg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s7, err := Shards(tg, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s3, s7 := shardSpecs(t, tg, 3), shardSpecs(t, tg, 7)
 	if fmt.Sprint(s3) != fmt.Sprint(s7) {
 		t.Error("TG decomposition depends on the requested width")
 	}
@@ -188,14 +195,7 @@ func TestCanonicalDecompositions(t *testing.T) {
 		}
 	}
 	at := Spec{Kind: ATPG, Circuit: "c432", Seed: 1}
-	a2, err := Shards(at, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a9, err := Shards(at, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a2, a9 := shardSpecs(t, at, 2), shardSpecs(t, at, 9)
 	if fmt.Sprint(a2) != fmt.Sprint(a9) {
 		t.Error("ATPG decomposition depends on the requested width")
 	}
@@ -574,6 +574,66 @@ func TestServerEndToEnd(t *testing.T) {
 	}
 }
 
+// TestServerFreshJobAllocs bounds the bytes one fresh job allocates
+// through the HTTP service (submit, wait, result), averaged over five
+// seeds, for the repository benchmark's b04 fault-simulation, b01 TG
+// and c432 ATPG jobs. The server elaborates a job once and its shards
+// share that elaboration (1.6, 3.6 and 1.0 MB a job); elaborating the
+// spec again in every layer and for every shard took 3.4, 7.1 and
+// 2.9 MB.
+func TestServerFreshJobAllocs(t *testing.T) {
+	srv, err := NewServer(ServerConfig{Exec: ExecConfig{Options: engine.Options{Workers: 2}}, Parallel: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	hs := httptest.NewServer(srv)
+	defer hs.Close()
+	c := &Client{Base: hs.URL}
+	ctx := context.Background()
+	run := func(sp Spec) {
+		st, err := c.Submit(ctx, sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, err = c.Wait(ctx, st.ID, 0); err != nil {
+			t.Fatal(err)
+		}
+		if st.State != "done" || st.Cached {
+			t.Fatalf("%+v: job %s (cached %v): %s", sp, st.State, st.Cached, st.Error)
+		}
+		if _, err := c.Result(ctx, st.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		spec  func(seed int64) Spec
+		maxMB float64
+	}{
+		{"b04 faultsim", func(s int64) Spec {
+			return Spec{Kind: FaultSim, Circuit: "b04", Horizon: 2048, Window: 64, Seed: s}
+		}, 2.5},
+		{"b01 tg", func(s int64) Spec { return Spec{Kind: MutationTG, Circuit: "b01", MaxLen: 64, Seed: s} }, 5.3},
+		{"c432 atpg", func(s int64) Spec { return Spec{Kind: ATPG, Circuit: "c432", MaxBacktracks: 64, Seed: s} }, 2.0},
+	} {
+		run(tc.spec(100)) // one-time state of the job's code paths
+		const seeds = 5
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		for s := int64(1); s <= seeds; s++ {
+			run(tc.spec(s))
+		}
+		runtime.ReadMemStats(&ms)
+		mb := float64(ms.TotalAlloc-before) / seeds / 1e6
+		t.Logf("%s: %.2f MB a fresh job", tc.name, mb)
+		if mb > tc.maxMB {
+			t.Errorf("%s: a fresh job allocates %.2f MB, want at most %.1f", tc.name, mb, tc.maxMB)
+		}
+	}
+}
+
 // TestServerCancelJob drives the job-cancel path over HTTP. With one
 // local slot, a long FaultSim job holds it while a second job waits for
 // it; cancelling the waiting job must end it cancelled, with the
@@ -749,10 +809,7 @@ func TestServerPeerFanout(t *testing.T) {
 // shard's canonical report.
 func TestServerPeerBadReplies(t *testing.T) {
 	sp := Spec{Kind: ATPG, Circuit: "c432", Seed: 2, MaxBacktracks: 64}
-	shards, err := Shards(sp, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	shards := shardSpecs(t, sp, 3)
 	if len(shards) != 3 {
 		t.Fatalf("%d shards, want 3", len(shards))
 	}

@@ -52,30 +52,36 @@ func (c *ExecConfig) checkpoints() *CheckpointStore {
 // invariant that makes the content-addressed cache and shard merging
 // sound, pinned by the difftest campaign legs.
 //
-// Jobs with a canonical decomposition (MutationTG over several operator
-// classes, ATPG ranges wider than one chunk) are executed AS that
-// decomposition — shard by shard, merged — because their result is
-// defined that way (see Shards); a server that fans the same shards out
-// to a worker pool produces the same bytes. FaultSim jobs run whole:
-// their lanes are independent, so any decomposition merges to the same
-// profile anyway.
+// Execute elaborates the spec once. Jobs with a canonical decomposition
+// (MutationTG over several operator classes, ATPG ranges wider than one
+// chunk) are executed AS that decomposition — shard by shard on the
+// job's elaboration, merged — because their result is defined that way
+// (see shards); a server that fans the same shards out to a worker pool
+// produces the same bytes. FaultSim jobs run whole: their lanes are
+// independent, so any decomposition merges to the same profile anyway.
 func Execute(sp Spec, cfg *ExecConfig) (*Report, error) {
 	pr, err := prepare(sp)
 	if err != nil {
 		return nil, err
 	}
-	if sp.Kind != FaultSim {
+	return pr.execute(cfg)
+}
+
+// execute runs an elaborated job; see Execute.
+func (pr *prepared) execute(cfg *ExecConfig) (*Report, error) {
+	if pr.spec.Kind != FaultSim {
 		if shards := pr.shards(0); shards != nil {
 			reports := make([]*Report, len(shards))
 			for i, shard := range shards {
-				if reports[i], err = Execute(shard, cfg); err != nil {
+				var err error
+				if reports[i], err = shard.execute(cfg); err != nil {
 					return nil, err
 				}
 			}
-			return MergeShards(sp, pr.key(), reports)
+			return MergeShards(pr.spec, pr.key(), reports)
 		}
 	}
-	switch sp.Kind {
+	switch pr.spec.Kind {
 	case FaultSim:
 		return executeFaultSim(pr, cfg)
 	case MutationTG:

@@ -41,7 +41,9 @@ func fuzzSpecs(f *testing.F) []Spec {
 // FuzzSpecKey feeds job-spec JSON through the server's decode and the
 // keying and sharding paths: JobKey never panics and is stable, an
 // accepted spec respects the horizon and frame caps, and every shard of
-// an accepted spec is itself accepted.
+// an accepted spec shares its parent's elaboration and is keyed as its
+// spec is when elaborated anew — the invariant that lets the server and
+// Execute elaborate each job once.
 func FuzzSpecKey(f *testing.F) {
 	for _, sp := range fuzzSpecs(f) {
 		if _, err := JobKey(sp); err != nil {
@@ -71,14 +73,23 @@ func FuzzSpecKey(f *testing.F) {
 		if sp.Horizon > maxHorizon || sp.Frames > maxFrames {
 			t.Fatalf("spec past the caps accepted: horizon %d, frames %d", sp.Horizon, sp.Frames)
 		}
+		pr, err := prepare(sp)
+		if err != nil {
+			t.Fatalf("prepare rejected a spec JobKey accepted: %v", err)
+		}
 		for _, n := range []int{1, 2, 3, 7} {
-			shards, err := Shards(sp, n)
-			if err != nil {
-				t.Fatalf("Shards(n=%d) of an accepted spec: %v", n, err)
-			}
+			shards := pr.shards(n)
 			for i, sh := range shards {
-				if _, err := JobKey(sh); err != nil {
+				if sh.c != pr.c || sh.nl != pr.nl || sh.fp != pr.fp ||
+					len(sh.faults) != len(pr.faults) || len(pr.faults) > 0 && &sh.faults[0] != &pr.faults[0] {
+					t.Fatalf("shard %d of %d (n=%d) does not share its parent's elaboration", i, len(shards), n)
+				}
+				k, err := JobKey(sh.spec)
+				if err != nil {
 					t.Fatalf("shard %d of %d (n=%d) rejected: %v", i, len(shards), n, err)
+				}
+				if k != sh.key() {
+					t.Fatalf("shard %d of %d (n=%d): derived key %s, elaborated anew %s", i, len(shards), n, sh.key(), k)
 				}
 			}
 		}

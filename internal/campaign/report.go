@@ -101,15 +101,15 @@ func hashTests(tag string, tests [][]faultsim.Pattern) string {
 }
 
 // MergeShards combines disjoint shard reports into the report of the
-// parent job they decompose (Shards). The FaultSim merge is exact — the
+// parent job they decompose (see shards). The FaultSim merge is exact — the
 // parent's report as if never sharded, first-detection profiles
 // interleaving element-wise because shards own disjoint fault ranges and
 // lanes are independent. MutationTG and ATPG merges ARE the parent
 // job's definition (shard results couple within a shard, so no merge
 // could reconstruct an unsharded run; instead the job means "the
 // canonical decomposition, merged"): counters sum and the per-shard
-// content hashes chain in shard order. The shard order is the Shards
-// order, which is deterministic, so merged reports are
+// content hashes chain in shard order. The shard order is the
+// decomposition's order, which is deterministic, so merged reports are
 // content-addressable like any other.
 //
 //repro:deterministic

@@ -23,8 +23,8 @@ type ServerConfig struct {
 	// is created when nil).
 	Cache *Cache
 	// Parallel bounds concurrently executing local shards (default 2).
-	// Each submitted job is offered to Shards at a width of Parallel
-	// plus one per peer.
+	// A submitted FaultSim job splits into Parallel shards plus one per
+	// peer.
 	Parallel int
 	// Peers lists base URLs of remote campaign servers (e.g.
 	// "http://host:9190") that shard execution fans out to, round-robin
@@ -67,7 +67,6 @@ type Stats struct {
 type job struct {
 	id     string
 	key    Key
-	spec   Spec
 	cancel context.CancelFunc
 
 	mu       sync.Mutex
@@ -96,6 +95,11 @@ func (j *job) status() JobStatus {
 // serves repeats from the content-addressed cache, decomposes fresh
 // jobs into shards, executes them across local worker slots and remote
 // peers, and merges shard reports. It implements http.Handler.
+//
+// Each request's spec is elaborated once, when it arrives: the key,
+// the decomposition and every local shard use that elaboration, and the
+// shards share it (a peer elaborates the shard spec it is sent). The job
+// table keeps neither the spec nor the elaboration.
 type Server struct {
 	cfg   ServerConfig
 	cache *Cache
@@ -165,7 +169,10 @@ func writeJSON(w http.ResponseWriter, v any) {
 // about 9 KB of .bench text.
 const maxSpecBytes = 1 << 20
 
-func decodeSpec(w http.ResponseWriter, r *http.Request) (Spec, bool) {
+// elaborate decodes and elaborates a request's job spec. When either
+// fails it answers the request (413 past maxSpecBytes, 400 otherwise)
+// and returns nil.
+func elaborate(w http.ResponseWriter, r *http.Request) *prepared {
 	var sp Spec
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
@@ -176,25 +183,26 @@ func decodeSpec(w http.ResponseWriter, r *http.Request) (Spec, bool) {
 			code = http.StatusRequestEntityTooLarge
 		}
 		httpError(w, code, "decoding job spec: %v", err)
-		return sp, false
+		return nil
 	}
-	return sp, true
+	pr, err := prepare(sp)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "%v", err)
+		return nil
+	}
+	return pr
 }
 
 // handleSubmit registers a job and starts it. A cache hit completes the
 // job synchronously without executing anything.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	sp, ok := decodeSpec(w, r)
-	if !ok {
+	pr := elaborate(w, r)
+	if pr == nil {
 		return
 	}
-	key, err := JobKey(sp)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
+	key := pr.key()
 	ctx, cancel := context.WithCancel(context.Background())
-	j := &job{key: key, spec: sp, cancel: cancel, state: statePending}
+	j := &job{key: key, cancel: cancel, state: statePending}
 	s.mu.Lock()
 	s.nextID++
 	j.id = fmt.Sprintf("j%d", s.nextID)
@@ -213,7 +221,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	go func() {
 		defer s.wg.Done()
 		defer cancel()
-		s.runJob(ctx, j)
+		s.runJob(ctx, j, pr)
 	}()
 	writeJSON(w, j.status())
 }
@@ -264,22 +272,17 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // report bytes — the endpoint peers use for shard fan-out. The
 // X-Repro-Cache trailer-free header reports hit or miss.
 func (s *Server) handleExecute(w http.ResponseWriter, r *http.Request) {
-	sp, ok := decodeSpec(w, r)
-	if !ok {
+	pr := elaborate(w, r)
+	if pr == nil {
 		return
 	}
-	key, err := JobKey(sp)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if b := s.cache.Get(key); b != nil {
+	if b := s.cache.Get(pr.key()); b != nil {
 		w.Header().Set("X-Repro-Cache", "hit")
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(b)
 		return
 	}
-	b, err := s.executeLocal(r.Context(), sp, nil)
+	b, err := s.executeLocal(r.Context(), pr, nil)
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "%v", err)
 		return
@@ -301,13 +304,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, st)
 }
 
-// executeLocal runs one spec on a local worker slot, consulting and
-// feeding the cache, and returns the canonical report bytes.
-func (s *Server) executeLocal(ctx context.Context, sp Spec, progress func(engine.Stats)) ([]byte, error) {
-	key, err := JobKey(sp)
-	if err != nil {
-		return nil, err
-	}
+// executeLocal runs an elaborated job or shard on a local worker slot,
+// consulting and feeding the cache, and returns the canonical report
+// bytes. It elaborates nothing: the shards of one job run here at once
+// on their shared elaboration.
+func (s *Server) executeLocal(ctx context.Context, pr *prepared, progress func(engine.Stats)) ([]byte, error) {
+	key := pr.key()
 	if b := s.cache.Get(key); b != nil {
 		return b, nil
 	}
@@ -320,7 +322,7 @@ func (s *Server) executeLocal(ctx context.Context, sp Spec, progress func(engine
 	cfg := s.cfg.Exec
 	cfg.Ctx = ctx
 	cfg.Progress = progress
-	rep, err := Execute(sp, &cfg)
+	rep, err := pr.execute(&cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -363,8 +365,8 @@ func (s *Server) executeRemote(ctx context.Context, peer string, sp Spec, key Ke
 
 // runJob executes one submitted job: decompose into shards, fan the
 // shards across the local pool and the peers, merge, cache, complete.
-func (s *Server) runJob(ctx context.Context, j *job) {
-	b, err := s.runSharded(ctx, j)
+func (s *Server) runJob(ctx context.Context, j *job, pr *prepared) {
+	b, err := s.runSharded(ctx, j, pr)
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	switch {
@@ -377,21 +379,18 @@ func (s *Server) runJob(ctx context.Context, j *job) {
 	}
 }
 
-func (s *Server) runSharded(ctx context.Context, j *job) ([]byte, error) {
+func (s *Server) runSharded(ctx context.Context, j *job, pr *prepared) ([]byte, error) {
 	j.mu.Lock()
 	j.state = stateRunning
 	j.mu.Unlock()
 
-	shards, err := Shards(j.spec, s.cfg.Parallel+len(s.cfg.Peers))
-	if err != nil {
-		return nil, err
-	}
+	shards := pr.shards(s.cfg.Parallel + len(s.cfg.Peers))
 	if shards == nil {
 		// Indivisible job: run it whole on the local pool.
 		j.mu.Lock()
 		j.progress = make([]engine.Stats, 1)
 		j.mu.Unlock()
-		return s.executeLocal(ctx, j.spec, j.progressSink(0))
+		return s.executeLocal(ctx, pr, j.progressSink(0))
 	}
 	j.mu.Lock()
 	j.progress = make([]engine.Stats, len(shards))
@@ -402,7 +401,7 @@ func (s *Server) runSharded(ctx context.Context, j *job) ([]byte, error) {
 	var wg sync.WaitGroup
 	for i, shard := range shards {
 		wg.Add(1)
-		go func(i int, shard Spec) {
+		go func(i int, shard *prepared) {
 			defer wg.Done()
 			reports[i], errs[i] = s.runShard(ctx, j, i, shard)
 		}(i, shard)
@@ -413,11 +412,7 @@ func (s *Server) runSharded(ctx context.Context, j *job) ([]byte, error) {
 			return nil, err
 		}
 	}
-	key, err := JobKey(j.spec)
-	if err != nil {
-		return nil, err
-	}
-	merged, err := MergeShards(j.spec, key, reports)
+	merged, err := MergeShards(pr.spec, j.key, reports)
 	if err != nil {
 		return nil, err
 	}
@@ -425,7 +420,7 @@ func (s *Server) runSharded(ctx context.Context, j *job) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := s.cache.Put(key, b); err != nil {
+	if err := s.cache.Put(j.key, b); err != nil {
 		return nil, err
 	}
 	return b, nil
@@ -434,13 +429,9 @@ func (s *Server) runSharded(ctx context.Context, j *job) ([]byte, error) {
 // runShard executes shard i of a job, round-robining across the local
 // pool (slot 0) and the configured peers, with a local fallback when a
 // peer is unreachable or its reply fails executeRemote's check.
-func (s *Server) runShard(ctx context.Context, j *job, i int, shard Spec) (*Report, error) {
-	key, err := JobKey(shard)
-	if err != nil {
-		return nil, err
-	}
+func (s *Server) runShard(ctx context.Context, j *job, i int, shard *prepared) (*Report, error) {
 	if target := i % (1 + len(s.cfg.Peers)); target > 0 {
-		rep, err := s.executeRemote(ctx, s.cfg.Peers[target-1], shard, key)
+		rep, err := s.executeRemote(ctx, s.cfg.Peers[target-1], shard.spec, shard.key())
 		if err == nil {
 			j.progressSink(i)(engine.Stats{Done: 1, Total: 1})
 			return rep, nil

@@ -109,6 +109,8 @@ type prepared struct {
 
 // prepare validates a spec and elaborates its circuit: load (or parse),
 // synthesize, fingerprint, and enumerate the collapsed fault list.
+// Fingerprinting levelizes the netlist, its one lazily cached state, so
+// goroutines that share the elaboration only ever read it.
 func prepare(sp Spec) (*prepared, error) {
 	switch sp.Kind {
 	case FaultSim, MutationTG, ATPG:
@@ -259,7 +261,7 @@ const (
 	maxFrames  = 64
 )
 
-// Shards decomposes a job into the independent shard specs whose merge
+// shards decomposes a job into the independent shards whose merge
 // (MergeShards) is the job's result. MutationTG and ATPG use their
 // canonical decompositions — one round per operator class present in
 // the population, fixed atpgChunk-wide fault ranges — and ignore n,
@@ -267,15 +269,9 @@ const (
 // meaning must not depend on who executes it. FaultSim fault lanes are
 // independent, so any split merges exactly: n picks the width (the
 // caller's worker count). Jobs that cannot be split return nil.
-func Shards(sp Spec, n int) ([]Spec, error) {
-	pr, err := prepare(sp)
-	if err != nil {
-		return nil, err
-	}
-	return pr.shards(n), nil
-}
-
-func (pr *prepared) shards(n int) []Spec {
+// Shards share pr's elaboration (see with), so deriving them elaborates
+// nothing, and they may run at once: execution only reads it.
+func (pr *prepared) shards(n int) []*prepared {
 	sp := pr.spec
 	switch sp.Kind {
 	case MutationTG:
@@ -283,14 +279,14 @@ func (pr *prepared) shards(n int) []Spec {
 			return nil
 		}
 		counts := mutation.CountByOperator(mutation.Generate(pr.c))
-		var out []Spec
+		var out []*prepared
 		for _, op := range mutation.AllOperators() {
 			if counts[op] == 0 {
 				continue
 			}
 			shard := sp
 			shard.Operator = string(op)
-			out = append(out, shard)
+			out = append(out, pr.with(shard))
 		}
 		if len(out) <= 1 {
 			return nil
@@ -301,12 +297,12 @@ func (pr *prepared) shards(n int) []Spec {
 		if hi-lo <= atpgChunk {
 			return nil
 		}
-		var out []Spec
+		var out []*prepared
 		for at := lo; at < hi; at += atpgChunk {
 			shard := sp
 			shard.FaultLo = at
 			shard.FaultHi = min(at+atpgChunk, hi)
-			out = append(out, shard)
+			out = append(out, pr.with(shard))
 		}
 		return out
 	default:
@@ -314,14 +310,22 @@ func (pr *prepared) shards(n int) []Spec {
 		if n <= 1 || hi-lo < n {
 			return nil
 		}
-		out := make([]Spec, 0, n)
+		out := make([]*prepared, 0, n)
 		span := hi - lo
 		for i := 0; i < n; i++ {
 			shard := sp
 			shard.FaultLo = lo + span*i/n
 			shard.FaultHi = lo + span*(i+1)/n
-			out = append(out, shard)
+			out = append(out, pr.with(shard))
 		}
 		return out
 	}
+}
+
+// with returns pr's elaboration under a shard's spec: the same circuit,
+// netlist, fingerprint and fault list.
+func (pr *prepared) with(shard Spec) *prepared {
+	c := *pr
+	c.spec = shard
+	return &c
 }

@@ -53,15 +53,6 @@ type Options struct {
 // (Workers == 1).
 func (o Options) Serial() bool { return o.Workers == 1 }
 
-// Context returns the cancellation context, substituting a background
-// context when none is set.
-func (o Options) Context() context.Context {
-	if o.Ctx == nil {
-		return context.Background()
-	}
-	return o.Ctx
-}
-
 // Cancelled returns the context's error if the options carry a cancelled
 // (or otherwise done) context, and nil otherwise. Engines poll it at
 // work-unit boundaries; it never blocks.

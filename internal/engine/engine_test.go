@@ -16,17 +16,11 @@ func TestSerial(t *testing.T) {
 
 func TestContextAndCancelled(t *testing.T) {
 	var o Options
-	if o.Context() == nil {
-		t.Fatal("nil Ctx must substitute a background context")
-	}
 	if err := o.Cancelled(); err != nil {
 		t.Fatalf("zero Options cancelled: %v", err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	o.Ctx = ctx
-	if o.Context() != ctx {
-		t.Fatal("Context() must return the configured context")
-	}
 	if err := o.Cancelled(); err != nil {
 		t.Fatalf("live context reported cancelled: %v", err)
 	}

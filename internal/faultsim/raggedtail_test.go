@@ -176,30 +176,13 @@ func TestRaggedTailFaultBatches(t *testing.T) {
 	}
 }
 
-// runCombAt is Run on a combinational session with every pattern batch
-// forced to the given width instead of the session's W=1: the generic
-// appendCombLanes at the wider instantiations the session does not pick
-// itself. It returns a copy of the first-detection profile.
-func runCombAt(s *Simulator, words int, tests []Pattern) ([]int, error) {
-	s.Reset()
-	var err error
-	switch words {
-	case 4:
-		err = appendCombLanes[lane.W4](s, tests)
-	case 8:
-		err = appendCombLanes[lane.W8](s, tests)
-	default:
-		err = appendCombLanes[lane.W1](s, tests)
-	}
-	return append([]int(nil), s.detected...), err
-}
-
 // TestRaggedTailPatternBatches pins the pattern-parallel tail mask on
 // combinational circuits: test-set lengths around the word boundary and
-// the first and second vector boundaries must match the reference
-// profile at every batch width (a pattern past the tail mask must never
-// count as a detection). The session runs W=1 batches; W=4 and W=8 pin
-// the generic code's wider instantiations.
+// the first and second 64·W-pattern boundaries for W = 1, 4 and 8 must
+// match the reference profile (a pattern past the tail mask must never
+// count as a detection). Combinational sessions pack every length into
+// 64-pattern batches, so the wider boundaries pin windows of up to 17
+// batches whose last one is ragged.
 func TestRaggedTailPatternBatches(t *testing.T) {
 	nl := randomParityNetlist(t, 104, 0, 120)
 	ref, err := Config{Options: engine.Options{Workers: 1}}.New(nl, nil)
@@ -221,14 +204,14 @@ func TestRaggedTailPatternBatches(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := runCombAt(s, W, tests)
+				got, err := s.Run(tests)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for i := range want.FirstDetected {
-					if got[i] != want.FirstDetected[i] {
+					if got.FirstDetected[i] != want.FirstDetected[i] {
 						t.Errorf("fault %d: detected at %d, reference %d",
-							i, got[i], want.FirstDetected[i])
+							i, got.FirstDetected[i], want.FirstDetected[i])
 					}
 				}
 			})

@@ -173,16 +173,23 @@ type Simulator struct {
 	tally   []PathStats         // per-batch path counts for the current window
 	chunks  []seqChunk          // plan scratch (planSeqChunks + re-plan cost probe)
 	surv    [][]uint64          // re-plan scratch: packed FF state per surviving lane
-	w1      widthState[lane.W1] // per-width state, reached through widthOf
+	w1      widthState[lane.W1] // per-width sequential state, reached through widthOf
 	w4      widthState[lane.W4]
 	w8      widthState[lane.W8]
+	// comb holds the combinational worker machines. They never carry an
+	// injected fault: each batch starts with a fault-free Eval, and fault
+	// propagation restores every net it touches, so reuse across Appends
+	// is free.
+	comb []*netlist.Machine[lane.W1]
+	// pis is the combinational window: the packed PI word batches.
+	pis [][]lane.W1
 }
 
-// widthState is the session's state at one lane width W, reached through
-// widthOf. Sequential batches of every width can be live at once (ragged
-// tails and re-plans pick narrower widths), so each width keeps its own
-// machines, batch shells and stimulus rows. Serial session code grows and
-// rewrites these; the parallel sections only read them.
+// widthState is the session's sequential state at one lane width W,
+// reached through widthOf. Sequential batches of every width can be live
+// at once (ragged tails and re-plans pick narrower widths), so each width
+// keeps its own machines, batch shells and stimulus rows. Serial session
+// code grows and rewrites these; the parallel sections only read them.
 type widthState[W lane.Word] struct {
 	// free holds armed machines of retired batches; arming redraws them.
 	free []*netlist.Machine[W]
@@ -191,13 +198,6 @@ type widthState[W lane.Word] struct {
 	// stim is the sequential window's stimulus, every cycle broadcast to
 	// all lanes.
 	stim [][]W
-	// comb holds the combinational worker machines. They never carry an
-	// injected fault: each batch starts with a fault-free Eval, and fault
-	// propagation restores every net it touches, so reuse across Appends
-	// is free.
-	comb []*netlist.Machine[W]
-	// pis is the combinational window: the packed PI vector batches.
-	pis [][]W
 	// steps holds one Machine.Step scratch per worker. A step leaves
 	// its scratch empty, so the worker's batches share it in turn.
 	steps []*netlist.EventScratch[W]
@@ -581,7 +581,7 @@ func (s *Simulator) appendWindow(tests []Pattern, fromReset bool) (*Result, erro
 			if s.cfg.Serial() {
 				err = s.appendCombinationalRef(tests)
 			} else {
-				err = appendCombLanes[lane.W1](s, tests)
+				err = s.appendCombLanes(tests)
 			}
 		}
 		if err != nil {
@@ -724,30 +724,28 @@ const allLanes = ^uint64(0)
 
 // --- compiled combinational (pattern-parallel) -------------------------------
 
-// packPatternBatches packs the test set into W×64-pattern PI vector
-// batches (lane k·64+t of every vector is pattern lo+k·64+t) into the
-// session's width-W window rows and returns them.
-func packPatternBatches[W lane.Word](s *Simulator, tests []Pattern) [][]W {
-	L := lane.Count[W]()
-	nBatches := (len(tests) + L - 1) / L
-	ws := widthOf[W](s)
-	out := engine.Grow(ws.pis, nBatches)
+// packPatternBatches packs the test set into 64-pattern PI word batches
+// (bit t of every word is pattern lo+t) into the session's window rows
+// and returns them.
+func (s *Simulator) packPatternBatches(tests []Pattern) [][]lane.W1 {
+	nBatches := (len(tests) + 63) / 64
+	out := engine.Grow(s.pis, nBatches)
 	for b := 0; b < nBatches; b++ {
-		lo := b * L
-		hi := min(lo+L, len(tests))
+		lo := b * 64
+		hi := min(lo+64, len(tests))
 		words := engine.Grow(out[b], len(s.nl.PIs))
 		for pi := range words {
-			var w W
+			var w lane.W1
 			for ln, t := lo, 0; ln < hi; ln, t = ln+1, t+1 {
 				if tests[ln][pi] != 0 {
-					w[t>>6] |= 1 << uint(t&63)
+					w[0] |= 1 << uint(t)
 				}
 			}
 			words[pi] = w
 		}
 		out[b] = words
 	}
-	ws.pis = out
+	s.pis = out
 	return out
 }
 
@@ -777,7 +775,7 @@ func broadcast[W lane.Word](s *Simulator, tests []Pattern) [][]W {
 
 // appendCombLanes is the compiled pattern-parallel path, batch-major per
 // worker: worker j owns every workers-th live fault (which spreads the
-// few faults that propagate far evenly over the pool) and, per W×64-
+// few faults that propagate far evenly over the pool) and, per 64-
 // pattern batch of the new patterns, runs one fault-free pass on its
 // machine and propagates each of its undetected faults through only the
 // gates the fault disturbs (Machine.PropagateFault). A fault a batch
@@ -788,7 +786,7 @@ func broadcast[W lane.Word](s *Simulator, tests []Pattern) [][]W {
 // the live faults settled (detected, or undetected by the whole window),
 // reported after every batch. Only the laned frontier is simulated; the
 // faults without a lane count as settled from the first report.
-func appendCombLanes[W lane.Word](s *Simulator, tests []Pattern) error {
+func (s *Simulator) appendCombLanes(tests []Pattern) error {
 	total := len(s.live)
 	lanes := s.laned(s.live)
 	settled := total - len(lanes)
@@ -798,25 +796,23 @@ func appendCombLanes[W lane.Word](s *Simulator, tests []Pattern) error {
 		}
 		return nil
 	}
-	ws := widthOf[W](s)
-	batchPIs := packPatternBatches[W](s, tests)
+	batchPIs := s.packPatternBatches(tests)
 	workers := par.Workers(s.cfg.Workers, len(lanes))
-	for len(ws.comb) < workers {
-		ws.comb = append(ws.comb, netlist.NewMachine[W](s.prog))
+	for len(s.comb) < workers {
+		s.comb = append(s.comb, netlist.NewMachine[lane.W1](s.prog))
 	}
-	L := lane.Count[W]()
 	base := s.applied
 	var mu sync.Mutex
 	return par.IndexedCtx(s.cfg.Ctx, workers, workers, func(_, j int) {
-		m := ws.comb[j]
+		m := s.comb[j]
 		left := (len(lanes) - j + workers - 1) / workers // this worker's undetected faults
 		for b, words := range batchPIs {
 			if s.cfg.Cancelled() != nil {
 				return
 			}
 			m.Eval(words)
-			lo := b * L
-			laneMask := lane.FirstN[W](len(tests) - lo)
+			lo := b * 64
+			laneMask := lane.FirstN[lane.W1](len(tests) - lo)[0]
 			done := 0
 			for n, i := 0, j; i < len(lanes); n, i = n+1, i+workers {
 				if n&1023 == 1023 && s.cfg.Cancelled() != nil {
@@ -826,8 +822,8 @@ func appendCombLanes[W lane.Word](s *Simulator, tests []Pattern) error {
 				if s.detected[fi] >= 0 {
 					continue // detected by an earlier batch
 				}
-				if d := firstLane(m.PropagateFault(s.faults[fi].Site), laneMask); d >= 0 {
-					s.detected[fi] = base + lo + d
+				if d := m.PropagateFault(s.faults[fi].Site)[0] & laneMask; d != 0 {
+					s.detected[fi] = base + lo + bits.TrailingZeros64(d)
 					done++
 				}
 			}
@@ -846,17 +842,6 @@ func appendCombLanes[W lane.Word](s *Simulator, tests []Pattern) error {
 			}
 		}
 	}, nil)
-}
-
-// firstLane returns the lowest lane set in both vectors, or -1: words in
-// order, then the lowest bit of the first non-zero word.
-func firstLane[W lane.Word](diff, mask W) int {
-	for k := 0; k < len(diff); k++ {
-		if d := diff[k] & mask[k]; d != 0 {
-			return k*64 + bits.TrailingZeros64(d)
-		}
-	}
-	return -1
 }
 
 // --- compiled sequential (parallel-fault) ------------------------------------

@@ -68,15 +68,6 @@ func (e *Evaluator) Reset() {
 	}
 }
 
-// SetState overwrites the flip-flop state words directly (used by the
-// fault simulator to carry fault effects across cycles).
-func (e *Evaluator) SetState(s []uint64) {
-	if len(s) != len(e.state) {
-		panic(fmt.Sprintf("netlist: SetState with %d words for %d FFs", len(s), len(e.state)))
-	}
-	copy(e.state, s)
-}
-
 // State returns a copy of the flip-flop state words.
 func (e *Evaluator) State() []uint64 {
 	out := make([]uint64, len(e.state))

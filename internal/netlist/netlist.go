@@ -188,7 +188,10 @@ func (n *Netlist) Validate() error {
 // Levelize computes topological levels for combinational evaluation: PIs,
 // constants and DFF outputs are level 0; every combinational gate is one
 // more than its deepest fanin. It returns the evaluation order (gate IDs
-// sorted by level, ties by ID) and errors on combinational cycles.
+// sorted by level, ties by ID) and errors on combinational cycles. Its
+// first call writes the cached levels, so a netlist shared across
+// goroutines must be levelized first (Compile, Validate and Fingerprint
+// do it).
 func (n *Netlist) Levelize() ([]int, error) {
 	if n.levelized {
 		return n.evalOrder(), nil

@@ -136,25 +136,14 @@ func (s *Simulator) Reset() {
 	}
 }
 
-// Snapshot captures the register state (registers and registered outputs)
-// so a caller can explore candidate input segments and roll back. The
-// returned slice is owned by the caller.
+// Snapshot captures the register state (registers and registered
+// outputs). The returned slice is owned by the caller.
 func (s *Simulator) Snapshot() []bitvec.BV {
 	out := make([]bitvec.BV, len(s.regSlots))
 	for i, id := range s.regSlots {
 		out[i] = s.env[id]
 	}
 	return out
-}
-
-// Restore rewinds the register state to a snapshot taken on this simulator.
-func (s *Simulator) Restore(snap []bitvec.BV) {
-	if len(snap) != len(s.regSlots) {
-		panic(fmt.Sprintf("sim: snapshot of %d registers for %d", len(snap), len(s.regSlots)))
-	}
-	for i, id := range s.regSlots {
-		s.env[id] = snap[i]
-	}
 }
 
 // Step applies one input vector, advances one clock cycle, and returns the

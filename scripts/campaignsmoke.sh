@@ -1,12 +1,17 @@
 #!/bin/sh
 # Campaign service integration smoke: build cmd/reprod under -race,
 # start it, submit the same job set twice through the mutsample campaign
-# client, and assert the contract the service exists for —
+# client, run it once more in-process, and assert the contract the
+# service exists for —
 #
 #   1. every report of the second pass is byte-identical to the first
-#      pass's (content addressing: equal key, equal bytes), and
+#      pass's (content addressing: equal key, equal bytes),
 #   2. the second pass is served from the content cache (the server's
-#      /v1/stats hit counter grows by the size of the job set).
+#      /v1/stats hit counter grows by the size of the job set), and
+#   3. every served report of the first pass is byte-identical to the
+#      in-process report of the same job (one semantics, whoever runs
+#      it: the server splits the b01 fault-simulation job into shards
+#      and merges them, the in-process run does not).
 #
 # Usage: sh scripts/campaignsmoke.sh [port]
 set -eu
@@ -36,13 +41,16 @@ until "$WORK/mutsample" campaign -server "$BASE" -kind faultsim \
     sleep 0.2
 done
 
-submit_all() {
+# run_all PASS [-server URL]: run the job set, through the server when
+# -server is given and in-process otherwise, into $WORK/PASS.<kind>.json.
+run_all() {
     pass="$1"
-    "$WORK/mutsample" campaign -server "$BASE" -kind faultsim \
+    shift
+    "$WORK/mutsample" campaign "$@" -kind faultsim \
         -seed 3 -horizon 256 -window 64 b01 >"$WORK/$pass.faultsim.json"
-    "$WORK/mutsample" campaign -server "$BASE" -kind tg \
+    "$WORK/mutsample" campaign "$@" -kind tg \
         -seed 5 -maxlen 64 b02 >"$WORK/$pass.tg.json"
-    "$WORK/mutsample" campaign -server "$BASE" -kind atpg \
+    "$WORK/mutsample" campaign "$@" -kind atpg \
         -seed 1 c432 >"$WORK/$pass.atpg.json"
 }
 
@@ -51,12 +59,15 @@ hits() {
 }
 
 echo "campaignsmoke: first pass (cold cache)"
-submit_all first
+run_all first -server "$BASE"
 HITS_AFTER_FIRST="$(hits)"
 
 echo "campaignsmoke: second pass (must be served from cache)"
-submit_all second
+run_all second -server "$BASE"
 HITS_AFTER_SECOND="$(hits)"
+
+echo "campaignsmoke: in-process pass"
+run_all local
 
 status=0
 for kind in faultsim tg atpg; do
@@ -65,6 +76,13 @@ for kind in faultsim tg atpg; do
     else
         echo "campaignsmoke: FAIL: $kind reports differ between passes" >&2
         diff "$WORK/first.$kind.json" "$WORK/second.$kind.json" >&2 || true
+        status=1
+    fi
+    if cmp -s "$WORK/first.$kind.json" "$WORK/local.$kind.json"; then
+        echo "campaignsmoke: $kind served report equals the in-process one"
+    else
+        echo "campaignsmoke: FAIL: $kind served report differs from the in-process one" >&2
+        diff "$WORK/first.$kind.json" "$WORK/local.$kind.json" >&2 || true
         status=1
     fi
 done
